@@ -9,8 +9,8 @@ through (tau_d, delta(0), gamma(0)):
 * lambda(a): the response of the fixed point to the treatment step, solved
   from (I - delta0*G) lambda = 1{a >= 0} with G the unit-radius moving mean
   on the whole line. lambda jumps by exactly 1 at a = 0 and approaches 0 /
-  1/(1-delta0) at -inf / +inf; the table solver pads with those constants and
-  carries the jump exactly.
+  1/(1-delta0) at -inf / +inf; the table solver (the population's two-grid
+  iteration) pads with those constants and carries the jump exactly.
 * lambda_tilde(a) = lambda(a) - 1{a >= 0}: the same response with the direct
   step removed. It is continuous and also absorbs the exogenous channel: the
   neighborhood-share ramp response equals lambda_tilde/delta0, so no separate
@@ -34,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ConfigError, DomainError, NumericError
 from .kernels import KERNEL_NAMES, kernel_values, one_sided_moment
-from .quadrature import window_integrals, window_matrix
+from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
 
 DEFAULT_A = 12.0
 DEFAULT_TABLE_N = 4801
@@ -106,21 +107,17 @@ class LambdaTable:
         return total / (hi - lo)
 
     def to_csv(self, path_or_buf) -> None:
-        data = np.column_stack([self.a_grid, self.values])
-        if hasattr(path_or_buf, "write"):
-            np.savetxt(path_or_buf, data, delimiter=",", header="a,lambda", comments="", fmt="%.17g")
-        else:
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                np.savetxt(fh, data, delimiter=",", header="a,lambda", comments="", fmt="%.17g")
+        write_csv(path_or_buf, "a,lambda", self.a_grid, self.values)
 
 
 def build_lambda_table(delta0: float, A: float = DEFAULT_A,
                        grid_n: int = DEFAULT_TABLE_N) -> LambdaTable:
-    """Solve (I - delta0*G) lambda = 1{a>=0} densely on [-A, A].
+    """Solve (I - delta0*G) lambda = 1{a>=0} on [-A, A] by the two-grid solver.
 
     The moving mean is over the whole line; window mass outside the table is
     replaced by the known asymptotic constants. The cutoff jump (size exactly
     1) is carried through the quadrature instead of being smeared over a cell.
+    Raises SolverError when the residual does not reach 1e-10.
     """
     if not abs(delta0) < 1.0:
         raise DomainError(f"|delta0| must be < 1, got {delta0}")
@@ -132,26 +129,22 @@ def build_lambda_table(delta0: float, A: float = DEFAULT_A,
         raise ConfigError("table grid_n must be odd so a=0 is a grid point")
     a = np.linspace(-A, A, grid_n)
     i0 = grid_n // 2
-    ind = (a >= 0.0).astype(float)
     plateau = 1.0 / (1.0 - delta0)
-    lo = np.maximum(a - 1.0, -A)
-    hi = np.minimum(a + 1.0, A)
-    W, wl0, _ = window_matrix(a, lo, hi, i0)
+
+    def windows(x):
+        return np.maximum(x - 1.0, -A), np.minimum(x + 1.0, A), np.full_like(x, delta0 / 2.0)
+
+    lo, hi, _ = windows(a)
     pad_right = np.maximum(a + 1.0 - A, 0.0)
-    # operator value = (inside integral + jump term + right overhang * plateau)/2
-    rhs = ind + delta0 * (pad_right * plateau - wl0) / 2.0
-    M = W
-    M *= -delta0 / 2.0
-    M[np.diag_indices_from(M)] += 1.0
-    lam = np.linalg.solve(M, rhs)
-    del M
-    smoothed = (window_integrals(lam, a, lo, hi, i0, -1.0, 0.0)
-                + pad_right * plateau) / 2.0
-    residual = float(np.max(np.abs(lam - ind - delta0 * smoothed)))
+    # operator = delta0/2 * (integral + jump term + overhang * plateau); b holds the last two
+    b = (a >= 0.0) + delta0 / 2.0 * (
+        window_integrals(np.zeros(grid_n), a, lo, hi, i0, -1.0, 0.0) + pad_right * plateau)
+    ac = coarse_grid(a, 1.0)
+    lam, report = two_grid_solve(b, a, ac, windows, window_matrix(ac, *windows(ac)[:2], None)[0])
     if 0.0 <= delta0 < 1.0 and np.any(np.diff(lam) < -1e-8):
         warnings.warn("lambda table is not monotone nondecreasing", RuntimeWarning)
     return LambdaTable(delta0=float(delta0), a_grid=a, values=lam,
-                       truncation_A=float(A), residual=residual)
+                       truncation_A=float(A), residual=report["residual_sup_norm"])
 
 
 def adequate_table(delta0: float, c: float, A: float = DEFAULT_A,
@@ -160,7 +153,8 @@ def adequate_table(delta0: float, c: float, A: float = DEFAULT_A,
 
     The widest window for ratio c reaches |a| = 1 + 2/c; A doubles until the
     geometric tail bound clears the threshold. Node spacing is kept roughly
-    constant (capped at 6401 points) so rebuilds stay affordable.
+    constant, capped at 6401 points: a cap kept only because the pinned
+    tau_star values were computed with it; it coarsens large-A tables.
     """
     if not 0.0 < c < 2.0:
         raise ConfigError(f"c must be in (0, 2), got {c}")

@@ -4,7 +4,7 @@ Subcommands: simulate, estimate, crossval, experiment. One JSON config
 document drives all of them; the CLI validates shape, dispatches to library
 operations, and persists results. It computes nothing itself.
 
-Exit codes: 1 config problem, 2 population solver failure, 3 malformed input
+Exit codes: 1 config problem, 2 solver failure, 3 malformed input
 data, 4 estimation failure. All errors go to standard error.
 """
 from __future__ import annotations

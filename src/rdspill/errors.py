@@ -20,7 +20,7 @@ class ConfigError(RdspillError):
 
 
 class SolverError(RdspillError):
-    """The population fixed-point solve could not meet its tolerance."""
+    """A fixed-point solve (population or lambda table) could not meet its tolerance."""
 
 
 class DataError(RdspillError):

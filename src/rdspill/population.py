@@ -10,25 +10,23 @@ Y inherits a single jump at the cutoff from m (and from a one-sided gamma);
 its size is known from the model, so the solver carries it exactly instead of
 smearing it across a grid cell: the quadrature underlying mu treats the cell
 straddling 0 one-sidedly, and the jump shows up as a constant offset in the
-discrete linear system. The grid stores right limits at 0 (the treated branch).
+discrete system that `quadrature.two_grid_solve` solves. The grid stores
+right limits at 0 (the treated branch).
 """
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SolverError
+from .csvio import write_csv
+from .errors import ConfigError, DomainError
 from .funcspace import ModelSpec, eval_func
-from .quadrature import window_integrals, window_matrix
+from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
 
 REGIME_KINDS = ("cutoff", "all-treated", "none-treated")
 
-DENSE_TOL = 1e-10
-NEUMANN_TOL = 1e-8
 DEFAULT_GRID_N = 4001
 
 
@@ -123,13 +121,7 @@ class PopulationSolution:
         return out
 
     def to_csv(self, path_or_buf) -> None:
-        header = "z,y,mu,nu"
-        data = np.column_stack([self.grid, self.y, self.mu, self.nu])
-        if hasattr(path_or_buf, "write"):
-            np.savetxt(path_or_buf, data, delimiter=",", header=header, comments="", fmt="%.17g")
-        else:
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                np.savetxt(fh, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path_or_buf, "z,y,mu,nu", self.grid, self.y, self.mu, self.nu)
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -170,19 +162,14 @@ def _model_rhs(model: ModelSpec, regime: TreatmentRegime, grid: np.ndarray, r: f
 
 
 def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
-                     grid_n: int = DEFAULT_GRID_N,
-                     method: Literal["dense", "neumann"] = "dense") -> PopulationSolution:
+                     grid_n: int = DEFAULT_GRID_N) -> PopulationSolution:
     """Solve the fixed point on a uniform grid of grid_n points over [-1, 1].
 
-    dense: one linear solve of the discretized (I - G) system, residual
-    checked against 1e-10. neumann: contraction iteration with certified
-    factor delta_bar, stopped when the increment drops below
-    (1 - delta_bar)*1e-8, which bounds the distance to the fixed point by 1e-8.
+    Two-grid Nystrom iteration (quadrature.two_grid_solve) on a coarse grid
+    of spacing r/4, stopped once the residual sup-norm is at most 1e-10.
     """
     if grid_n % 2 == 0 or grid_n < 201:
         raise ConfigError(f"grid_n must be odd and >= 201, got {grid_n}")
-    if method not in ("dense", "neumann"):
-        raise ConfigError(f"unknown solver method {method!r}")
     if r <= 0 or r >= 2:
         raise ConfigError(f"radius r={r} outside (0, 2)")
     grid = np.linspace(-1.0, 1.0, grid_n)
@@ -194,53 +181,18 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
     i0 = grid_n // 2
     rhs, nu_vals = _model_rhs(model, regime, grid, r)
     jump_left, jump_right = _jumps(model, regime)
-    delta_vals = np.asarray(eval_func(model.delta, grid))
-    lo = np.maximum(grid - r, -1.0)
-    hi = np.minimum(grid + r, 1.0)
-    lengths = hi - lo
-    delta_bar = model.delta_bar
 
-    if method == "dense":
-        W, wl0, wr0 = window_matrix(grid, lo, hi, i0)
-        jump_term = (wl0 * jump_left + wr0 * jump_right) / lengths
-        # turn W into (I - delta*avg) in place to keep one N x N array alive
-        W /= lengths[:, None]
-        W *= -delta_vals[:, None]
-        W[np.diag_indices_from(W)] += 1.0
-        y = np.linalg.solve(W, rhs + delta_vals * jump_term)
-        del W
-        mu = window_integrals(y, grid, lo, hi, i0, jump_left, jump_right) / lengths
-        iterations = 1
-    else:
-        if delta_bar >= 1.0:
-            raise SolverError("contraction factor >= 1")
-        target = (1.0 - delta_bar) * NEUMANN_TOL
-        if delta_bar == 0.0:
-            cap = 2
-        else:
-            cap = math.ceil(math.log(NEUMANN_TOL * (1.0 - delta_bar)) / math.log(delta_bar)) + 10
-        y = rhs.copy()
-        mu = None
-        iterations = 0
-        for iterations in range(1, cap + 1):
-            mu = window_integrals(y, grid, lo, hi, i0, jump_left, jump_right) / lengths
-            y_new = rhs + delta_vals * mu
-            inc = float(np.max(np.abs(y_new - y)))
-            y = y_new
-            if inc < target:
-                break
-        else:
-            raise SolverError(
-                f"Neumann iteration did not converge within {cap} iterations "
-                f"(last increment {inc:.3e}, target {target:.3e})"
-            )
-        mu = window_integrals(y, grid, lo, hi, i0, jump_left, jump_right) / lengths
+    def windows(x):
+        lo, hi = np.maximum(x - r, -1.0), np.minimum(x + r, 1.0)
+        return lo, hi, np.asarray(eval_func(model.delta, x)) / (hi - lo)
 
-    residual = float(np.max(np.abs(y - rhs - delta_vals * mu)))
-    tol = DENSE_TOL if method == "dense" else NEUMANN_TOL
-    if residual > tol:
-        raise SolverError(f"solver residual {residual:.3e} exceeds tolerance {tol:.0e}")
-    report = {"method": method, "iterations": iterations, "residual_sup_norm": residual}
+    lo, hi, scale = windows(grid)
+    # the jumps are known, so their share of delta*mu is a constant of the system
+    b = rhs + scale * window_integrals(np.zeros(grid_n), grid, lo, hi, i0,
+                                       jump_left, jump_right)
+    zc = coarse_grid(grid, r)
+    y, report = two_grid_solve(b, grid, zc, windows, window_matrix(zc, *windows(zc)[:2], None)[0])
+    mu = window_integrals(y, grid, lo, hi, i0, jump_left, jump_right) / (hi - lo)
     return PopulationSolution(grid=grid, r=float(r), regime=regime, y=y, mu=mu,
                               nu=nu_vals, solver_report=report, model=model,
                               jump_left=jump_left, jump_right=jump_right)
@@ -260,8 +212,7 @@ def mu_at(sol: PopulationSolution, z: float):
     return vals
 
 
-def true_estimands(model: ModelSpec, r: float, grid_n: int = DEFAULT_GRID_N,
-                   method: Literal["dense", "neumann"] = "dense") -> dict:
+def true_estimands(model: ModelSpec, r: float, grid_n: int = DEFAULT_GRID_N) -> dict:
     """Exact tau_d and the finite-r total effect tau_tot.
 
     tau_d needs no solve. tau_tot compares the all-treated and none-treated
@@ -269,8 +220,8 @@ def true_estimands(model: ModelSpec, r: float, grid_n: int = DEFAULT_GRID_N,
     (tau_d + gamma(0)) / (1 - delta(0)).
     """
     tau_d = eval_func(model.m_plus, 0.0) - eval_func(model.m_minus, 0.0)
-    sol_all = solve_population(model, r, ALL_TREATED, grid_n, method)
-    sol_none = solve_population(model, r, NONE_TREATED, grid_n, method)
+    sol_all = solve_population(model, r, ALL_TREATED, grid_n)
+    sol_none = solve_population(model, r, NONE_TREATED, grid_n)
     i0 = sol_all.i0
     tau_tot = float(sol_all.y[i0] - sol_none.y[i0])
     return {"tau_d": float(tau_d), "tau_tot": tau_tot}

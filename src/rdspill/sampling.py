@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ConfigError, DataError
 from .funcspace import ModelSpec, eval_func
 from .population import PopulationSolution
@@ -39,14 +40,7 @@ class Sample:
         return self.z.size
 
     def to_csv(self, path_or_buf) -> None:
-        data = np.column_stack([self.z, self.y])
-        if hasattr(path_or_buf, "write"):
-            np.savetxt(path_or_buf, data, delimiter=",", header="z,y",
-                       comments="", fmt="%.17g")
-        else:
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                np.savetxt(fh, data, delimiter=",", header="z,y",
-                           comments="", fmt="%.17g")
+        write_csv(path_or_buf, "z,y", self.z, self.y)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

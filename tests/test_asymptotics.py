@@ -16,6 +16,7 @@ from rdspill.asymptotics import (
 )
 from rdspill.errors import ConfigError, DomainError, NumericError
 from rdspill.population import CUTOFF, nu_exact
+from rdspill.quadrature import SOLVER_TOL
 
 BENCH = {"tau_d": 1.0, "delta0": 0.4, "gamma0": 0.5}
 
@@ -68,6 +69,14 @@ class TestBuildLambdaTable:
 
     def test_residual_small(self, tab04):
         assert tab04.residual <= 1e-8
+
+    @pytest.mark.parametrize("delta0", [-0.5, 0.4, 0.8])
+    def test_matches_dense_oracle(self, dense_lambda_table, delta0):
+        tab = build_lambda_table(delta0, A=8.0, grid_n=1601)
+        gap = np.max(np.abs(tab.values - dense_lambda_table(delta0, 8.0, 1601)))
+        # a residual below tol leaves an error below tol / (1 - |delta0|); the
+        # factor 2 covers the oracle's own rounding
+        assert gap <= 2 * SOLVER_TOL / (1 - abs(delta0))
 
     def test_jump_value_at_zero(self, tab04):
         # right limit at 0 is the midpoint of the two asymptotes plus half

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rdspill.asymptotics import build_lambda_table
 from rdspill.errors import ConfigError, DomainError
 from rdspill.funcspace import ModelSpec, constant, eval_func, polynomial, sinusoid_sum
 from rdspill.population import (
@@ -13,7 +16,7 @@ from rdspill.population import (
     solve_population,
     true_estimands,
 )
-from rdspill.quadrature import window_integrals
+from rdspill.quadrature import SOLVER_TOL, window_integrals
 
 
 def _brute_mu(sol, z, n=40_000):
@@ -83,8 +86,10 @@ class TestSolvePopulation:
 
     def test_report_and_residual(self, bench_sol):
         rep = bench_sol.solver_report
-        assert rep["method"] == "dense"
-        assert rep["residual_sup_norm"] <= 1e-10
+        assert rep["method"] == "two-grid"
+        assert rep["iterations"] >= 1
+        assert rep["residual_sup_norm"] <= SOLVER_TOL
+        assert rep["coarse_n"] == 81  # spacing r/4 = 0.025 over [-1, 1]
 
     def test_jump_fields(self, bench_sol):
         assert bench_sol.jump_left == pytest.approx(-1.0)
@@ -100,12 +105,24 @@ class TestSolvePopulation:
             rhs = m_val + 0.4 * mu_ref + 0.5 * nu_exact(CUTOFF, 0.1, z)
             assert bench_sol.interp(np.array([z]))[0] == pytest.approx(rhs, abs=2e-6)
 
-    def test_dense_neumann_agree(self, benchmark_model):
-        d = solve_population(benchmark_model, 0.1, CUTOFF, grid_n=1001, method="dense")
-        n = solve_population(benchmark_model, 0.1, CUTOFF, grid_n=1001, method="neumann")
-        assert np.max(np.abs(d.y - n.y)) < 1e-7
-        assert n.solver_report["method"] == "neumann"
-        assert n.solver_report["iterations"] >= 2
+    def test_matches_dense_oracle(self, benchmark_model, dense_population):
+        sol = solve_population(benchmark_model, 0.1, CUTOFF, grid_n=1001)
+        gap = np.max(np.abs(sol.y - dense_population(benchmark_model, 0.1, CUTOFF, 1001)))
+        # a residual below tol leaves an error below tol / (1 - delta_bar); the
+        # factor 2 covers the oracle's own rounding
+        assert gap <= 2 * SOLVER_TOL / (1 - 0.4)
+        assert sol.solver_report["iterations"] >= 1
+
+    def test_smallest_radius_matches_dense_oracle(self, dense_population):
+        # just above 4 grid spacings: the coarse grid sits at its node cap
+        model = ModelSpec(
+            m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
+            delta=constant(0.95), gamma=constant(0.5), noise_sd=constant(0.0),
+        )
+        sol = solve_population(model, 0.00801, CUTOFF, grid_n=1001)
+        assert sol.solver_report["coarse_n"] == 501
+        gap = np.max(np.abs(sol.y - dense_population(model, 0.00801, CUTOFF, 1001)))
+        assert gap <= 2 * SOLVER_TOL / (1 - 0.95)
 
     def test_grid_refinement_converges(self, benchmark_model):
         coarse = solve_population(benchmark_model, 0.3, CUTOFF, grid_n=1001)
@@ -130,8 +147,6 @@ class TestSolvePopulation:
             solve_population(benchmark_model, 2.5, CUTOFF)
         with pytest.raises(ConfigError):
             solve_population(benchmark_model, 0.001, CUTOFF, grid_n=401)
-        with pytest.raises(ConfigError):
-            solve_population(benchmark_model, 0.1, CUTOFF, method="qr")
 
     def test_arrays_read_only(self, bench_sol):
         with pytest.raises(ValueError):
@@ -159,6 +174,18 @@ class TestSolvePopulation:
             m_val = eval_func(model.m_plus if z >= 0 else model.m_minus, z)
             rhs = m_val + 0.4 * mu_ref + model.gamma_at(z) * nu_exact(CUTOFF, 0.1, z)
             assert sol.interp(np.array([z]))[0] == pytest.approx(rhs, abs=2e-6)
+
+
+def test_solver_memory_stays_linear(benchmark_model):
+    # one fine N x N array would take 128 MB here (N = 4001) or 328 MB (6401)
+    tracemalloc.start()
+    try:
+        solve_population(benchmark_model, 0.075, CUTOFF, 4001)
+        build_lambda_table(0.4, 24.0, 6401)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestStructureLemmas:

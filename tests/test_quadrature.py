@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from rdspill.quadrature import cell_endpoints, window_integrals, window_matrix
+from rdspill.errors import SolverError
+from rdspill.quadrature import (
+    MAX_ITERATIONS,
+    cell_endpoints,
+    coarse_grid,
+    two_grid_solve,
+    window_integrals,
+    window_matrix,
+)
 
 
 def _grid(n):
@@ -147,3 +155,17 @@ class TestCellEndpoints:
         assert yr[1] == pytest.approx(3.0 - 0.5)   # left limit at the node
         assert yl[2] == pytest.approx(3.0 + 0.25)  # right limit at the node
         assert yr[2] == 4.0 and yl[1] == 2.0
+
+
+def test_two_grid_unreachable_tolerance_raises_at_cap():
+    z = _grid(201)
+
+    def windows(x):
+        lo, hi = np.maximum(x - 0.1, -1.0), np.minimum(x + 0.1, 1.0)
+        return lo, hi, 0.5 / (hi - lo)
+
+    zc = coarse_grid(z, 0.1)
+    lo_c, hi_c, _ = windows(zc)
+    with pytest.raises(SolverError, match=f"after {MAX_ITERATIONS} iterations"):
+        two_grid_solve(np.cos(3 * z), z, zc, windows,
+                       window_matrix(zc, lo_c, hi_c, None)[0], tol=0.0)
