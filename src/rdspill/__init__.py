@@ -3,12 +3,9 @@ running variable: exact population solver, cutoff estimators, limit
 objects, and a Monte Carlo harness."""
 from .asymptotics import (
     LambdaTable,
-    MomentSet,
     adequate_table,
     build_lambda_table,
-    compute_moments,
     corollary_bounds_check,
-    lambda_pm,
     mu_profile,
     nu_profile,
     tau_star,

@@ -27,7 +27,6 @@ profiles on each side of the cutoff and adds the direct effect.
 """
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .errors import ConfigError, DomainError, NumericError
-from .kernels import KERNEL_NAMES, kernel_values, one_sided_moment
+from .kernels import kernel_values, one_sided_moment
 from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
 
 DEFAULT_A = 12.0
@@ -117,7 +116,7 @@ def build_lambda_table(delta0: float, A: float = DEFAULT_A,
     The moving mean is over the whole line; window mass outside the table is
     replaced by the known asymptotic constants. The cutoff jump (size exactly
     1) is carried through the quadrature instead of being smeared over a cell.
-    Raises SolverError when the residual does not reach 1e-10.
+    Raises SolverError when the residual does not reach the solver's stop.
     """
     if not abs(delta0) < 1.0:
         raise DomainError(f"|delta0| must be < 1, got {delta0}")
@@ -176,38 +175,6 @@ def _indicator_average(lo: float, hi: float) -> float:
     return (max(hi, 0.0) - max(lo, 0.0)) / (hi - lo)
 
 
-def lambda_pm(x: float, c: float, table: LambdaTable) -> dict:
-    """Window averages of lambda (and lambda - indicator) at bandwidth scale x.
-
-    The neighborhood of z = xh gains [max(1, 2x/c - 1), 1 + 2x/c] and loses
-    [-1, min(1, 2x/c - 1)] relative to the neighborhood of the cutoff, in
-    units of a = z/r. Degenerate x = 0 follows the interval definitions:
-    point evaluation at a = 1 on the gained side, the full [-1, 1] mean on
-    the lost side.
-    """
-    if not 0.0 < c < 2.0:
-        raise ConfigError(f"c must be in (0, 2), got {c}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        lam_plus = table.point(1.0)
-        lam_minus = table.interval_average(-1.0, 1.0)
-        ind_plus, ind_minus = 1.0, 0.5
-    else:
-        g_lo, g_hi = max(1.0, 2 * x / c - 1.0), 1.0 + 2 * x / c
-        l_hi = min(1.0, 2 * x / c - 1.0)
-        lam_plus = table.interval_average(g_lo, g_hi)
-        lam_minus = table.interval_average(-1.0, l_hi)
-        ind_plus = _indicator_average(g_lo, g_hi)
-        ind_minus = _indicator_average(-1.0, l_hi)
-    return {
-        "lam_plus": lam_plus,
-        "lam_minus": lam_minus,
-        "lam_tilde_plus": lam_plus - ind_plus,
-        "lam_tilde_minus": lam_minus - ind_minus,
-    }
-
-
 def _gained_lost(x: float, c: float) -> tuple[tuple[float, float], tuple[float, float]]:
     """Neighborhood pieces gained/lost at z = xh relative to z = 0, in a-units."""
     ctr = 2 * x / c
@@ -245,8 +212,6 @@ def nu_profile(x, c: float) -> np.ndarray:
     return np.clip(np.asarray(x, dtype=float) / c, -0.5, 0.5)
 
 
-# ---------------------------------------------------------------- moments --
-
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -269,114 +234,6 @@ def _side_breaks(c: float, side: int) -> list[float]:
     if side > 0:
         return pts
     return [-p for p in reversed(pts)]
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """One-sided kernel moments and profile moments at ratio c = 2r/h.
-
-    gamma_ps[(p, s)]            = int_0^1 x^p K(x)^s dx
-    Lambda_plus[(p, q, s)]      = int_0^1 x^p [share * D_lambda]^q K^s dx
-    Lambda_minus[(p, q, s)]     = the same integral over [-1, 0]
-    LambdaTilde_plus/minus      = likewise with D_lambda_tilde
-    Gamma_plus/minus            = likewise with the treated-share profile V
-    phi[(p, q, r, s)]           = int_0^1 x^p P(x)^q V(x)^r K^s dx, where P is
-                                  the model-scaled endogenous profile (needs
-                                  tau_d, gamma0; empty when not supplied)
-    """
-
-    kernel: str
-    c: float
-    gamma_ps: dict
-    Lambda_plus: dict
-    Lambda_minus: dict
-    LambdaTilde_plus: dict
-    LambdaTilde_minus: dict
-    Gamma_plus: dict
-    Gamma_minus: dict
-    phi: dict
-
-    def to_csv(self, path_or_buf) -> None:
-        rows = ["map,p,q,r,s,value"]
-        for (p, s), v in sorted(self.gamma_ps.items()):
-            rows.append(f"gamma,{p},,,{s},{v!r}")
-        named = [("Lambda_plus", self.Lambda_plus), ("Lambda_minus", self.Lambda_minus),
-                 ("LambdaTilde_plus", self.LambdaTilde_plus),
-                 ("LambdaTilde_minus", self.LambdaTilde_minus),
-                 ("Gamma_plus", self.Gamma_plus), ("Gamma_minus", self.Gamma_minus)]
-        for name, mp in named:
-            for (p, q, s), v in sorted(mp.items()):
-                rows.append(f"{name},{p},{q},,{s},{v!r}")
-        for (p, q, r, s), v in sorted(self.phi.items()):
-            rows.append(f"phi,{p},{q},{r},{s},{v!r}")
-        text = "\n".join(rows) + "\n"
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(text)
-        else:
-            with open(path_or_buf, "w", encoding="utf-8") as fh:
-                fh.write(text)
-
-
-def compute_moments(table: LambdaTable, c: float, kernel: str,
-                    model_at_0: dict | None = None, gl_nodes: int = 32) -> MomentSet:
-    """Assemble the moment maps by piecewise Gauss-Legendre quadrature."""
-    if kernel not in KERNEL_NAMES:
-        raise ConfigError(f"unknown kernel {kernel!r}")
-    if not 0.0 < c < 2.0:
-        raise ConfigError(f"c must be in (0, 2), got {c}")
-    gamma_ps = {(p, s): one_sided_moment(kernel, p, s)
-                for p in range(5) for s in (1, 2)}
-
-    def lam_diff(xs, tilde: bool):
-        out = np.zeros_like(xs)
-        for i, xv in enumerate(xs):
-            (g_lo, g_hi), (l_lo, l_hi) = _gained_lost(float(xv), c)
-            d = table.interval_average(g_lo, g_hi) - table.interval_average(l_lo, l_hi)
-            if tilde:
-                d -= _indicator_average(g_lo, g_hi) - _indicator_average(l_lo, l_hi)
-            out[i] = min(1.0, abs(float(xv)) / c) * d
-        return out
-
-    def moment_maps(profile_fn):
-        plus, minus = {}, {}
-        for side, target in ((1, plus), (-1, minus)):
-            breaks = _side_breaks(c, side)
-            for p in range(3):
-                for q in (1, 2):
-                    for s in (1, 2):
-                        target[(p, q, s)] = _piecewise_gl(
-                            lambda xs: xs**p * profile_fn(xs)**q * kernel_values(kernel, xs)**s,
-                            breaks, gl_nodes)
-        return plus, minus
-
-    Lp, Lm = moment_maps(lambda xs: lam_diff(xs, tilde=False))
-    Tp, Tm = moment_maps(lambda xs: lam_diff(xs, tilde=True))
-    Gp, Gm = moment_maps(lambda xs: nu_profile(xs, c))
-
-    phi: dict = {}
-    if model_at_0 is not None:
-        tau_d = float(model_at_0["tau_d"])
-        gamma0 = float(model_at_0["gamma0"])
-
-        def pmu(xs):
-            return mu_profile(xs, c, table, tau_d, gamma0)
-
-        breaks = _side_breaks(c, 1)
-        for p in range(3):
-            for q in range(3):
-                for r in range(3):
-                    if q + r > 2:
-                        continue
-                    for s in (1,):
-                        phi[(p, q, r, s)] = _piecewise_gl(
-                            lambda xs: xs**p * pmu(xs)**q * nu_profile(xs, c)**r
-                            * kernel_values(kernel, xs)**s,
-                            breaks, gl_nodes)
-
-    return MomentSet(kernel=kernel, c=float(c), gamma_ps=gamma_ps,
-                     Lambda_plus=Lp, Lambda_minus=Lm,
-                     LambdaTilde_plus=Tp, LambdaTilde_minus=Tm,
-                     Gamma_plus=Gp, Gamma_minus=Gm, phi=phi)
 
 
 # ---------------------------------------------------------------- tau_star --

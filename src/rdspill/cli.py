@@ -10,7 +10,6 @@ data, 4 estimation failure. All errors go to standard error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -34,7 +33,14 @@ from .estimators import (
     nadaraya_watson_rdd,
     to_record,
 )
-from .experiments import STUDIES, VERSION, ExperimentPlan, tau_star_for_model
+from .experiments import (
+    ESTIMATOR_NAMES,
+    STUDIES,
+    VERSION,
+    ExperimentPlan,
+    hash_config,
+    tau_star_for_model,
+)
 from .funcspace import ModelSpec
 from .population import CUTOFF, solve_population, true_estimands
 from .sampling import Sample, draw_sample, parse_sample_csv
@@ -52,7 +58,6 @@ ESTIMATOR_ALIASES = {
     "donut": "donut",
     "spillover": "spillover",
 }
-ALL_ESTIMATORS = ("local_linear", "nadaraya_watson", "donut", "spillover")
 
 
 # ---------------------------------------------------------------- config --
@@ -89,13 +94,8 @@ def _section(doc: dict, name: str, allowed: set, required: set) -> dict:
     return sec
 
 
-def _config_hash(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def _provenance(doc: dict, seed, rescale=None) -> dict:
-    return {"version": VERSION, "config_hash": _config_hash(doc),
+    return {"version": VERSION, "config_hash": hash_config(doc),
             "seed": seed, "rescale": rescale}
 
 
@@ -219,7 +219,7 @@ def cmd_estimate(args) -> int:
         pooling = str(_section(doc, "estimate", ESTIMATE_KEYS, set())
                       .get("pooling", "average"))
     sample, rescale_info = _load_sample(args)
-    names = (ALL_ESTIMATORS if args.estimator == "all"
+    names = (ESTIMATOR_NAMES if args.estimator == "all"
              else (ESTIMATOR_ALIASES[args.estimator],))
     records = [_run_estimator(name, sample, cfg, pooling) for name in names]
     payload = {

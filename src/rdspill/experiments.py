@@ -1,10 +1,14 @@
 """Monte Carlo studies at desk scale.
 
-Four study runners share the same skeleton: lay out cells over (sample size,
-radius regime), draw replicated samples from cached population solves, fit
-the cell's estimator, and report mean / sd / se against a theoretical target
-that is recomputed from the population solver or the limit machinery at run
-time. No target number is hard-coded.
+The four studies run through one cell loop, `_run_cells`. A study supplies
+its plan guards, its cells as (label, radius rule, model, sample size,
+estimator named on a failure row), and per cell the rows it reports with
+their targets and a per-sample fit. The loop solves the population once per
+cell (cached), draws the replications one at a time, fits each, and reports
+mean / sd / se against the theoretical target, which is recomputed from the
+population solver or the limit machinery at run time. No target number is
+hard-coded. A library error in a cell becomes that cell's failure row; the
+other cells still run.
 
 Reproducibility: every cell derives its replication seeds from one Philox
 substream keyed by (plan seed, study tag, cell index), and the whole seed
@@ -108,6 +112,12 @@ PHASE_REGIMES = (
 )
 
 
+def hash_config(doc: dict) -> str:
+    """First 16 hex digits of the SHA-256 of the canonical JSON of doc."""
+    blob = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     model: ModelSpec
@@ -195,8 +205,7 @@ class ExperimentPlan:
         )
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_config(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return hash_config(self.to_config())
 
 
 @dataclass
@@ -226,12 +235,10 @@ class ExperimentReport:
             return str(v)
 
         lines = [",".join(self.CSV_COLUMNS)]
-        for cell in self.cells:
-            row = dict(cell, study=self.study, status="ok")
-            lines.append(",".join(fmt(row.get(col)) for col in self.CSV_COLUMNS))
-        for failure in self.failures:
-            row = dict(failure, study=self.study, status="failed")
-            lines.append(",".join(fmt(row.get(col)) for col in self.CSV_COLUMNS))
+        for entries, status in ((self.cells, "ok"), (self.failures, "failed")):
+            for entry in entries:
+                row = dict(entry, study=self.study, status=status)
+                lines.append(",".join(fmt(row.get(col)) for col in self.CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
 
@@ -267,6 +274,10 @@ def _provenance(plan: ExperimentPlan) -> dict:
             "version": VERSION}
 
 
+def _tau_d(model: ModelSpec) -> float:
+    return float(model.m_plus(0.0) - model.m_minus(0.0))
+
+
 def _tau_tot_target(model: ModelSpec, r: float, grid_n: int,
                     cache: SolutionCache) -> float:
     """Same contrast as population.true_estimands, served from the cache."""
@@ -283,19 +294,18 @@ def tau_star_for_model(model: ModelSpec, c: float, kernel: str) -> float:
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = adequate_table(delta0, c)
     model_at_0 = {
-        "tau_d": float(model.m_plus(0.0) - model.m_minus(0.0)),
+        "tau_d": _tau_d(model),
         "delta0": delta0,
         "gamma0": float(model.gamma_at(0.0)),
     }
     return tau_star(model_at_0, c, kernel, table=_TABLE_CACHE[key])
 
 
-def _cell_target(plan: ExperimentPlan, rule: RegimeRule, r: float, h: float,
-                 cache: SolutionCache) -> tuple[str, float]:
-    model = plan.model
-    if rule.target == "tau_d":
-        return "tau_d", float(model.m_plus(0.0) - model.m_minus(0.0))
-    if rule.target == "tau_tot":
+def _cell_target(plan: ExperimentPlan, model: ModelSpec, kind: str, r: float,
+                 h: float, cache: SolutionCache) -> tuple[str, float]:
+    if kind == "tau_d":
+        return "tau_d", _tau_d(model)
+    if kind == "tau_tot":
         return "tau_tot", _tau_tot_target(model, r, plan.grid_n, cache)
     return "tau_star", tau_star_for_model(model, 2.0 * r / h, plan.kernel)
 
@@ -323,10 +333,64 @@ def _stats_cell(regime: str, estimator: str, quantity: str, n: int, h: float,
 
 
 def _failure(regime: str, n: int, h: float, r: float, err: Exception,
-             estimator: str | None = None) -> dict:
+             estimator: str | None) -> dict:
     return {"regime": regime, "estimator": estimator, "n": int(n),
             "h": float(h), "r": float(r),
             "error": type(err).__name__, "message": str(err)}
+
+
+def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
+               layout, setup, summarize=None) -> ExperimentReport:
+    """The cell loop every study shares.
+
+    layout lists (label, rule, model, n, failure estimator) in report order;
+    a cell's position in it keys its replication seeds. For each cell,
+    setup(model, rule, sol, h, r, cache) returns (rows, fit): rows are the
+    (estimator, quantity, target name, target value, extra) of the stats rows
+    the cell reports, and fit(sample) returns one value per row. Samples are
+    drawn one at a time. An RdspillError anywhere in a cell becomes that
+    cell's failure row. summarize(cells) adds study-specific summary keys.
+    """
+    cache = cache if cache is not None else shared_cache
+    cells, failures = [], []
+    for cell_index, (label, rule, model, n, estimator) in enumerate(layout):
+        h = plan.h_of(n)
+        r = rule.radius(n, h, plan.grid_n)
+        try:
+            sol = cache.get_or_solve(model, r, plan.grid_n)
+            rows, fit = setup(model, rule, sol, h, r, cache)
+            seeds = _rep_seeds(plan.seed, study, cell_index, plan.replications)
+            values = [fit(draw_sample(sol, model, n, int(s))) for s in seeds]
+            for (row_estimator, quantity, target_name, target_value, extra), series \
+                    in zip(rows, zip(*values)):
+                cells.append(_stats_cell(label, row_estimator, quantity, n, h, r,
+                                         series, target_name, target_value, extra))
+        except RdspillError as err:
+            failures.append(_failure(label, n, h, r, err, estimator))
+    summary = {"n_cells": len(cells), "n_failures": len(failures)}
+    if summarize is not None:
+        summary.update(summarize(cells))
+    return ExperimentReport(study, cells, failures, summary, _provenance(plan))
+
+
+def _single_rule(plan: ExperimentPlan, study: str) -> RegimeRule:
+    if len(plan.regime_map) != 1:
+        raise ConfigError(f"the {study} study takes exactly one regime rule")
+    return plan.regime_map[0]
+
+
+def _require_fraction_of_h(rule: RegimeRule, need: str) -> None:
+    """Refuse rules other than r = factor * h with 0 < factor < 1."""
+    if rule.n_power != 0.0 or not 0.0 < rule.factor < 1.0:
+        raise ConfigError(
+            f"{need}; got factor={rule.factor}, n_power={rule.n_power}")
+
+
+def _require_zero_delta(model: ModelSpec, study: str) -> None:
+    if model.delta_bar != 0.0:
+        raise ConfigError(
+            f"the {study} study requires delta identically zero; got "
+            f"sup|delta| = {model.delta_bar}")
 
 
 def run_phase_transition(plan: ExperimentPlan,
@@ -334,30 +398,16 @@ def run_phase_transition(plan: ExperimentPlan,
     """Monte Carlo mean of the local linear cutoff contrast across radius
     regimes. Wide radii target tau_d, narrow radii the finite-r total effect,
     comparable radii the limit value tau_star at c = 2r/h."""
-    cache = cache if cache is not None else shared_cache
-    cells, failures = [], []
-    cell_index = 0
-    for rule in plan.regime_map:
-        for n in plan.n_grid:
-            h = plan.h_of(n)
-            r = rule.radius(n, h, plan.grid_n)
-            try:
-                sol = cache.get_or_solve(plan.model, r, plan.grid_n)
-                target_name, target_value = _cell_target(plan, rule, r, h, cache)
-                cfg = EstimatorConfig(kernel=plan.kernel, h=h)
-                seeds = _rep_seeds(plan.seed, "phase_transition", cell_index,
-                                   plan.replications)
-                taus = [local_linear_rdd(
-                            draw_sample(sol, plan.model, n, int(s)), cfg).tau_hat
-                        for s in seeds]
-                cells.append(_stats_cell(rule.label, "local_linear", "tau_hat",
-                                         n, h, r, taus, target_name, target_value))
-            except RdspillError as err:
-                failures.append(_failure(rule.label, n, h, r, err, "local_linear"))
-            cell_index += 1
-    summary = {"n_cells": len(cells), "n_failures": len(failures)}
-    return ExperimentReport("phase_transition", cells, failures, summary,
-                            _provenance(plan))
+    layout = [(rule.label, rule, plan.model, n, "local_linear")
+              for rule in plan.regime_map for n in plan.n_grid]
+
+    def setup(model, rule, sol, h, r, cache):
+        target = _cell_target(plan, model, rule.target, r, h, cache)
+        cfg = EstimatorConfig(kernel=plan.kernel, h=h)
+        return ([("local_linear", "tau_hat", *target, None)],
+                lambda sample: (local_linear_rdd(sample, cfg).tau_hat,))
+
+    return _run_cells("phase_transition", plan, cache, layout, setup)
 
 
 def _trend_ok(ordered_cells: list) -> bool:
@@ -373,58 +423,42 @@ def run_spillover_consistency(plan: ExperimentPlan,
                               cache: SolutionCache | None = None) -> ExperimentReport:
     """Bias of the spillover regression coefficients along a sample-size
     ladder at fixed c = 2r/h < 2."""
-    cache = cache if cache is not None else shared_cache
-    if len(plan.regime_map) != 1:
-        raise ConfigError("the consistency study takes exactly one regime rule")
-    rule = plan.regime_map[0]
-    if rule.n_power != 0.0 or not 0.0 < rule.factor < 1.0:
-        raise ConfigError(
-            "the consistency study needs r = (c/2) * h with 0 < c < 2; "
-            f"got factor={rule.factor}, n_power={rule.n_power}")
+    rule = _single_rule(plan, "consistency")
+    _require_fraction_of_h(rule, "the consistency study needs r = (c/2) * h "
+                                 "with 0 < c < 2")
     if len(plan.n_grid) < 3:
         raise ConfigError("the consistency trend needs at least three sample sizes")
-    model = plan.model
-    tau_d = float(model.m_plus(0.0) - model.m_minus(0.0))
-    delta0 = float(model.delta(0.0))
-    gamma0 = float(model.gamma_at(0.0))
-    cells, failures = [], []
-    for cell_index, n in enumerate(sorted(plan.n_grid)):
-        h = plan.h_of(n)
-        r = rule.radius(n, h, plan.grid_n)
-        try:
-            sol = cache.get_or_solve(model, r, plan.grid_n)
-            tau_tot = _tau_tot_target(model, r, plan.grid_n, cache)
-            cfg = EstimatorConfig(kernel=plan.kernel, h=h, r=r)
-            seeds = _rep_seeds(plan.seed, "spillover_consistency", cell_index,
-                               plan.replications)
-            draws = {"tau_d": [], "delta": [], "gamma": [], "tau_tot": []}
-            for s in seeds:
-                est = local_spillover_regression(
-                    draw_sample(sol, model, n, int(s)), cfg)
-                draws["tau_d"].append(est.tau_d_hat)
-                draws["delta"].append(est.delta_hat)
-                draws["gamma"].append(est.gamma_hat)
-                if est.tau_tot_hat is None:
-                    raise ConfigError(
-                        "a replication produced delta_hat = 1 exactly; "
-                        "tau_tot is undefined for this cell")
-                draws["tau_tot"].append(est.tau_tot_hat)
-            targets = {"tau_d": ("tau_d", tau_d), "delta": ("delta0", delta0),
-                       "gamma": ("gamma0", gamma0), "tau_tot": ("tau_tot", tau_tot)}
-            for quantity, series in draws.items():
-                name, value = targets[quantity]
-                cells.append(_stats_cell(rule.label, "spillover", quantity,
-                                         n, h, r, series, name, value))
-        except RdspillError as err:
-            failures.append(_failure(rule.label, n, h, r, err, "spillover"))
-    trend = {}
-    for quantity in ("tau_d", "delta", "gamma", "tau_tot"):
-        ordered = sorted((c for c in cells if c["quantity"] == quantity),
-                         key=lambda c: c["n"])
-        trend[quantity] = _trend_ok(ordered) if len(ordered) >= 3 else False
-    summary = {"n_cells": len(cells), "n_failures": len(failures), "trend": trend}
-    return ExperimentReport("spillover_consistency", cells, failures, summary,
-                            _provenance(plan))
+    layout = [(rule.label, rule, plan.model, n, "spillover")
+              for n in sorted(plan.n_grid)]
+
+    def setup(model, rule, sol, h, r, cache):
+        tau_tot = _tau_tot_target(model, r, plan.grid_n, cache)
+        cfg = EstimatorConfig(kernel=plan.kernel, h=h, r=r)
+        rows = [("spillover", "tau_d", "tau_d", _tau_d(model), None),
+                ("spillover", "delta", "delta0", float(model.delta(0.0)), None),
+                ("spillover", "gamma", "gamma0", float(model.gamma_at(0.0)), None),
+                ("spillover", "tau_tot", "tau_tot", tau_tot, None)]
+
+        def fit(sample):
+            est = local_spillover_regression(sample, cfg)
+            if est.tau_tot_hat is None:
+                raise ConfigError(
+                    "a replication produced delta_hat = 1 exactly; "
+                    "tau_tot is undefined for this cell")
+            return est.tau_d_hat, est.delta_hat, est.gamma_hat, est.tau_tot_hat
+
+        return rows, fit
+
+    def summarize(cells):
+        trend = {}
+        for quantity in ("tau_d", "delta", "gamma", "tau_tot"):
+            ordered = sorted((c for c in cells if c["quantity"] == quantity),
+                             key=lambda c: c["n"])
+            trend[quantity] = _trend_ok(ordered) if len(ordered) >= 3 else False
+        return {"trend": trend}
+
+    return _run_cells("spillover_consistency", plan, cache, layout, setup,
+                      summarize)
 
 
 def run_donut_study(plan: ExperimentPlan,
@@ -434,69 +468,53 @@ def run_donut_study(plan: ExperimentPlan,
     Two sub-studies: two-sided gamma targets the finite-r total effect,
     one-sided gamma (active only at z <= 0) targets tau_d.
     """
-    cache = cache if cache is not None else shared_cache
-    if plan.model.delta_bar != 0.0:
-        raise ConfigError(
-            "the donut study requires delta identically zero; got "
-            f"sup|delta| = {plan.model.delta_bar}")
-    if len(plan.regime_map) != 1:
-        raise ConfigError("the donut study takes exactly one regime rule")
-    rule = plan.regime_map[0]
-    if rule.n_power != 0.0 or not 0.0 < rule.factor < 1.0:
-        raise ConfigError(
-            "the donut study needs r = factor * h with 0 < factor < 1 so the "
-            f"donut stays inside the bandwidth; got factor={rule.factor}, "
-            f"n_power={rule.n_power}")
-    variants = (
-        ("two_sided", dataclasses.replace(plan.model, gamma_one_sided=False),
-         "tau_tot"),
-        ("one_sided", dataclasses.replace(plan.model, gamma_one_sided=True),
-         "tau_d"),
-    )
-    cells, failures = [], []
-    cell_index = 0
-    for variant_label, model, target_kind in variants:
-        for n in sorted(plan.n_grid):
-            h = plan.h_of(n)
-            r = rule.radius(n, h, plan.grid_n)
-            regime_label = f"{variant_label}:{rule.label}"
-            try:
-                sol = cache.get_or_solve(model, r, plan.grid_n)
-                if target_kind == "tau_tot":
-                    target_name, target_value = "tau_tot", _tau_tot_target(
-                        model, r, plan.grid_n, cache)
-                else:
-                    target_name = "tau_d"
-                    target_value = float(model.m_plus(0.0) - model.m_minus(0.0))
-                cfg = EstimatorConfig(kernel=plan.kernel, h=h, h_donut=r)
-                seeds = _rep_seeds(plan.seed, "donut", cell_index,
-                                   plan.replications)
-                taus = [donut_rdd(draw_sample(sol, model, n, int(s)), cfg).tau_hat
-                        for s in seeds]
-                cells.append(_stats_cell(regime_label, "donut", "tau_hat",
-                                         n, h, r, taus, target_name, target_value,
-                                         extra={"h_donut": float(r)}))
-            except RdspillError as err:
-                failures.append(_failure(regime_label, n, h, r, err, "donut"))
-            cell_index += 1
-    summary = {"n_cells": len(cells), "n_failures": len(failures)}
-    return ExperimentReport("donut", cells, failures, summary, _provenance(plan))
+    _require_zero_delta(plan.model, "donut")
+    rule = _single_rule(plan, "donut")
+    _require_fraction_of_h(rule, "the donut study needs r = factor * h with "
+                                 "0 < factor < 1 so the donut stays inside the "
+                                 "bandwidth")
+    layout = [(f"{variant}:{rule.label}", rule,
+               dataclasses.replace(plan.model, gamma_one_sided=one_sided),
+               n, "donut")
+              for variant, one_sided in (("two_sided", False), ("one_sided", True))
+              for n in sorted(plan.n_grid)]
+
+    def setup(model, rule, sol, h, r, cache):
+        kind = "tau_d" if model.gamma_one_sided else "tau_tot"
+        target = _cell_target(plan, model, kind, r, h, cache)
+        cfg = EstimatorConfig(kernel=plan.kernel, h=h, h_donut=r)
+        return ([("donut", "tau_hat", *target, {"h_donut": float(r)})],
+                lambda sample: (donut_rdd(sample, cfg).tau_hat,))
+
+    return _run_cells("donut", plan, cache, layout, setup)
 
 
-def _nw_population_value(sol, model: ModelSpec, h: float, kernel: str,
-                         nodes: int = 64) -> float:
+def _nw_population_value(sol, h: float, kernel: str, nodes: int = 64) -> float:
     """Population value of the kernel-mean contrast, by per-side quadrature
     of the solved outcome profile."""
     x, wq = np.polynomial.legendre.leggauss(nodes)
-    means = {}
-    for side in ("plus", "minus"):
-        if side == "plus":
-            z = 0.5 * h * (x + 1.0)
-        else:
-            z = -0.5 * h * (x[::-1] + 1.0)
+    means = []
+    for z in (0.5 * h * (x + 1.0), -0.5 * h * (x[::-1] + 1.0)):
         kw = kernel_values(kernel, z / h) * (0.5 * h * wq)
-        means[side] = float(np.sum(kw * sol.interp(z)) / np.sum(kw))
-    return means["plus"] - means["minus"]
+        means.append(float(np.sum(kw * sol.interp(z)) / np.sum(kw)))
+    return means[0] - means[1]
+
+
+def _nw_separation(cells: list) -> dict:
+    """Distance of each local-constant mean from tau_d and tau_tot, in SEs."""
+    separation = {}
+    for cell in cells:
+        if cell["estimator"] != "nadaraya_watson":
+            continue
+        se = cell["se"]
+        separation[str(cell["n"])] = {
+            "nw_se_distance_from_tau_d":
+                abs(cell["mean"] - cell["tau_d"]) / se if se > 0 else math.inf,
+            "nw_se_distance_from_tau_tot":
+                abs(cell["mean"] - cell["tau_tot"]) / se if se > 0 else math.inf,
+            "predicted_margin": cell["margin_from_tau_d"],
+        }
+    return {"nw_separation": separation}
 
 
 def run_ll_vs_nw(plan: ExperimentPlan,
@@ -506,69 +524,36 @@ def run_ll_vs_nw(plan: ExperimentPlan,
     does not. The local-constant cell's target is its own population value,
     computed by quadrature; its distance from tau_d is the separation margin.
     """
-    cache = cache if cache is not None else shared_cache
     model = plan.model
-    if model.delta_bar != 0.0:
-        raise ConfigError(
-            "the comparison study requires delta identically zero; got "
-            f"sup|delta| = {model.delta_bar}")
+    _require_zero_delta(model, "comparison")
     if float(model.gamma_at(0.0)) == 0.0 and float(model.gamma_at(-1e-9)) == 0.0:
         raise ConfigError(
             "the comparison study needs a nonzero exogenous spillover gamma")
-    if len(plan.regime_map) != 1:
-        raise ConfigError("the comparison study takes exactly one regime rule")
-    rule = plan.regime_map[0]
-    estimators = [name for name in ("local_linear", "nadaraya_watson")
-                  if name in plan.estimators]
-    if not estimators:
+    rule = _single_rule(plan, "comparison")
+    if not {"local_linear", "nadaraya_watson"} & set(plan.estimators):
         raise ConfigError(
             "plan.estimators must include local_linear or nadaraya_watson")
-    tau_d = float(model.m_plus(0.0) - model.m_minus(0.0))
-    cells, failures = [], []
-    separation = {}
-    cell_index = 0
-    for n in sorted(plan.n_grid):
-        h = plan.h_of(n)
-        r = rule.radius(n, h, plan.grid_n)
+    layout = [(rule.label, rule, model, n, None) for n in sorted(plan.n_grid)]
+
+    def setup(model, rule, sol, h, r, cache):
         if r < h:
-            failures.append(_failure(rule.label, n, h, r, ConfigError(
-                f"comparison regime needs r >= h, got r={r} < h={h}")))
-            cell_index += 1
-            continue
-        try:
-            sol = cache.get_or_solve(model, r, plan.grid_n)
-            tau_tot = _tau_tot_target(model, r, plan.grid_n, cache)
-            nw_pop = _nw_population_value(sol, model, h, plan.kernel)
-            cfg = EstimatorConfig(kernel=plan.kernel, h=h)
-            seeds = _rep_seeds(plan.seed, "ll_vs_nw", cell_index,
-                               plan.replications)
-            samples = [draw_sample(sol, model, n, int(s)) for s in seeds]
-            if "local_linear" in estimators:
-                lls = [local_linear_rdd(s, cfg).tau_hat for s in samples]
-                cells.append(_stats_cell(rule.label, "local_linear", "tau_hat",
-                                         n, h, r, lls, "tau_d", tau_d))
-            if "nadaraya_watson" in estimators:
-                nws = [nadaraya_watson_rdd(s, cfg) for s in samples]
-                cell = _stats_cell(rule.label, "nadaraya_watson", "tau_hat",
-                                   n, h, r, nws, "nw_population", nw_pop,
-                                   extra={"tau_d": tau_d, "tau_tot": tau_tot,
-                                          "margin_from_tau_d": abs(nw_pop - tau_d)})
-                cells.append(cell)
-                se = cell["se"]
-                separation[str(n)] = {
-                    "nw_se_distance_from_tau_d":
-                        abs(cell["mean"] - tau_d) / se if se > 0 else math.inf,
-                    "nw_se_distance_from_tau_tot":
-                        abs(cell["mean"] - tau_tot) / se if se > 0 else math.inf,
-                    "predicted_margin": abs(nw_pop - tau_d),
-                }
-        except RdspillError as err:
-            failures.append(_failure(rule.label, n, h, r, err))
-        cell_index += 1
-    summary = {"n_cells": len(cells), "n_failures": len(failures),
-               "nw_separation": separation}
-    return ExperimentReport("ll_vs_nw", cells, failures, summary,
-                            _provenance(plan))
+            raise ConfigError(f"comparison regime needs r >= h, got r={r} < h={h}")
+        tau_d = _tau_d(model)
+        tau_tot = _tau_tot_target(model, r, plan.grid_n, cache)
+        nw_pop = _nw_population_value(sol, h, plan.kernel)
+        cfg = EstimatorConfig(kernel=plan.kernel, h=h)
+        rows, fits = [], []
+        if "local_linear" in plan.estimators:
+            rows.append(("local_linear", "tau_hat", "tau_d", tau_d, None))
+            fits.append(lambda sample: local_linear_rdd(sample, cfg).tau_hat)
+        if "nadaraya_watson" in plan.estimators:
+            rows.append(("nadaraya_watson", "tau_hat", "nw_population", nw_pop,
+                         {"tau_d": tau_d, "tau_tot": tau_tot,
+                          "margin_from_tau_d": abs(nw_pop - tau_d)}))
+            fits.append(lambda sample: nadaraya_watson_rdd(sample, cfg))
+        return rows, lambda sample: tuple(fit(sample) for fit in fits)
+
+    return _run_cells("ll_vs_nw", plan, cache, layout, setup, _nw_separation)
 
 
 STUDIES = {

@@ -166,7 +166,8 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
     """Solve the fixed point on a uniform grid of grid_n points over [-1, 1].
 
     Two-grid Nystrom iteration (quadrature.two_grid_solve) on a coarse grid
-    of spacing r/4, stopped once the residual sup-norm is at most 1e-10.
+    of spacing r/4, stopped once the residual sup-norm is at most 1e-10 or
+    the rounding floor of the solution, whichever is higher.
     """
     if grid_n % 2 == 0 or grid_n < 201:
         raise ConfigError(f"grid_n must be odd and >= 201, got {grid_n}")

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +7,13 @@ from rdspill import asymptotics as asy
 from rdspill.asymptotics import (
     adequate_table,
     build_lambda_table,
-    compute_moments,
     corollary_bounds_check,
-    lambda_pm,
+    mu_profile,
+    nu_profile,
     tau_star,
 )
 from rdspill.errors import ConfigError, DomainError, NumericError
+from rdspill.kernels import kernel_values, one_sided_moment
 from rdspill.population import CUTOFF, nu_exact
 from rdspill.quadrature import SOLVER_TOL
 
@@ -36,6 +35,19 @@ def _riemann_avg(tab, lo, hi, n=40000):
         mids = np.linspace(a, b, n + 1)[:-1] + (b - a) / (2 * n)
         total += (b - a) * float(np.mean(tab.point(mids)))
     return total / (hi - lo)
+
+
+def _profile_moment(p, c, kernel, side, nodes=64):
+    """int x^p V(x) K(x) dx over one side, by Gauss-Legendre on each piece
+    between the kinks of the share profile V at |x| = c/2."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    pts = sorted({0.0, min(c / 2.0, 1.0), 1.0})
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        xs = side * ((lo + hi) / 2.0 + (hi - lo) / 2.0 * x)
+        total += (hi - lo) / 2.0 * np.sum(w * xs**p * nu_profile(xs, c)
+                                          * kernel_values(kernel, xs))
+    return float(total)
 
 
 @pytest.fixture(scope="module")
@@ -153,46 +165,20 @@ def setup_module(module):
 
 
 class TestLambdaPm:
-    def test_x_zero_conventions(self, tab04_c1):
-        out = lambda_pm(0.0, 1.0, tab04_c1)
-        assert out["lam_plus"] == pytest.approx(tab04_c1.point(1.0), abs=1e-12)
-        assert out["lam_minus"] == pytest.approx(
-            tab04_c1.interval_average(-1.0, 1.0), abs=1e-12)
-        assert out["lam_tilde_plus"] == pytest.approx(out["lam_plus"] - 1.0)
+    """Window averages of lambda over the neighborhood pieces gained (plus)
+    at bandwidth scale x, for c = 1: [max(1, 2x - 1), 1 + 2x]."""
 
     def test_delta0_zero_plus_is_one(self, tab0):
-        for x in (0.0, 0.25, 0.7, 1.0):
-            out = lambda_pm(x, 1.0, tab0)
-            assert out["lam_plus"] == pytest.approx(1.0, abs=1e-12)
-            assert out["lam_tilde_plus"] == pytest.approx(0.0, abs=1e-12)
-            assert out["lam_tilde_minus"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_validation(self, tab04):
-        with pytest.raises(ConfigError):
-            lambda_pm(0.5, 2.0, tab04)
-        with pytest.raises(ConfigError):
-            lambda_pm(0.5, 0.0, tab04)
-        with pytest.raises(DomainError):
-            lambda_pm(1.5, 1.0, tab04)
-        with pytest.raises(DomainError):
-            lambda_pm(-0.1, 1.0, tab04)
-
-    def test_refinement_oracle(self, tab04_c1):
-        # window averages recomputed by a 10x-refined midpoint rule
-        for x, c in [(0.3, 1.0), (0.8, 0.5), (0.05, 1.4), (1.0, 1.0)]:
-            out = lambda_pm(x, c, tab04_c1)
-            g_lo, g_hi = max(1.0, 2 * x / c - 1.0), 1.0 + 2 * x / c
-            l_hi = min(1.0, 2 * x / c - 1.0)
-            for key, (lo, hi) in (("lam_plus", (g_lo, g_hi)),
-                                  ("lam_minus", (-1.0, l_hi))):
-                ref = _riemann_avg(tab04_c1, lo, hi, n=16000)
-                assert out[key] == pytest.approx(ref, abs=1e-5), (key, x, c)
+        for x in (0.25, 0.7, 1.0):
+            assert tab0.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x) \
+                == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_x(self, tab04_c1):
-        # the gained window slides right toward the plateau, the lost window
-        # is capped; for positive delta0 the plus average must not decrease
-        xs = np.linspace(0.0, 1.0, 21)
-        vals = [lambda_pm(float(x), 1.0, tab04_c1)["lam_plus"] for x in xs]
+        # the gained window slides right toward the plateau; for positive
+        # delta0 its average must not decrease
+        xs = np.linspace(0.0, 1.0, 21)[1:]
+        vals = [tab04_c1.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x)
+                for x in xs]
         assert np.all(np.diff(vals) > -1e-9)
 
 
@@ -239,13 +225,13 @@ class TestTauStar:
 
     def test_delta0_zero_matches_gamma_moment_combo(self, tab0):
         # with no endogenous channel the estimand reduces to the share-profile
-        # term alone, reconstructable from the Gamma moment map
+        # term alone, reconstructable from its one-sided kernel moments
         c, kern, gamma0 = 0.8, "epanechnikov", 0.7
-        ms = compute_moments(tab0, c, kern)
-        g01, g11, g21 = (ms.gamma_ps[(p, 1)] for p in (0, 1, 2))
-        den = g01 * g21 - g11**2
-        combo = (g21 * (ms.Gamma_plus[(0, 1, 1)] - ms.Gamma_minus[(0, 1, 1)])
-                 - g11 * (ms.Gamma_plus[(1, 1, 1)] + ms.Gamma_minus[(1, 1, 1)])) / den
+        g01, g11, g21 = (one_sided_moment(kern, p, 1) for p in (0, 1, 2))
+        plus = [_profile_moment(p, c, kern, 1) for p in (0, 1)]
+        minus = [_profile_moment(p, c, kern, -1) for p in (0, 1)]
+        combo = (g21 * (plus[0] - minus[0]) - g11 * (plus[1] + minus[1])) \
+            / (g01 * g21 - g11**2)
         ts = tau_star({"tau_d": 2.0, "delta0": 0.0, "gamma0": gamma0}, c, kern, tab0)
         assert ts == pytest.approx(2.0 + gamma0 * combo, abs=1e-10)
 
@@ -276,21 +262,9 @@ class TestTauStar:
 
 
 class TestMoments:
-    def test_kernel_moment_closed_forms(self, tab0):
-        ms = compute_moments(tab0, 1.0, "triangular")
-        assert ms.gamma_ps[(0, 1)] == pytest.approx(0.5, abs=1e-14)
-        assert ms.gamma_ps[(1, 1)] == pytest.approx(1 / 6, abs=1e-14)
-        assert ms.gamma_ps[(2, 1)] == pytest.approx(1 / 12, abs=1e-14)
-        me = compute_moments(tab0, 1.0, "epanechnikov")
-        assert me.gamma_ps[(1, 1)] == pytest.approx(3 / 16, abs=1e-14)
-        assert me.gamma_ps[(2, 1)] == pytest.approx(0.1, abs=1e-14)
-        mu = compute_moments(tab0, 1.0, "uniform")
-        assert mu.gamma_ps[(1, 1)] == pytest.approx(0.25, abs=1e-14)
-
-    def test_share_profile_moment_closed_form(self, tab0):
+    def test_share_profile_moment_closed_form(self):
         # int_0^1 V(x) K(x) dx at c = 1, triangular: 7/48 = 0.1458333...
-        ms = compute_moments(tab0, 1.0, "triangular")
-        assert ms.Gamma_plus[(0, 1, 1)] == pytest.approx(7 / 48, abs=1e-12)
+        assert _profile_moment(0, 1.0, "triangular", 1) == pytest.approx(7 / 48, abs=1e-12)
 
     def test_gamma_matches_nu_exact(self, tab0):
         # the share profile is the small-h limit of nu_exact differences
@@ -300,44 +274,16 @@ class TestMoments:
         direct = nu_exact(CUTOFF, c * h / 2, xs * h) - 0.5
         np.testing.assert_allclose(prof, direct, atol=1e-12)
 
-    def test_all_finite_and_positive_mass(self, tab04_c1):
-        ms = compute_moments(tab04_c1, 1.0, "triangular", BENCH)
-        assert ms.gamma_ps[(0, 1)] > 0
-        for mp in (ms.gamma_ps, ms.Lambda_plus, ms.Lambda_minus,
-                   ms.LambdaTilde_plus, ms.LambdaTilde_minus,
-                   ms.Gamma_plus, ms.Gamma_minus, ms.phi):
-            assert all(np.isfinite(v) for v in mp.values())
-        # phi present only when the model constants are supplied
-        assert compute_moments(tab04_c1, 1.0, "triangular").phi == {}
-
     def test_dual_resolution_agreement(self, tab04_c1):
-        hi = compute_moments(tab04_c1, 1.0, "triangular", BENCH, gl_nodes=32)
-        lo = compute_moments(tab04_c1, 1.0, "triangular", BENCH, gl_nodes=16)
-        for mp_hi, mp_lo in ((hi.Lambda_plus, lo.Lambda_plus),
-                             (hi.LambdaTilde_minus, lo.LambdaTilde_minus),
-                             (hi.Gamma_plus, lo.Gamma_plus),
-                             (hi.phi, lo.phi)):
-            for key in mp_hi:
-                assert abs(mp_hi[key] - mp_lo[key]) < 1e-6
+        hi = tau_star(BENCH, 1.0, "triangular", tab04_c1, gl_nodes=32)
+        lo = tau_star(BENCH, 1.0, "triangular", tab04_c1, gl_nodes=16)
+        assert abs(hi - lo) < 1e-6
 
     def test_delta0_zero_lambda_tilde_maps_vanish(self, tab0):
-        ms = compute_moments(tab0, 1.0, "triangular")
-        for v in ms.LambdaTilde_plus.values():
-            assert abs(v) < 1e-12
-        for v in ms.LambdaTilde_minus.values():
-            assert abs(v) < 1e-12
-
-    def test_csv_export(self, tab0, tmp_path):
-        ms = compute_moments(tab0, 1.0, "triangular", BENCH)
-        buf = io.StringIO()
-        ms.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "map,p,q,r,s,value"
-        n_rows = (len(ms.gamma_ps) + 6 * len(ms.Lambda_plus) + len(ms.phi))
-        assert len(lines) == 1 + n_rows
-        path = tmp_path / "moments.csv"
-        ms.to_csv(path)
-        assert path.read_text().strip().split("\n")[0] == "map,p,q,r,s,value"
+        # lambda_tilde = lambda - 1{a >= 0} is zero at delta0 = 0, so the
+        # endogenous profile vanishes whatever gamma0 is
+        xs = np.linspace(-1.0, 1.0, 41)
+        assert np.max(np.abs(mu_profile(xs, 1.0, tab0, 1.0, 0.5))) < 1e-12
 
 
 class TestCorollaryBounds:

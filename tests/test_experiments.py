@@ -409,7 +409,7 @@ class TestLlVsNw:
         model = exogenous_model(noise=0.0)
         h, r = 0.15, 0.2
         sol = cache.get_or_solve(model, r, 1601)
-        got = _nw_population_value(sol, model, h, "triangular")
+        got = _nw_population_value(sol, h, "triangular")
         m1 = 1.0 / 3.0
         want = 1.0 + h * m1 * (0.3 + 0.2) + 0.5 * h * m1 / r
         assert got == pytest.approx(want, abs=1e-5)

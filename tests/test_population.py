@@ -124,6 +124,19 @@ class TestSolvePopulation:
         gap = np.max(np.abs(sol.y - dense_population(model, 0.00801, CUTOFF, 1001)))
         assert gap <= 2 * SOLVER_TOL / (1 - 0.95)
 
+    @pytest.mark.parametrize("delta", [0.9999, 0.99999])
+    @pytest.mark.parametrize("r", [0.075, 0.01])
+    def test_near_unit_delta_matches_dense_oracle(self, dense_population, delta, r):
+        # sup|y| ~ 1/(1 - delta): an absolute 1e-10 stop sits below rounding
+        model = ModelSpec(
+            m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
+            delta=constant(delta), gamma=constant(0.5), noise_sd=constant(0.0),
+        )
+        assert solve_population(model, r, CUTOFF, grid_n=4001).solver_report["iterations"] >= 1
+        sol = solve_population(model, r, CUTOFF, grid_n=2001)
+        ref = dense_population(model, r, CUTOFF, 2001)
+        assert np.max(np.abs(sol.y - ref)) <= 1e-8 * np.max(np.abs(ref))
+
     def test_grid_refinement_converges(self, benchmark_model):
         coarse = solve_population(benchmark_model, 0.3, CUTOFF, grid_n=1001)
         fine = solve_population(benchmark_model, 0.3, CUTOFF, grid_n=4001)

@@ -33,3 +33,34 @@ def test_instrument_wraps_every_layer_name():
     assert spans["population.solve_population"]["iterations"] >= 1
     assert "quadrature.window_matrix" in spans
     assert "quadrature.window_integrals" in spans
+
+
+STUDY_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from traced_cli import Tracer, instrument
+tracer = Tracer()
+instrument(tracer)
+from rdspill import experiments
+plan = experiments.ExperimentPlan(
+    model=experiments.benchmark_model(0.05),
+    regime_map=(experiments.RegimeRule("r~h", "tau_star", 0.5, 0.0),),
+    n_grid=(400,), replications=2, seed=1, grid_n=401)
+experiments.run_phase_transition(plan, experiments.SolutionCache())
+print(json.dumps(tracer.spans))
+"""
+
+
+def test_instrument_sees_the_study_loop():
+    # the study loop must reach these through the module names the tracer
+    # wraps, or traced study runs report no draws, fits or cache lookups
+    proc = subprocess.run([sys.executable, "-c", STUDY_CHILD, str(PERFBENCH)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = {}
+    for span in json.loads(proc.stdout):
+        counts[span["name"]] = counts.get(span["name"], 0) + 1
+    assert counts["sampling.draw_sample"] == 2
+    assert counts["estimators.local_linear_rdd"] == 2
+    assert counts["experiments.cache.get_or_solve"] >= 1
+    assert counts["experiments.tau_star_for_model"] == 1
