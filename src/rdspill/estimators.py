@@ -3,10 +3,16 @@ six-regressor local spillover regression with its derived quantities.
 
 All fits are weighted least squares computed through an orthogonalizing
 solver (numpy lstsq), never through explicit normal-equation inversion.
-Observations with zero kernel weight are dropped before fitting, which makes
-the no-influence property exact, and every estimator canonicalizes the row
-order first, so estimates are bit-for-bit invariant under permutations of
-the input.
+
+Every estimator first selects the rows it can use and only then
+canonicalizes them (sorts by Z, ties by Y). Local linear, Nadaraya-Watson and
+donut fits keep the kernel window |Z| <= h; the spillover regression keeps
+|Z| < h + r, the weighted rows plus every row in their strict neighbor
+windows; radius cross-validation keeps |Z| < h + max(candidates); the
+neighbor mean at z keeps |Z| < |z| + r. A row outside its estimator's window
+never enters a sort, a sum or a fit, so it has no influence on the estimate,
+bit for bit, and because the kept rows are canonicalized, estimates are
+bit-for-bit invariant under permutations of the input.
 
 The neighbor-mean estimator follows the sample-analog definition: strict
 window |Z_j - z| < r, self-exclusion of the evaluation point's own row, and
@@ -99,9 +105,21 @@ class SpilloverEstimate:
     mu_hat_at_0: float
 
 
-def _canonical_order(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((sample.y, sample.z))
-    return sample.z[order], sample.y[order]
+def _canonical_order(sample: Sample, half_width: float,
+                     strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Rows with |Z| <= half_width (|Z| < half_width when strict), sorted by
+    Z with ties broken by Y."""
+    dist = np.abs(sample.z)
+    keep = dist < half_width if strict else dist <= half_width
+    z, y = sample.z[keep], sample.y[keep]
+    order = np.lexsort((y, z))
+    return z[order], y[order]
+
+
+def _kernel_rows(z: np.ndarray, h: float) -> slice:
+    """The rows of sorted z inside the kernel support |z| <= h."""
+    return slice(int(np.searchsorted(z, -h, side="left")),
+                 int(np.searchsorted(z, h, side="right")))
 
 
 def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str):
@@ -136,7 +154,7 @@ def _require_linear_support(z_side: np.ndarray, side: str) -> None:
 
 def local_linear_rdd(sample: Sample, cfg: EstimatorConfig) -> RddEstimate:
     """Per-side weighted linear fit of Y on (1, Z); tau from the intercepts."""
-    z, y = _canonical_order(sample)
+    z, y = _canonical_order(sample, cfg.h)
     w = kernel_values(cfg.kernel, z / cfg.h)
     (zp, yp, wp), (zm, ym, wm), _ = _side_split(z, y, w)
     _require_linear_support(zp, "plus")
@@ -154,7 +172,7 @@ def local_linear_rdd(sample: Sample, cfg: EstimatorConfig) -> RddEstimate:
 
 def nadaraya_watson_rdd(sample: Sample, cfg: EstimatorConfig) -> float:
     """Difference of kernel-weighted outcome means across the cutoff."""
-    z, y = _canonical_order(sample)
+    z, y = _canonical_order(sample, cfg.h)
     w = kernel_values(cfg.kernel, z / cfg.h)
     (zp, yp, wp), (zm, ym, wm), _ = _side_split(z, y, w)
     if zp.size < 1:
@@ -166,9 +184,9 @@ def nadaraya_watson_rdd(sample: Sample, cfg: EstimatorConfig) -> float:
 
 def donut_rdd(sample: Sample, cfg: EstimatorConfig) -> RddEstimate:
     """Local linear fit restricted to h_donut <= |Z|; intercepts extrapolate to 0."""
-    z, y = _canonical_order(sample)
-    keep = np.abs(z) >= cfg.h_donut
-    inner = Sample(z=z[keep], y=y[keep], meta=dict(sample.meta))
+    dist = np.abs(sample.z)
+    keep = (dist >= cfg.h_donut) & (dist <= cfg.h)
+    inner = Sample(z=sample.z[keep], y=sample.y[keep], meta=dict(sample.meta))
     return local_linear_rdd(inner, cfg)
 
 
@@ -176,20 +194,17 @@ def donut_rdd(sample: Sample, cfg: EstimatorConfig) -> RddEstimate:
 
 
 class _NeighborPool:
-    """Sorted outcome pool supporting O(log n) window sums."""
+    """Outcome pool in canonical order supporting O(log n) window sums.
+
+    z and y must already be sorted by Z with ties broken by Y; exclude
+    positions index into that order.
+    """
 
     def __init__(self, z: np.ndarray, y: np.ndarray):
-        order = np.lexsort((y, z))
-        self.z = z[order]
-        self.y = y[order]
-        self.order = order
-        self.cum = np.concatenate([[0.0], np.cumsum(self.y)])
-        self.split = int(np.searchsorted(self.z, 0.0, side="left"))  # first treated
-
-    def sorted_pos(self, original_index: np.ndarray) -> np.ndarray:
-        inv = np.empty_like(self.order)
-        inv[self.order] = np.arange(self.order.size)
-        return inv[original_index]
+        self.z = z
+        self.y = y
+        self.cum = np.concatenate([[0.0], np.cumsum(y)])
+        self.split = int(np.searchsorted(z, 0.0, side="left"))  # first treated
 
     def window_means(self, targets: np.ndarray, r: float,
                      exclude_pos: np.ndarray | None = None):
@@ -237,7 +252,7 @@ def mu_hat(sample: Sample, r: float, z: float) -> dict:
     """
     if r <= 0.0:
         raise ConfigError(f"neighborhood radius must be positive, got {r}")
-    pool = _NeighborPool(sample.z, sample.y)
+    pool = _NeighborPool(*_canonical_order(sample, abs(z) + r, strict=True))
     exclude = None
     hit = np.searchsorted(pool.z, z, side="left")
     if hit < pool.z.size and pool.z[hit] == z:
@@ -323,10 +338,11 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
         raise CollinearityError(
             f"2r/h = {c:.3f} >= 2: the treated-share contrast is a linear "
             f"function of Z on the whole fit window and collinear with it")
-    z, y = _canonical_order(sample)
-    pool = _NeighborPool(z, y)
-    exclude_pos = pool.sorted_pos(np.arange(z.size))
-    mu_delta, nu_delta, mu0 = _spillover_regressors(z, pool, cfg.r, exclude_pos)
+    pool = _NeighborPool(*_canonical_order(sample, cfg.h + cfg.r, strict=True))
+    rows = _kernel_rows(pool.z, cfg.h)
+    z, y = pool.z[rows], pool.y[rows]
+    mu_delta, nu_delta, mu0 = _spillover_regressors(
+        z, pool, cfg.r, np.arange(rows.start, rows.stop))
     w = kernel_values(cfg.kernel, z / cfg.h)
     fits = _fit_spillover_sides(z, y, w, mu_delta, nu_delta)
     bp, cond_p, n_p = fits["plus"]
@@ -357,11 +373,12 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
                      folds: int, seed: int) -> dict:
     """K-fold selection of the neighborhood radius, per side.
 
-    Folds are a random seed-determined partition. For each candidate radius
-    the spillover regression is fit on the training part (its neighbor pool
-    is the training data only) and kernel-weighted squared prediction error
-    is accumulated over the held-out part, separately for each side of the
-    cutoff. A candidate where any fold fails to fit is infeasible.
+    Folds are a random seed-determined partition of the canonically ordered
+    sample. For each candidate radius the spillover regression is fit on the
+    training part (its neighbor pool is the training data only) and
+    kernel-weighted squared prediction error is accumulated over the held-out
+    part, separately for each side of the cutoff. A candidate where any fold
+    fails to fit is infeasible.
     """
     candidates = [float(r) for r in candidates]
     if not candidates:
@@ -373,40 +390,48 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
             raise ConfigError(
                 f"candidate r={r} outside (0, h={cfg.h}); the fitted ratio "
                 f"2r/h must stay below 2")
-    z, y = _canonical_order(sample)
-    n = z.size
+    n = sample.n
     if folds > n:
         raise CrossValidationError(f"{folds} folds exceed the {n} observations")
-    rng = substream(seed, 101)
-    fold_id = rng.permutation(n) % folds
-    w_all = kernel_values(cfg.kernel, z / cfg.h)
+    reach = cfg.h + max(candidates)
+    z, y = _canonical_order(sample, reach, strict=True)
+    # Fold ids index the canonical order of the whole sample, where the rows
+    # left of the window (Z <= -reach) come first.
+    n_left = int(np.count_nonzero(sample.z <= -reach))
+    fold_id = substream(seed, 101).permutation(n)[n_left:n_left + z.size] % folds
+    w = kernel_values(cfg.kernel, z / cfg.h)
 
-    cv_table = []
-    for r in candidates:
-        mse = {"plus": 0.0, "minus": 0.0}
-        feasible = True
-        for k in range(folds):
-            test = fold_id == k
-            train = ~test
-            pool = _NeighborPool(z[train], y[train])
-            exclude_pos = pool.sorted_pos(np.arange(int(train.sum())))
+    mse = [{"plus": 0.0, "minus": 0.0} for _ in candidates]  # None: infeasible
+    for k in range(folds):
+        test = fold_id == k
+        pool = _NeighborPool(z[~test], y[~test])
+        rows = _kernel_rows(pool.z, cfg.h)
+        z_fit, y_fit = pool.z[rows], pool.y[rows]
+        w_fit = kernel_values(cfg.kernel, z_fit / cfg.h)
+        exclude_pos = np.arange(rows.start, rows.stop)
+        held = test & (w > 0.0)
+        z_test, y_test, w_test = z[held], y[held], w[held]
+        plus_test = z_test >= 0.0
+        for i, r in enumerate(candidates):
+            if mse[i] is None:
+                continue
             try:
                 mu_delta, nu_delta, _ = _spillover_regressors(
-                    z[train], pool, r, exclude_pos)
-                fits = _fit_spillover_sides(z[train], y[train], w_all[train],
-                                            mu_delta, nu_delta)
+                    z_fit, pool, r, exclude_pos)
+                fits = _fit_spillover_sides(z_fit, y_fit, w_fit, mu_delta, nu_delta)
             except EstimationError:
-                feasible = False
-                break
-            mu_d_test, nu_d_test, _ = _spillover_regressors(z[test], pool, r, None)
-            X_test = _spillover_design(z[test], mu_d_test, nu_d_test)
-            for side, mask in (("plus", z[test] >= 0.0), ("minus", z[test] < 0.0)):
-                beta = fits[side][0]
-                resid = y[test][mask] - X_test[mask] @ beta
-                mse[side] += float(np.sum(w_all[test][mask] * resid**2))
-        cv_table.append({"r": r, "feasible": feasible,
-                         "mse_plus": mse["plus"] if feasible else None,
-                         "mse_minus": mse["minus"] if feasible else None})
+                mse[i] = None
+                continue
+            mu_d_test, nu_d_test, _ = _spillover_regressors(z_test, pool, r, None)
+            X_test = _spillover_design(z_test, mu_d_test, nu_d_test)
+            for side, mask in (("plus", plus_test), ("minus", ~plus_test)):
+                resid = y_test[mask] - X_test[mask] @ fits[side][0]
+                mse[i][side] += float(np.sum(w_test[mask] * resid**2))
+
+    cv_table = [{"r": r, "feasible": m is not None,
+                 "mse_plus": None if m is None else m["plus"],
+                 "mse_minus": None if m is None else m["minus"]}
+                for r, m in zip(candidates, mse)]
     usable = [row for row in cv_table if row["feasible"]]
     if not usable:
         raise CrossValidationError(

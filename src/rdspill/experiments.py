@@ -386,6 +386,14 @@ def _require_fraction_of_h(rule: RegimeRule, need: str) -> None:
             f"{need}; got factor={rule.factor}, n_power={rule.n_power}")
 
 
+def _require_default_estimators(plan: ExperimentPlan, study: str) -> None:
+    """Refuse an estimator list the study would ignore."""
+    if plan.estimators != ESTIMATOR_NAMES:
+        raise ConfigError(
+            f"the {study} study fits a fixed estimator and ignores "
+            f"plan.estimators; leave estimators unset, got {list(plan.estimators)}")
+
+
 def _require_zero_delta(model: ModelSpec, study: str) -> None:
     if model.delta_bar != 0.0:
         raise ConfigError(
@@ -398,6 +406,7 @@ def run_phase_transition(plan: ExperimentPlan,
     """Monte Carlo mean of the local linear cutoff contrast across radius
     regimes. Wide radii target tau_d, narrow radii the finite-r total effect,
     comparable radii the limit value tau_star at c = 2r/h."""
+    _require_default_estimators(plan, "phase_transition")
     layout = [(rule.label, rule, plan.model, n, "local_linear")
               for rule in plan.regime_map for n in plan.n_grid]
 
@@ -423,6 +432,7 @@ def run_spillover_consistency(plan: ExperimentPlan,
                               cache: SolutionCache | None = None) -> ExperimentReport:
     """Bias of the spillover regression coefficients along a sample-size
     ladder at fixed c = 2r/h < 2."""
+    _require_default_estimators(plan, "consistency")
     rule = _single_rule(plan, "consistency")
     _require_fraction_of_h(rule, "the consistency study needs r = (c/2) * h "
                                  "with 0 < c < 2")
@@ -468,6 +478,7 @@ def run_donut_study(plan: ExperimentPlan,
     Two sub-studies: two-sided gamma targets the finite-r total effect,
     one-sided gamma (active only at z <= 0) targets tau_d.
     """
+    _require_default_estimators(plan, "donut")
     _require_zero_delta(plan.model, "donut")
     rule = _single_rule(plan, "donut")
     _require_fraction_of_h(rule, "the donut study needs r = factor * h with "

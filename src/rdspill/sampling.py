@@ -11,7 +11,9 @@ derived with SeedSequence spawn keys, so a replication's draws depend only on
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +21,8 @@ from .csvio import write_csv
 from .errors import ConfigError, DataError
 from .funcspace import ModelSpec, eval_func
 from .population import PopulationSolution
+
+CHUNK_BYTES = 1 << 20  # text read and converted at a time by parse_sample_csv
 
 
 @dataclass(frozen=True)
@@ -78,25 +82,63 @@ def parse_sample_csv(path, require_unit_range: bool = True):
     """Read `z,y` CSV data into raw arrays, reporting the first malformed
     cell by row and column.
 
+    Blank lines are skipped and not counted: row 1 is the header, row 2 the
+    first data row. The file is read in chunks of about CHUNK_BYTES, each
+    converted in one call with Python float semantics; a chunk that fails a
+    check is rescanned row by row for the exact message.
+
     require_unit_range=False skips the per-row z in [-1, 1] check; the CLI
     uses this to ingest raw data it is about to rescale.
     """
+    header = None
+    first_row = 2
+    blocks = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+            for chunk in iter(lambda: fh.readlines(CHUNK_BYTES), []):
+                lines = [ln for ln in chunk if not ln.isspace()]
+                if header is None and lines:
+                    header = lines.pop(0).rstrip("\n")
+                    if [h.strip() for h in header.split(",")] != ["z", "y"]:
+                        raise DataError(f"{path}: expected header 'z,y', got {header!r}")
+                if lines:
+                    blocks.append(_parse_rows(path, lines, first_row, require_unit_range))
+                    first_row += len(lines)
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header != ["z", "y"]:
-        raise DataError(f"{path}: expected header 'z,y', got {lines[0]!r}")
-    zs, ys = [], []
-    for row_idx, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    if not blocks:
+        raise DataError(f"{path}: no data rows")
+    return (np.concatenate([b[:, 0] for b in blocks]),
+            np.concatenate([b[:, 1] for b in blocks]))
+
+
+def _parse_rows(path, lines: list, first_row: int, require_unit_range: bool) -> np.ndarray:
+    """One chunk of non-blank data lines as an (n, 2) array."""
+    fields = ",".join(lines).split(",")
+    # exactly one comma per line: each line has one and there are no more
+    if len(fields) == 2 * len(lines) and all(map(operator.contains, lines, repeat(","))):
+        try:
+            data = np.array(fields, dtype=float).reshape(-1, 2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(data).all() and not (
+                    require_unit_range and np.abs(data[:, 0]).max() > 1.0):
+                return data
+    return _parse_rows_one_by_one(path, lines, first_row, require_unit_range)
+
+
+def _parse_rows_one_by_one(path, lines: list, first_row: int,
+                           require_unit_range: bool) -> np.ndarray:
+    """The row-by-row reference parse; raises at the first bad cell."""
+    rows = []
+    for row_idx, line in enumerate(lines, start=first_row):
+        parts = line.rstrip("\n").split(",")
         if len(parts) != 2:
             raise DataError(f"{path}: row {row_idx}: expected 2 fields, got {len(parts)}")
+        row = []
         for col_name, text in zip(("z", "y"), parts):
             try:
                 value = float(text)
@@ -106,12 +148,11 @@ def parse_sample_csv(path, require_unit_range: bool = True):
                 ) from None
             if not np.isfinite(value):
                 raise DataError(f"{path}: row {row_idx}, column {col_name}: non-finite value")
-            (zs if col_name == "z" else ys).append(value)
-        if require_unit_range and not -1.0 <= zs[-1] <= 1.0:
-            raise DataError(f"{path}: row {row_idx}, column z: {zs[-1]} outside [-1, 1]")
-    if not zs:
-        raise DataError(f"{path}: no data rows")
-    return np.array(zs), np.array(ys)
+            row.append(value)
+        if require_unit_range and not -1.0 <= row[0] <= 1.0:
+            raise DataError(f"{path}: row {row_idx}, column z: {row[0]} outside [-1, 1]")
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
 def load_sample_csv(path) -> Sample:

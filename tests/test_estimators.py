@@ -25,7 +25,8 @@ from rdspill.estimators import (
     to_record,
 )
 from rdspill.funcspace import ModelSpec, constant, polynomial
-from rdspill.population import CUTOFF, solve_population
+from rdspill.kernels import kernel_values
+from rdspill.population import CUTOFF, nu_exact, solve_population
 from rdspill.sampling import Sample, draw_sample, substream
 
 
@@ -123,7 +124,6 @@ class TestLocalLinear:
         sample = linear_sample(n=600, seed=21, noise=0.5)
         cfg = EstimatorConfig(kernel="epanechnikov", h=0.6)
         est = local_linear_rdd(sample, cfg)
-        from rdspill.kernels import kernel_values
         w = kernel_values(cfg.kernel, sample.z / cfg.h)
         for side, beta in (("plus", est.beta_plus), ("minus", est.beta_minus)):
             mask = (w > 0) & ((sample.z >= 0) if side == "plus" else (sample.z < 0))
@@ -319,6 +319,15 @@ class TestMuHat:
         if got["n_plus_neighbors"] and got["n_minus_neighbors"]:
             assert y.min() - 1e-12 <= got["value"] <= y.max() + 1e-12
 
+    def test_points_outside_the_window_have_zero_influence_bitwise(self):
+        z = np.array([-0.03, -0.01, 0.02, 0.04])
+        y = np.array([0.1, 0.3, 0.7, 1.1])
+        base = mu_hat(Sample(z=z, y=y), r=0.05, z=0.01)
+        poisoned = mu_hat(Sample(z=np.concatenate([z, [-0.9, 0.07, 0.9]]),
+                                 y=np.concatenate([y, [1e9, 1e9, 1e9]])),
+                          r=0.05, z=0.01)
+        assert base == poisoned
+
 
 # --------------------------------------------------- spillover regression --
 
@@ -364,11 +373,12 @@ class TestSpilloverRegression:
     def test_normal_equations_residual(self, quiet_sample):
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
         est = local_spillover_regression(quiet_sample, cfg)
-        z, y = quiet_sample.z, quiet_sample.y
+        # the fit's regressors: a pool over the canonical window |Z| < h + r,
+        # each row evaluated with its own row excluded
+        z, y = est_mod._canonical_order(quiet_sample, cfg.h + cfg.r, strict=True)
         pool = est_mod._NeighborPool(z, y)
-        exclude = pool.sorted_pos(np.arange(z.size))
+        exclude = np.arange(z.size)
         mu_delta, nu_delta, _ = est_mod._spillover_regressors(z, pool, cfg.r, exclude)
-        from rdspill.kernels import kernel_values
         w = kernel_values(cfg.kernel, z / cfg.h)
         for side, beta in (("plus", est.beta_plus), ("minus", est.beta_minus)):
             mask = (w > 0) & ((z >= 0) if side == "plus" else (z < 0))
@@ -395,6 +405,20 @@ class TestSpilloverRegression:
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
         assert (local_spillover_regression(base, cfg)
                 == local_spillover_regression(poisoned, cfg))
+
+    def test_far_left_points_have_zero_influence_bitwise(self):
+        # points below -(h + r) sit ahead of every neighbor window in
+        # canonical order, so they must not enter the window sums either
+        rng = substream(51, 0)
+        z = rng.uniform(-0.6, 0.6, 400)
+        y = np.where(z >= 0, 1.5 + 0.2 * z, 0.1 * z) + 0.05 * rng.standard_normal(400)
+        base = Sample(z=z, y=y)
+        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
+        for far_z in ([-0.9, -0.8], [-0.9, -0.8, 0.8, 0.9], [-0.25, 0.25]):
+            poisoned = Sample(z=np.concatenate([z, far_z]),
+                              y=np.concatenate([y, np.full(len(far_z), 1e9)]))
+            assert (local_spillover_regression(base, cfg)
+                    == local_spillover_regression(poisoned, cfg)), far_z
 
     def test_constant_shift_equivariance(self, quiet_sample):
         # Intercepts shift by the constant almost exactly. The spillover
@@ -508,6 +532,40 @@ class TestCrossValidation:
         a = cross_validate_r(small, cfg, [0.03, 0.05], folds=3, seed=12)
         b = cross_validate_r(small, cfg, [0.03, 0.05], folds=3, seed=12)
         assert a == b
+
+    def test_matches_fold_by_fold_reference(self, quiet_sample):
+        # Folds partition the canonical order of the whole sample; each
+        # fold's error is the kernel-weighted squared error of a spillover
+        # fit on the training rows, predicting held-out rows from neighbor
+        # means over the training rows, here one public call at a time.
+        sample = Sample(z=quiet_sample.z[:3000], y=quiet_sample.y[:3000])
+        cfg = EstimatorConfig(kernel="triangular", h=0.2)
+        folds, seed = 3, 12
+        out = cross_validate_r(sample, cfg, [0.03, 0.05], folds=folds, seed=seed)
+        order = np.lexsort((sample.y, sample.z))
+        z, y = sample.z[order], sample.y[order]
+        fold_id = substream(seed, 101).permutation(z.size) % folds
+        for row in out["cv_table"]:
+            r = row["r"]
+            nu0 = nu_exact(CUTOFF, r, 0.0)
+            mse = {"plus": 0.0, "minus": 0.0}
+            for k in range(folds):
+                train = Sample(z=z[fold_id != k], y=y[fold_id != k])
+                est = local_spillover_regression(
+                    train, EstimatorConfig(kernel=cfg.kernel, h=cfg.h, r=r))
+                for zt, yt in zip(z[fold_id == k], y[fold_id == k]):
+                    w = float(kernel_values(cfg.kernel, zt / cfg.h))
+                    if w == 0.0:
+                        continue
+                    md = mu_hat(train, r, zt)["value"] - est.mu_hat_at_0
+                    nd = nu_exact(CUTOFF, r, zt) - nu0
+                    side = "plus" if zt >= 0.0 else "minus"
+                    beta = est.beta_plus if side == "plus" else est.beta_minus
+                    pred = np.dot(beta, [1.0, zt, md, zt * md, nd, zt * nd])
+                    mse[side] += w * (yt - pred) ** 2
+            assert row["feasible"]
+            assert row["mse_plus"] == pytest.approx(mse["plus"], rel=1e-9)
+            assert row["mse_minus"] == pytest.approx(mse["minus"], rel=1e-9)
 
     def test_prefers_true_radius(self, quiet_solution, quiet_model):
         cfg = EstimatorConfig(kernel="triangular", h=0.2)

@@ -120,6 +120,19 @@ class TestExperimentPlan:
                            n_grid=(1000,), replications=2, seed=1,
                            estimators=("ols",))
 
+    @pytest.mark.parametrize("runner", [run_phase_transition,
+                                        run_spillover_consistency,
+                                        run_donut_study])
+    def test_fixed_estimator_studies_reject_an_estimator_list(self, runner):
+        # these studies fit one estimator each; a list they would ignore
+        # is refused before anything is solved
+        plan = ExperimentPlan(model=exogenous_model(),
+                              regime_map=(RegimeRule("r~h", "tau_star", 0.5, 0.0),),
+                              n_grid=(1000, 2000, 4000), replications=2, seed=1,
+                              grid_n=1601, estimators=("donut",))
+        with pytest.raises(ConfigError, match="estimators"):
+            runner(plan)
+
     def test_bandwidth_rule(self):
         plan = ExperimentPlan(model=benchmark_model(), regime_map=PHASE_REGIMES,
                               n_grid=(100000,), replications=2, seed=1)

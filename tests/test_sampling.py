@@ -1,10 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from rdspill import sampling
 from rdspill.errors import ConfigError, DataError
 from rdspill.funcspace import ModelSpec, constant, polynomial
 from rdspill.population import CUTOFF, solve_population
-from rdspill.sampling import Sample, draw_sample, load_sample_csv, substream
+from rdspill.sampling import (
+    Sample,
+    draw_sample,
+    load_sample_csv,
+    parse_sample_csv,
+    substream,
+)
+
+# a full-precision data line; 99 998 of them fill rows 2-99999, well past
+# the first chunk the parser reads
+GOOD_LINE = "-0.12345678901234567,1.2345678901234567"
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +164,70 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_sample_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5,oops", "row 100000, column y: not a number: 'oops'"),
+        ("nan,1.0", "row 100000, column z: non-finite value"),
+        ("0.5,1e999", "row 100000, column y: non-finite value"),
+        ("-1.5,1.0", "row 100000, column z: -1.5 outside"),
+        ("0.5,1.0,2.0", "row 100000: expected 2 fields, got 3"),
+    ])
+    def test_bad_cell_past_the_first_chunk_reports_its_row(self, tmp_path, bad,
+                                                           message):
+        before = "z,y\n" + (GOOD_LINE + "\n") * 99_998
+        assert len(before) > sampling.CHUNK_BYTES
+        p = tmp_path / "late.csv"
+        p.write_text(before + bad + "\n" + (GOOD_LINE + "\n") * 10)
+        with pytest.raises(DataError, match=message):
+            load_sample_csv(p)
+
+    def test_out_of_range_z_is_kept_without_the_range_check(self, tmp_path):
+        p = tmp_path / "raw.csv"
+        p.write_text("z,y\n" + (GOOD_LINE + "\n") * 99_998 + "-1.5,1.0\n")
+        z, y = parse_sample_csv(p, require_unit_range=False)
+        assert z.size == 99_999 and z[-1] == -1.5 and y[-1] == 1.0
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_are_not_counted(self, tmp_path, newline):
+        # row numbers count the header and the non-blank data lines only
+        lines = ["", "z,y", ""]
+        for i in range(99_998):
+            lines.append(GOOD_LINE)
+            if i % 1000 == 0:
+                lines.extend(["", "   "])
+        lines.append("0.5,oops")
+        p = tmp_path / "blank.csv"
+        p.write_bytes(newline.join(lines).encode("utf-8"))
+        with pytest.raises(DataError, match="row 100000, column y"):
+            load_sample_csv(p)
+        p.write_bytes(newline.join(lines[:-1]).encode("utf-8"))
+        z, y = parse_sample_csv(p)
+        assert z.size == 99_998
+        assert z[0] == float(GOOD_LINE.split(",")[0])
+        assert y[-1] == float(GOOD_LINE.split(",")[1])
+
+    def test_cells_follow_python_float(self, tmp_path):
+        p = tmp_path / "float.csv"
+        p.write_text("z,y\n 0.25 ,1_000\n-1,-0\n1.0,2e-3\n")
+        z, y = parse_sample_csv(p)
+        assert z.tolist() == [0.25, -1.0, 1.0]
+        assert y.tolist() == [1000.0, -0.0, 0.002]
+
+    def test_parse_memory_stays_bounded(self, tmp_path):
+        # peak Python and numpy allocations for a 2e5-row file; holding the
+        # whole file as strings took about 35 MB
+        rng = np.random.default_rng(5)
+        p = tmp_path / "big.csv"
+        Sample(z=rng.uniform(-1.0, 1.0, 200_000),
+               y=rng.normal(0.0, 3.0, 200_000)).to_csv(p)
+        tracemalloc.start()
+        try:
+            z, _ = parse_sample_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.size == 200_000
+        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSampleType:
