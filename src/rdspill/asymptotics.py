@@ -77,20 +77,6 @@ class LambdaTable:
     def tail_bound(self, a_abs: float) -> float:
         return _tail_bound(self.delta0, self.truncation_A - a_abs)
 
-    def point(self, a):
-        """lambda pointwise; right-continuous at 0, asymptotic beyond +-A."""
-        arr = np.asarray(a, dtype=float)
-        grid, vals, A, i0 = self.a_grid, self.values, self.truncation_A, self.i0
-        out = np.interp(arr, grid, vals)
-        out = np.where(arr <= -A, 0.0, out)
-        out = np.where(arr >= A, self.plateau, out)
-        mask = (arr >= grid[i0 - 1]) & (arr < 0.0)
-        if np.any(mask):
-            t = (arr[mask] - grid[i0 - 1]) / (grid[1] - grid[0])
-            out = np.array(out, copy=True)
-            out[mask] = (1 - t) * vals[i0 - 1] + t * (vals[i0] - 1.0)
-        return out if np.ndim(a) else float(out)
-
     def interval_average(self, lo: float, hi: float) -> float:
         """Mean of lambda over [lo, hi]; pieces beyond +-A use the asymptotes."""
         if hi <= lo:

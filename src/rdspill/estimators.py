@@ -122,12 +122,20 @@ def _kernel_rows(z: np.ndarray, h: float) -> slice:
                  int(np.searchsorted(z, h, side="right")))
 
 
-def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str):
-    """Weighted least squares via lstsq on the sqrt-weighted design."""
+def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str,
+         ill_posed_check: bool = False):
+    """Weighted least squares via lstsq on the sqrt-weighted design; with
+    ill_posed_check, a condition number above ILL_POSED_CONDITION raises."""
     sw = np.sqrt(w)
     Xw = X * sw[:, None]
     yw = y * sw
     cond = float(np.linalg.cond(Xw))
+    if ill_posed_check and (not np.isfinite(cond) or cond > ILL_POSED_CONDITION):
+        raise IllPosedError(
+            f"spillover design on the {side} side has condition number "
+            f"{cond:.3e}; this typically signals a near-zero direct "
+            f"effect, which makes the neighbor-mean contrast collinear "
+            f"with the running variable", condition_number=cond)
     beta, _, rank, _ = np.linalg.lstsq(Xw, yw, rcond=None)
     if rank < X.shape[1]:
         raise NumericError(
@@ -310,15 +318,7 @@ def _fit_spillover_sides(z, y, w, mu_delta, nu_delta):
                 raise InsufficientSupportError(
                     side, f"need >= 6 positively weighted observations on the "
                           f"{side} side, got {zs.size}")
-            sw = np.sqrt(ws)
-            cond = float(np.linalg.cond(X * sw[:, None]))
-            if not np.isfinite(cond) or cond > ILL_POSED_CONDITION:
-                raise IllPosedError(
-                    f"spillover design on the {side} side has condition number "
-                    f"{cond:.3e}; this typically signals a near-zero direct "
-                    f"effect, which makes the neighbor-mean contrast collinear "
-                    f"with the running variable", condition_number=cond)
-            beta, _ = _wls(X, ys, ws, side)
+            beta, cond = _wls(X, ys, ws, side, ill_posed_check=True)
         out[side] = (beta, cond, int(zs.size))
     return out
 

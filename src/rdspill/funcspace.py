@@ -190,10 +190,6 @@ class ModelSpec:
             return float(out)
         return out
 
-    def noise_sup(self) -> float:
-        grid = np.linspace(-1.0, 1.0, _VALIDATION_GRID_N)
-        return float(np.max(eval_func(self.noise_sd, grid)))
-
     def to_config(self) -> dict:
         doc = {
             "m_plus": self.m_plus.to_config(),

@@ -15,8 +15,8 @@ right limits at 0 (the treated branch).
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_ma
 REGIME_KINDS = ("cutoff", "all-treated", "none-treated")
 
 DEFAULT_GRID_N = 4001
+INTERP_BLOCK = 16384  # queries per block of the grid lookup; keeps its temporaries in cache
 
 
 @dataclass(frozen=True)
@@ -102,31 +103,48 @@ class PopulationSolution:
     def i0(self) -> int:
         return len(self.grid) // 2
 
+    @cached_property
+    def _slope(self) -> np.ndarray:
+        return np.diff(self.y) / np.diff(self.grid)
+
     def interp(self, z) -> np.ndarray:
-        """Linear interpolation of y, one-sided in the two cells at the cutoff."""
+        """Linear interpolation of y, one-sided in the two cells at the cutoff.
+
+        Elsewhere this is np.interp(z, grid, y) bit for bit, but each query's
+        cell comes from the uniform spacing, corrected by two exact comparisons
+        to grid[j] <= z < grid[j+1], instead of from a binary search.
+        """
         z = np.asarray(z, dtype=float)
-        out = np.interp(z, self.grid, self.y)
-        i0 = self.i0
-        dz = self.grid[1] - self.grid[0]
+        grid, y, slope = self.grid, self.y, self._slope
+        i0, dz, last = self.i0, grid[1] - grid[0], len(grid) - 2
+        out = np.empty(z.shape)
+        z_flat, out_flat = z.reshape(-1), out.reshape(-1)
+        for start in range(0, z.size, INTERP_BLOCK):
+            zb, ob = z_flat[start:start + INTERP_BLOCK], out_flat[start:start + INTERP_BLOCK]
+            # clipped before the cast, so NaN and huge z index safely
+            j = np.fmin(np.fmax((zb - grid[0]) / dz, 0.0), last).astype(np.intp)
+            j -= zb < grid[j]
+            j += zb >= grid[j + 1]
+            np.clip(j, 0, last, out=j)
+            gj = grid[j]
+            np.multiply(slope[j], zb - gj, out=ob)
+            ob += y[j]
+            hit = zb == gj
+            ob[hit] = y[j[hit]]
+            ob[zb >= grid[-1]] = y[-1]
+            ob[zb < grid[0]] = y[0]
         if self.jump_left != 0.0:
-            mask = (z >= self.grid[i0 - 1]) & (z < 0.0)
-            if np.any(mask):
-                t = (z[mask] - self.grid[i0 - 1]) / dz
-                out[mask] = (1 - t) * self.y[i0 - 1] + t * (self.y[i0] + self.jump_left)
+            mask = (z >= grid[i0 - 1]) & (z < 0.0)
+            t = (z[mask] - grid[i0 - 1]) / dz
+            out[mask] = (1 - t) * y[i0 - 1] + t * (y[i0] + self.jump_left)
         if self.jump_right != 0.0:
-            mask = (z > 0.0) & (z <= self.grid[i0 + 1])
-            if np.any(mask):
-                t = (z[mask] - self.grid[i0]) / dz
-                out[mask] = (1 - t) * (self.y[i0] + self.jump_right) + t * self.y[i0 + 1]
+            mask = (z > 0.0) & (z <= grid[i0 + 1])
+            t = (z[mask] - grid[i0]) / dz
+            out[mask] = (1 - t) * (y[i0] + self.jump_right) + t * y[i0 + 1]
         return out
 
     def to_csv(self, path_or_buf) -> None:
         write_csv(path_or_buf, "z,y,mu,nu", self.grid, self.y, self.mu, self.nu)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def _jumps(model: ModelSpec, regime: TreatmentRegime) -> tuple[float, float]:

@@ -370,6 +370,19 @@ class TestSpilloverRegression:
         assert minus.beta_minus == avg.beta_minus
         assert plus.tau_d_hat == avg.tau_d_hat
 
+    def test_one_condition_number_per_side(self, quiet_sample, monkeypatch):
+        cond_calls = []
+        cond = np.linalg.cond
+
+        def counting_cond(*args, **kwargs):
+            cond_calls.append(1)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        est = local_spillover_regression(quiet_sample, EstimatorConfig(kernel="triangular", h=0.2, r=0.05))
+        assert est.beta_plus[2:] != (0.0,) * 4  # the full six-regressor fit ran
+        assert len(cond_calls) == 2
+
     def test_normal_equations_residual(self, quiet_sample):
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
         est = local_spillover_regression(quiet_sample, cfg)

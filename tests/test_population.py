@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,29 @@ def _brute_mu(sol, z, n=40_000):
         mids = np.linspace(a, b, n + 1)[:-1] + (b - a) / (2 * n)
         total += (b - a) * float(np.mean(sol.interp(mids)))
     return total / (hi - lo)
+
+
+def interp_reference(sol, z):
+    """PopulationSolution.interp as it was written against np.interp: numpy's
+    interpolant, then the two one-sided cells at the cutoff."""
+    out = np.interp(z, sol.grid, sol.y)
+    i0, dz = sol.i0, sol.grid[1] - sol.grid[0]
+    if sol.jump_left != 0.0:
+        mask = (z >= sol.grid[i0 - 1]) & (z < 0.0)
+        t = (z[mask] - sol.grid[i0 - 1]) / dz
+        out[mask] = (1 - t) * sol.y[i0 - 1] + t * (sol.y[i0] + sol.jump_left)
+    if sol.jump_right != 0.0:
+        mask = (z > 0.0) & (z <= sol.grid[i0 + 1])
+        t = (z[mask] - sol.grid[i0]) / dz
+        out[mask] = (1 - t) * (sol.y[i0] + sol.jump_right) + t * sol.y[i0 + 1]
+    return out
+
+
+def csv_string(sol):
+    """The solution's CSV as text, written through a buffer."""
+    buf = io.StringIO()
+    sol.to_csv(buf)
+    return buf.getvalue()
 
 
 class TestNuExact:
@@ -151,6 +175,29 @@ class TestSolvePopulation:
         assert right == pytest.approx(at0, abs=1e-6)
         assert left == pytest.approx(at0 - 1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("grid_n", [1001, 2001, 4001])
+    @pytest.mark.parametrize("jumps", ["left", "right", "none"])
+    def test_interp_matches_np_interp_bitwise(self, benchmark_model, jumps, grid_n):
+        # the benchmark model jumps left of the cutoff; a continuous m with a
+        # one-sided gamma jumps right of it; a continuous m alone does not jump
+        model = benchmark_model
+        if jumps != "left":
+            m = polynomial([0.1, 0.2, -0.5])
+            model = ModelSpec(m_plus=m, m_minus=m, delta=constant(0.4), gamma=constant(0.5),
+                              noise_sd=constant(0.1), gamma_one_sided=jumps == "right")
+        sol = solve_population(model, 0.05, CUTOFF, grid_n)
+        assert (sol.jump_left != 0.0, sol.jump_right != 0.0) == (jumps == "left", jumps == "right")
+        g, i0 = sol.grid, sol.i0
+        ends = np.array([-1.0, 1.0])
+        z = np.concatenate([
+            np.random.default_rng(grid_n).uniform(-1.0, 1.0, 50_000),
+            g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+            np.linspace(g[i0 - 1], g[i0 + 1], 1001), np.nextafter(0.0, ends),
+            ends, np.nextafter(ends, 0.0),
+        ])
+        ref = interp_reference(sol, z)
+        assert np.array_equal(sol.interp(z).view(np.int64), ref.view(np.int64))
+
     def test_validation(self, benchmark_model):
         with pytest.raises(ConfigError):
             solve_population(benchmark_model, 0.1, CUTOFF, grid_n=1000)
@@ -170,7 +217,7 @@ class TestSolvePopulation:
         bench_sol.to_csv(path)
         text = path.read_text()
         assert text.splitlines()[0] == "z,y,mu,nu"
-        assert text == bench_sol.to_csv_string()
+        assert text == csv_string(bench_sol)
         arr = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(arr[:, 1], bench_sol.y, rtol=1e-12)
 
