@@ -77,19 +77,25 @@ class LambdaTable:
     def tail_bound(self, a_abs: float) -> float:
         return _tail_bound(self.delta0, self.truncation_A - a_abs)
 
-    def interval_average(self, lo: float, hi: float) -> float:
-        """Mean of lambda over [lo, hi]; pieces beyond +-A use the asymptotes."""
-        if hi <= lo:
+    def interval_average(self, lo, hi):
+        """Mean of lambda over [lo, hi]; pieces beyond +-A use the asymptotes.
+
+        lo, hi: two floats (a float is returned) or two 1-D arrays of one length.
+        """
+        scalar = np.ndim(lo) == 0
+        lo = np.atleast_1d(np.asarray(lo, dtype=float))
+        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        if np.any(hi <= lo):
             raise ConfigError("interval_average requires lo < hi")
         A = self.truncation_A
         # pieces beyond +A contribute the plateau, beyond -A contribute 0
-        total = max(0.0, hi - max(lo, A)) * self.plateau
-        lo_in, hi_in = max(lo, -A), min(hi, A)
-        if lo_in < hi_in:
-            total += float(window_integrals(self.values, self.a_grid,
-                                            np.array([lo_in]), np.array([hi_in]),
-                                            self.i0, -1.0, 0.0)[0])
-        return total / (hi - lo)
+        total = np.maximum(0.0, hi - np.maximum(lo, A)) * self.plateau
+        lo_in, hi_in = np.maximum(lo, -A), np.minimum(hi, A)
+        inside = lo_in < hi_in
+        total[inside] += window_integrals(self.values, self.a_grid, lo_in[inside],
+                                          hi_in[inside], self.i0, -1.0, 0.0)
+        average = total / (hi - lo)
+        return float(average[0]) if scalar else average
 
     def to_csv(self, path_or_buf) -> None:
         write_csv(path_or_buf, "a,lambda", self.a_grid, self.values)
@@ -125,7 +131,7 @@ def build_lambda_table(delta0: float, A: float = DEFAULT_A,
     b = (a >= 0.0) + delta0 / 2.0 * (
         window_integrals(np.zeros(grid_n), a, lo, hi, i0, -1.0, 0.0) + pad_right * plateau)
     ac = coarse_grid(a, 1.0)
-    lam, report = two_grid_solve(b, a, ac, windows, window_matrix(ac, *windows(ac)[:2], None)[0])
+    lam, report = two_grid_solve(b, a, ac, windows, window_matrix(ac, *windows(ac)[:2]))
     if 0.0 <= delta0 < 1.0 and np.any(np.diff(lam) < -1e-8):
         warnings.warn("lambda table is not monotone nondecreasing", RuntimeWarning)
     return LambdaTable(delta0=float(delta0), a_grid=a, values=lam,
@@ -156,62 +162,44 @@ def adequate_table(delta0: float, c: float, A: float = DEFAULT_A,
     return build_lambda_table(delta0, A, n)
 
 
-def _indicator_average(lo: float, hi: float) -> float:
-    """Mean of 1{a >= 0} over [lo, hi]."""
-    return (max(hi, 0.0) - max(lo, 0.0)) / (hi - lo)
-
-
-def _gained_lost(x: float, c: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Neighborhood pieces gained/lost at z = xh relative to z = 0, in a-units."""
-    ctr = 2 * x / c
-    if x >= 0:
-        return (max(1.0, ctr - 1.0), ctr + 1.0), (-1.0, min(1.0, ctr - 1.0))
-    return (ctr - 1.0, min(-1.0, ctr + 1.0)), (max(-1.0, ctr + 1.0), 1.0)
+def _indicator_average(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mean of 1{a >= 0} over each [lo, hi]."""
+    return (np.maximum(hi, 0.0) - np.maximum(lo, 0.0)) / (hi - lo)
 
 
 def mu_profile(x: np.ndarray, c: float, table: LambdaTable,
                tau_d: float, gamma0: float) -> np.ndarray:
     """Limit drift of the endogenous regressor, already scaled by delta0.
 
-    Returns min(1,|x|/c) * [delta0*tau_d*D_lambda + gamma0*D_lambda_tilde];
-    the delta0 factor multiplying tau_d is absorbed through
+    Returns min(1,|x|/c) * [delta0*tau_d*D_lambda + gamma0*D_lambda_tilde]:
+    D_* is the average over the neighborhood piece gained at z = xh minus that
+    over the piece lost (a-units), one interval_average call per piece for all
+    x. The delta0 factor multiplying tau_d is absorbed through
     lambda_tilde = delta0 * (ramp response), keeping delta0 = 0 regular.
     """
     delta0 = table.delta0
-    out = np.zeros_like(np.asarray(x, dtype=float))
-    for idx, xv in enumerate(np.atleast_1d(x)):
-        if xv == 0.0:
-            continue
-        (g_lo, g_hi), (l_lo, l_hi) = _gained_lost(float(xv), c)
-        lam_g = table.interval_average(g_lo, g_hi)
-        lam_l = table.interval_average(l_lo, l_hi)
-        til_g = lam_g - _indicator_average(g_lo, g_hi)
-        til_l = lam_l - _indicator_average(l_lo, l_hi)
-        share = min(1.0, abs(float(xv)) / c)
-        out.flat[idx] = share * (delta0 * tau_d * (lam_g - lam_l)
-                                 + gamma0 * (til_g - til_l))
-    return out if np.ndim(x) else float(out)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    nonzero = x != 0.0
+    xs = x[nonzero]
+    ctr = 2 * xs / c
+    right = xs >= 0
+    g_lo = np.where(right, np.maximum(1.0, ctr - 1.0), ctr - 1.0)
+    g_hi = np.where(right, ctr + 1.0, np.minimum(-1.0, ctr + 1.0))
+    l_lo = np.where(right, -1.0, np.maximum(-1.0, ctr + 1.0))
+    l_hi = np.where(right, np.minimum(1.0, ctr - 1.0), 1.0)
+    lam_g = table.interval_average(g_lo, g_hi)
+    lam_l = table.interval_average(l_lo, l_hi)
+    til_g = lam_g - _indicator_average(g_lo, g_hi)
+    til_l = lam_l - _indicator_average(l_lo, l_hi)
+    share = np.minimum(1.0, np.abs(xs) / c)
+    out[nonzero] = share * (delta0 * tau_d * (lam_g - lam_l) + gamma0 * (til_g - til_l))
+    return out if out.ndim else float(out)
 
 
 def nu_profile(x, c: float) -> np.ndarray:
     """Limit drift of the treated-share regressor: clip(x/c, -1/2, 1/2)."""
     return np.clip(np.asarray(x, dtype=float) / c, -0.5, 0.5)
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _piecewise_gl(f, breaks: list[float], nodes: int) -> float:
-    if nodes not in _GL_CACHE:
-        _GL_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
-    xs, ws = _GL_CACHE[nodes]
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi <= lo:
-            continue
-        mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        total += half * float(np.sum(ws * f(mid + half * xs)))
-    return total
 
 
 def _side_breaks(c: float, side: int) -> list[float]:
@@ -249,7 +237,8 @@ def tau_star(model_at_0: dict, c: float, kernel: str,
 
     model_at_0 carries {tau_d, delta0, gamma0}. The table is rebuilt with a
     doubled truncation when its tail bound is too large for this c; pass a
-    pre-built adequate table to skip that work.
+    pre-built adequate table to skip that work. One evaluation of each profile
+    per Gauss-Legendre piece serves both kernel moments.
     """
     if not 0.0 < c < 2.0:
         raise ConfigError(f"c must be in (0, 2), got {c}")
@@ -259,26 +248,27 @@ def tau_star(model_at_0: dict, c: float, kernel: str,
     if table is None or table.delta0 != delta0 \
             or table.tail_bound(1.0 + 2.0 / c) >= TAIL_BOUND_LIMIT:
         table = adequate_table(delta0, c)
+    nodes, weights = np.polynomial.legendre.leggauss(gl_nodes)
 
-    def pmu(xs):
-        return mu_profile(xs, c, table, tau_d, gamma0)
-
-    def vprof(xs):
-        return nu_profile(xs, c)
-
-    def side_ints(profile, side):
+    def side_ints(side):
+        """[mu, nu] per-side integrals [profile * K, x * profile * K]."""
+        ints = [[0.0, 0.0], [0.0, 0.0]]
         breaks = _side_breaks(c, side)
-        i0 = _piecewise_gl(lambda xs: profile(xs) * kernel_values(kernel, xs), breaks, gl_nodes)
-        i1 = _piecewise_gl(lambda xs: xs * profile(xs) * kernel_values(kernel, xs), breaks, gl_nodes)
-        return i0, i1
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            xs = mid + half * nodes
+            k = kernel_values(kernel, xs)
+            for moments, p in zip(ints, (mu_profile(xs, c, table, tau_d, gamma0),
+                                         nu_profile(xs, c))):
+                moments[0] += half * float(np.sum(weights * (p * k)))
+                moments[1] += half * float(np.sum(weights * (xs * p * k)))
+        return ints
 
-    mu_p0, mu_p1 = side_ints(pmu, 1)
-    mu_m0, mu_m1 = side_ints(pmu, -1)
-    nu_p0, nu_p1 = side_ints(vprof, 1)
-    nu_m0, nu_m1 = side_ints(vprof, -1)
+    (mu_p0, mu_p1), (nu_p0, nu_p1) = side_ints(1)
+    (mu_m0, mu_m1), (nu_m0, nu_m1) = side_ints(-1)
     endo = _intercept_combo(kernel, mu_p0, mu_p1, mu_m0, mu_m1)
     exo = _intercept_combo(kernel, nu_p0, nu_p1, nu_m0, nu_m1)
-    return tau_d + endo + gamma0 * exo
+    return float(tau_d + endo + gamma0 * exo)
 
 
 def corollary_bounds_check(tau_d: float, tau_star_value: float, tau_tot: float,

@@ -210,7 +210,7 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
     b = rhs + scale * window_integrals(np.zeros(grid_n), grid, lo, hi, i0,
                                        jump_left, jump_right)
     zc = coarse_grid(grid, r)
-    y, report = two_grid_solve(b, grid, zc, windows, window_matrix(zc, *windows(zc)[:2], None)[0])
+    y, report = two_grid_solve(b, grid, zc, windows, window_matrix(zc, *windows(zc)[:2]))
     mu = window_integrals(y, grid, lo, hi, i0, jump_left, jump_right) / (hi - lo)
     return PopulationSolution(grid=grid, r=float(r), regime=regime, y=y, mu=mu,
                               nu=nu_vals, solver_report=report, model=model,

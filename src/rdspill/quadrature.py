@@ -6,14 +6,13 @@ except for a single known jump at an interior node (the cutoff), so the
 interpolant treats the two cells adjacent to that node one-sidedly: the stored
 node value is the right limit, and the left limit differs by a known constant.
 
-Two representations of the same quadrature rule live here:
+The quadrature rule is evaluated in two ways:
 
-* ``window_matrix``: explicit integral weights w over node values plus the
-  two scalars (wl0, wr0) multiplying the left/right jump sizes, so that
-  ``integral = W @ y + wl0*jump_left + wr0*jump_right``. Used for the
-  coarse matrix of the two-grid solver.
-* ``window_integrals``: the same integrals evaluated directly from y via a
-  cumulative integral, O(N) per call. Used on every fine grid.
+* ``window_integrals``: the integrals directly from y via a cumulative
+  integral, O(N) per call, jumps included. Used on every fine grid.
+* ``window_matrix``: the same rule as an explicit jump-free weight matrix W,
+  with ``integral = W @ y``. Used for the coarse matrix of the two-grid
+  solver.
 
 ``two_grid_solve`` solves both fixed points by the Brakhage-Atkinson
 two-grid Nystrom iteration (K. Atkinson, The Numerical Solution of Integral
@@ -43,14 +42,12 @@ def _locate(p: np.ndarray, z0: float, dz: float, n: int) -> tuple[np.ndarray, np
     return k, t
 
 
-def window_matrix(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, i0: int | None):
-    """Integral weights of the piecewise-linear interpolant over [lo_i, hi_i].
+def window_matrix(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral weights W of the piecewise-linear interpolant over [lo_i, hi_i].
 
-    z must be a uniform grid. When i0 is given, the two cells adjacent to node
-    i0 use one-sided values there; their contributions to node i0 are reported
-    separately in (wl0, wr0) so callers can supply the jump sizes.
-
-    Returns (W, wl0, wr0) with W of shape (len(lo), len(z)).
+    z must be a uniform grid; W has shape (len(lo), len(z)), and W @ y is
+    window_integrals(y, z, lo, hi) up to rounding. Each row adds its one-cell
+    window, or its partial left cell, full cells and partial right cell.
     """
     z = np.asarray(z, dtype=float)
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -63,60 +60,30 @@ def window_matrix(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, i0: int | None)
         raise ValueError("window outside grid range")
     klo, tlo = _locate(lo, z[0], dz, n)
     khi, thi = _locate(hi, z[0], dz, n)
-    W = np.zeros((len(lo), n))
-    wl0 = np.zeros(len(lo))
-    wr0 = np.zeros(len(lo))
-
-    for row in range(len(lo)):
-        a, ta = klo[row], tlo[row]
-        b, tb = khi[row], thi[row]
-        w = W[row]
-        if a == b:
-            # both endpoints inside one cell
-            w_left = dz * ((tb - ta) - (tb * tb - ta * ta) / 2.0)
-            w_right = dz * (tb * tb - ta * ta) / 2.0
-            w[a] += w_left
-            w[a + 1] += w_right
-            if i0 is not None:
-                if a == i0 - 1:
-                    wl0[row] += w_right
-                elif a == i0:
-                    wr0[row] += w_left
-            continue
-        # partial left cell [lo, z_{a+1}]
-        la, ra = dz * (1.0 - ta) ** 2 / 2.0, dz * (1.0 - ta * ta) / 2.0
-        w[a] += la
-        w[a + 1] += ra
-        # full cells a+1 .. b-1 (composite trapezoid over nodes a+1 .. b)
-        if b > a + 1:
-            w[a + 1] += dz / 2.0
-            w[b] += dz / 2.0
-            if b > a + 2:
-                w[a + 2:b] += dz
-        # partial right cell [z_b, hi]
-        lb = rb = 0.0
-        if tb > 0.0:
-            lb, rb = dz * (tb - tb * tb / 2.0), dz * tb * tb / 2.0
-            w[b] += lb
-            w[b + 1] += rb
-        if i0 is None:
-            continue
-        # weight that the cell left of node i0 put on node i0
-        c = i0 - 1
-        if c == a:
-            wl0[row] += ra
-        elif a < c < b:
-            wl0[row] += dz / 2.0
-        elif c == b and tb > 0.0:
-            wl0[row] += rb
-        # weight that the cell right of node i0 put on node i0
-        if i0 == a:
-            wr0[row] += la
-        elif a < i0 < b:
-            wr0[row] += dz / 2.0
-        elif i0 == b and tb > 0.0:
-            wr0[row] += lb
-    return W, wl0, wr0
+    # full cells a+1 .. b-1 give each interior node a+2 .. b-1 exactly dz;
+    # the mask exists before W, so the peak is W plus one boolean matrix
+    cols = np.arange(n)
+    W = np.where((cols > klo[:, None] + 1) & (cols < khi[:, None]), dz, 0.0)
+    rows = np.arange(len(lo))
+    one = klo == khi
+    # both endpoints inside one cell
+    r, a, ta, tb = rows[one], klo[one], tlo[one], thi[one]
+    W[r, a] += dz * ((tb - ta) - (tb * tb - ta * ta) / 2.0)
+    W[r, a + 1] += dz * (tb * tb - ta * ta) / 2.0
+    # partial left cell [lo, z_{a+1}]
+    r, a, b, ta, tb = rows[~one], klo[~one], khi[~one], tlo[~one], thi[~one]
+    W[r, a] += dz * (1.0 - ta) ** 2 / 2.0
+    W[r, a + 1] += dz * (1.0 - ta * ta) / 2.0
+    # end nodes a+1 and b of the composite trapezoid over the full cells
+    full = b > a + 1
+    W[r[full], a[full] + 1] += dz / 2.0
+    W[r[full], b[full]] += dz / 2.0
+    # partial right cell [z_b, hi]
+    part = tb > 0.0
+    r, b, tb = r[part], b[part], tb[part]
+    W[r, b] += dz * (tb - tb * tb / 2.0)
+    W[r, b + 1] += dz * tb * tb / 2.0
+    return W
 
 
 def cell_endpoints(y: np.ndarray, i0: int | None, jump_left: float, jump_right: float):
@@ -163,7 +130,7 @@ def two_grid_solve(b: np.ndarray, z: np.ndarray, zc: np.ndarray, windows,
 
     (K y)(x) = scale * integral over [lo, hi] of the jump-free interpolant of
     y, with (lo, hi, scale) = windows(x). coarse_weights = window_matrix(zc,
-    lo_c, hi_c, None)[0] on the coarse grid zc; it is overwritten. Each step
+    lo_c, hi_c) on the coarse grid zc; it is overwritten. Each step
     adds rho + K rho + K w_c (w_c interpolated from zc), where (I - K_c) w_c =
     (K rho)(zc); SolverError unless |rho| <= tol within MAX_ITERATIONS steps.
     The stop is raised to the rounding floor len(z)*eps*sup|b|/(1 - sup|K|)

@@ -3,7 +3,83 @@ import pytest
 
 from rdspill.funcspace import ModelSpec, constant, eval_func, polynomial
 from rdspill.population import _jumps, _model_rhs
-from rdspill.quadrature import window_matrix
+from rdspill.quadrature import _locate
+
+
+def _window_matrix_loop(z, lo, hi, i0):
+    """Reference for quadrature.window_matrix, built one row at a time.
+
+    When i0 is given, the two cells adjacent to node i0 use one-sided values
+    there; their contributions to node i0 are reported separately in
+    (wl0, wr0), so integral = W @ y + wl0*jump_left + wr0*jump_right.
+    Returns (W, wl0, wr0) with W of shape (len(lo), len(z)).
+    """
+    z = np.asarray(z, dtype=float)
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    n = len(z)
+    dz = z[1] - z[0]
+    klo, tlo = _locate(lo, z[0], dz, n)
+    khi, thi = _locate(hi, z[0], dz, n)
+    W = np.zeros((len(lo), n))
+    wl0 = np.zeros(len(lo))
+    wr0 = np.zeros(len(lo))
+
+    for row in range(len(lo)):
+        a, ta = klo[row], tlo[row]
+        b, tb = khi[row], thi[row]
+        w = W[row]
+        if a == b:
+            # both endpoints inside one cell
+            w_left = dz * ((tb - ta) - (tb * tb - ta * ta) / 2.0)
+            w_right = dz * (tb * tb - ta * ta) / 2.0
+            w[a] += w_left
+            w[a + 1] += w_right
+            if i0 is not None:
+                if a == i0 - 1:
+                    wl0[row] += w_right
+                elif a == i0:
+                    wr0[row] += w_left
+            continue
+        # partial left cell [lo, z_{a+1}]
+        la, ra = dz * (1.0 - ta) ** 2 / 2.0, dz * (1.0 - ta * ta) / 2.0
+        w[a] += la
+        w[a + 1] += ra
+        # full cells a+1 .. b-1 (composite trapezoid over nodes a+1 .. b)
+        if b > a + 1:
+            w[a + 1] += dz / 2.0
+            w[b] += dz / 2.0
+            if b > a + 2:
+                w[a + 2:b] += dz
+        # partial right cell [z_b, hi]
+        lb = rb = 0.0
+        if tb > 0.0:
+            lb, rb = dz * (tb - tb * tb / 2.0), dz * tb * tb / 2.0
+            w[b] += lb
+            w[b + 1] += rb
+        if i0 is None:
+            continue
+        # weight that the cell left of node i0 put on node i0
+        c = i0 - 1
+        if c == a:
+            wl0[row] += ra
+        elif a < c < b:
+            wl0[row] += dz / 2.0
+        elif c == b and tb > 0.0:
+            wl0[row] += rb
+        # weight that the cell right of node i0 put on node i0
+        if i0 == a:
+            wr0[row] += la
+        elif a < i0 < b:
+            wr0[row] += dz / 2.0
+        elif i0 == b and tb > 0.0:
+            wr0[row] += lb
+    return W, wl0, wr0
+
+
+@pytest.fixture(scope="session")
+def window_matrix_loop():
+    return _window_matrix_loop
 
 
 @pytest.fixture(scope="session")
@@ -36,14 +112,15 @@ def noiseless_benchmark():
 @pytest.fixture(scope="session")
 def dense_population():
     """Oracle for solve_population: the same discretized fixed point,
-    assembled as an N x N system from window_matrix and solved by LU."""
+    assembled as an N x N system from the reference weight loop and solved
+    by LU."""
 
     def solve(model, r, regime, grid_n):
         grid = np.linspace(-1.0, 1.0, grid_n)
         lo, hi = np.maximum(grid - r, -1.0), np.minimum(grid + r, 1.0)
         rhs, _ = _model_rhs(model, regime, grid, r)
         jump_left, jump_right = _jumps(model, regime)
-        W, wl0, wr0 = window_matrix(grid, lo, hi, grid_n // 2)
+        W, wl0, wr0 = _window_matrix_loop(grid, lo, hi, grid_n // 2)
         scale = np.asarray(eval_func(model.delta, grid)) / (hi - lo)
         system = np.eye(grid_n) - scale[:, None] * W
         return np.linalg.solve(system, rhs + scale * (wl0 * jump_left + wr0 * jump_right))
@@ -60,7 +137,7 @@ def dense_lambda_table():
     def solve(delta0, A, grid_n):
         a = np.linspace(-A, A, grid_n)
         lo, hi = np.maximum(a - 1.0, -A), np.minimum(a + 1.0, A)
-        W, wl0, _ = window_matrix(a, lo, hi, grid_n // 2)
+        W, wl0, _ = _window_matrix_loop(a, lo, hi, grid_n // 2)
         pad_right = np.maximum(a + 1.0 - A, 0.0)
         rhs = (a >= 0.0) + delta0 * (pad_right / (1.0 - delta0) - wl0) / 2.0
         return np.linalg.solve(np.eye(grid_n) - delta0 / 2.0 * W, rhs)

@@ -15,7 +15,7 @@ from rdspill.asymptotics import (
 from rdspill.errors import ConfigError, DomainError, NumericError
 from rdspill.kernels import kernel_values, one_sided_moment
 from rdspill.population import CUTOFF, nu_exact
-from rdspill.quadrature import SOLVER_TOL
+from rdspill.quadrature import SOLVER_TOL, window_integrals
 
 BENCH = {"tau_d": 1.0, "delta0": 0.4, "gamma0": 0.5}
 
@@ -51,6 +51,39 @@ def _riemann_avg(tab, lo, hi, n=40000):
         mids = np.linspace(a, b, n + 1)[:-1] + (b - a) / (2 * n)
         total += (b - a) * float(np.mean(lambda_point(tab, mids)))
     return total / (hi - lo)
+
+
+def _interval_average_scalar(tab, lo, hi):
+    """Reference for LambdaTable.interval_average: one window, in floats."""
+    A = tab.truncation_A
+    total = max(0.0, hi - max(lo, A)) * tab.plateau
+    lo_in, hi_in = max(lo, -A), min(hi, A)
+    if lo_in < hi_in:
+        total += float(window_integrals(tab.values, tab.a_grid, np.array([lo_in]),
+                                        np.array([hi_in]), tab.i0, -1.0, 0.0)[0])
+    return total / (hi - lo)
+
+
+def _mu_profile_loop(x, c, tab, tau_d, gamma0):
+    """Reference for mu_profile: the same pieces and averages, one x at a time."""
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    for idx, xv in enumerate(np.atleast_1d(x)):
+        xv = float(xv)
+        if xv == 0.0:
+            continue
+        ctr = 2 * xv / c
+        if xv >= 0:
+            (g_lo, g_hi), (l_lo, l_hi) = (max(1.0, ctr - 1.0), ctr + 1.0), (-1.0, min(1.0, ctr - 1.0))
+        else:
+            (g_lo, g_hi), (l_lo, l_hi) = (ctr - 1.0, min(-1.0, ctr + 1.0)), (max(-1.0, ctr + 1.0), 1.0)
+        lam_g = _interval_average_scalar(tab, g_lo, g_hi)
+        lam_l = _interval_average_scalar(tab, l_lo, l_hi)
+        til_g = lam_g - (max(g_hi, 0.0) - max(g_lo, 0.0)) / (g_hi - g_lo)
+        til_l = lam_l - (max(l_hi, 0.0) - max(l_lo, 0.0)) / (l_hi - l_lo)
+        share = min(1.0, abs(xv) / c)
+        out.flat[idx] = share * (tab.delta0 * tau_d * (lam_g - lam_l)
+                                 + gamma0 * (til_g - til_l))
+    return out
 
 
 def _profile_moment(p, c, kernel, side, nodes=64):
@@ -170,6 +203,16 @@ class TestIntervalAverage:
     def test_rejects_empty(self, tab04):
         with pytest.raises(ConfigError):
             tab04.interval_average(1.0, 1.0)
+        with pytest.raises(ConfigError):
+            tab04.interval_average(np.array([-1.0, 1.0, 2.0]), np.array([0.5, 1.0, 3.0]))
+
+    def test_arrays_match_scalar_calls(self, tab04):
+        lo = np.array([-20.0, -9.0, -1.0, -0.3, 0.0, 7.5, 12.0])
+        hi = np.array([-10.0, -7.0, 1.0, 0.0, 0.2, 9.0, 13.0])
+        got = tab04.interval_average(lo, hi)
+        ref = [_interval_average_scalar(tab04, a, b) for a, b in zip(lo, hi)]
+        np.testing.assert_array_equal(got.view(np.int64), np.array(ref).view(np.int64))
+        assert isinstance(tab04.interval_average(-0.3, 0.0), float)
 
 
 # hypothesis can't take a fixture argument; share one small table instead
@@ -294,6 +337,18 @@ class TestMoments:
         hi = tau_star(BENCH, 1.0, "triangular", tab04_c1, gl_nodes=32)
         lo = tau_star(BENCH, 1.0, "triangular", tab04_c1, gl_nodes=16)
         assert abs(hi - lo) < 1e-6
+
+    @pytest.mark.parametrize("delta0", [-0.5, 0.0, 0.4, 0.8])
+    def test_mu_profile_matches_node_loop_bitwise(self, delta0):
+        # one array pass adds the same terms in the same order as the loop
+        tab = build_lambda_table(delta0, A=8.0, grid_n=1601)
+        for c in (0.05, 0.3, 1.0, 1.9):
+            xs = np.concatenate([np.linspace(-1.0, 1.0, 401),
+                                 [0.0, c / 2, -c / 2, c, -c, 1.0, -1.0]])
+            got = mu_profile(xs, c, tab, 1.3, 0.7)
+            ref = _mu_profile_loop(xs, c, tab, 1.3, 0.7)
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+            assert mu_profile(c / 2, c, tab, 1.3, 0.7) == ref[-6]
 
     def test_delta0_zero_lambda_tilde_maps_vanish(self, tab0):
         # lambda_tilde = lambda - 1{a >= 0} is zero at delta0 = 0, so the

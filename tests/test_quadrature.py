@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,14 +53,14 @@ class TestWindowMatrix:
         z = _grid(401)
         rng = np.random.default_rng(0)
         lo, hi = _random_windows(rng, 50, z)
-        W, _, _ = window_matrix(z, lo, hi, None)
+        W = window_matrix(z, lo, hi)
         np.testing.assert_allclose(W @ np.ones_like(z), hi - lo, atol=1e-12)
 
     def test_linear_exact(self):
         z = _grid(301)
         rng = np.random.default_rng(1)
         lo, hi = _random_windows(rng, 40, z)
-        W, _, _ = window_matrix(z, lo, hi, None)
+        W = window_matrix(z, lo, hi)
         np.testing.assert_allclose(W @ z, (hi**2 - lo**2) / 2, atol=1e-12)
 
     def test_quadratic_second_order(self):
@@ -67,32 +69,69 @@ class TestWindowMatrix:
             z = _grid(n)
             lo = np.array([-0.43, 0.1, -0.9])
             hi = np.array([0.57, 0.9, -0.1])
-            W, _, _ = window_matrix(z, lo, hi, None)
+            W = window_matrix(z, lo, hi)
             exact = (hi**3 - lo**3) / 3
             errs.append(np.max(np.abs(W @ z**2 - exact)))
         assert errs[0] < 1e-4
         assert errs[1] < errs[0] / 3.0
 
-    def test_matches_window_integrals_with_jumps(self):
+    def test_matches_window_integrals_with_jumps(self, window_matrix_loop):
+        # the dense oracles take their jump weights from the reference loop
         z = _grid(201)
         i0 = len(z) // 2
         rng = np.random.default_rng(2)
         y = rng.normal(size=z.shape)
         lo, hi = _random_windows(rng, 30, z)
         jl, jr = -0.7, 0.25
-        W, wl0, wr0 = window_matrix(z, lo, hi, i0)
+        W, wl0, wr0 = window_matrix_loop(z, lo, hi, i0)
         via_matrix = W @ y + wl0 * jl + wr0 * jr
         via_prefix = window_integrals(y, z, lo, hi, i0, jl, jr)
         np.testing.assert_allclose(via_matrix, via_prefix, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [11, 201, 4001])
+    def test_matches_row_loop(self, window_matrix_loop, n):
+        # the array code adds the loop's terms in the loop's order; only the
+        # squares may round differently (scalar pow against array multiply),
+        # so the bound is one rounding of a cell's weight
+        z = _grid(n)
+        dz = z[1] - z[0]
+        rng = np.random.default_rng(n)
+        k = rng.integers(0, n - 1, size=40)
+        one_lo = z[k] + dz * rng.uniform(0.0, 0.5, size=40)
+        one_hi = z[k] + dz * rng.uniform(0.5, 1.0, size=40)
+        j = rng.integers(0, n - 1, size=40)
+        hit_lo = z[j]
+        hit_hi = z[np.minimum(j + rng.integers(1, 6, size=40), n - 1)]
+        wide_lo, wide_hi = _random_windows(rng, 40, z)
+        lo = np.concatenate([one_lo, hit_lo, wide_lo, [z[0], z[0], z[-2]]])
+        hi = np.concatenate([one_hi, hit_hi, wide_hi, [z[-1], z[1], z[-1]]])
+        W = window_matrix(z, lo, hi)
+        ref, _, _ = window_matrix_loop(z, lo, hi, None)
+        np.testing.assert_allclose(W, ref, rtol=0.0, atol=np.finfo(float).eps * dz)
+
+    def test_peak_memory_near_the_matrix(self):
+        # the coarse grid of the A = 384 lambda table: 3073 nodes, 75 MB of
+        # weights; the full-cell mask is built before W, never beside a copy
+        a = np.linspace(-384.0, 384.0, 6401)
+        ac = coarse_grid(a, 1.0)
+        lo, hi = np.maximum(ac - 1.0, -384.0), np.minimum(ac + 1.0, 384.0)
+        tracemalloc.start()
+        try:
+            W = window_matrix(ac, lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.shape == (3073, 3073)
+        assert peak <= 1.5 * W.nbytes
+
     def test_rejects_bad_windows(self):
         z = _grid(201)
         with pytest.raises(ValueError):
-            window_matrix(z, np.array([0.5]), np.array([0.5]), None)
+            window_matrix(z, np.array([0.5]), np.array([0.5]))
         with pytest.raises(ValueError):
-            window_matrix(z, np.array([-2.0]), np.array([0.5]), None)
+            window_matrix(z, np.array([-2.0]), np.array([0.5]))
         with pytest.raises(ValueError):
-            window_matrix(z, np.array([0.0]), np.array([1.5]), None)
+            window_matrix(z, np.array([0.0]), np.array([1.5]))
 
 
 class TestJumpHandling:
@@ -171,4 +210,4 @@ def test_two_grid_unreachable_tolerance_raises_at_cap(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_ITERATIONS", 1)
     with pytest.raises(SolverError, match="after 1 iterations"):
         two_grid_solve(np.cos(3 * z), z, zc, windows,
-                       window_matrix(zc, lo_c, hi_c, None)[0])
+                       window_matrix(zc, lo_c, hi_c))

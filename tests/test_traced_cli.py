@@ -64,3 +64,9 @@ def test_instrument_sees_the_study_loop():
     assert counts["estimators.local_linear_rdd"] == 2
     assert counts["experiments.cache.get_or_solve"] >= 1
     assert counts["experiments.tau_star_for_model"] == 1
+    # the quadrature layers run under their wrapped names too, and each
+    # profile evaluation averages the table once per neighborhood piece
+    for name in ("quadrature.window_matrix", "asymptotics.mu_profile",
+                 "asymptotics.interval_average"):
+        assert counts.get(name, 0) >= 1, name
+    assert counts["asymptotics.interval_average"] == 2 * counts["asymptotics.mu_profile"]
