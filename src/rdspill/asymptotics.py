@@ -85,7 +85,7 @@ class LambdaTable:
         scalar = np.ndim(lo) == 0
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if np.any(hi <= lo):
+        if not np.all(lo < hi):
             raise ConfigError("interval_average requires lo < hi")
         A = self.truncation_A
         # pieces beyond +A contribute the plateau, beyond -A contribute 0

@@ -38,6 +38,9 @@ class InsufficientSupportError(EstimationError):
         self.side = side
         super().__init__(message)
 
+    def __reduce__(self):
+        return type(self), (self.side, str(self))
+
 
 class CollinearityError(EstimationError):
     """Regressors are structurally collinear (e.g. spillover columns with r >= h)."""
@@ -49,6 +52,9 @@ class IllPosedError(EstimationError):
     def __init__(self, message: str, condition_number: float):
         self.condition_number = condition_number
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (str(self), self.condition_number)
 
 
 class NumericError(EstimationError):

@@ -10,11 +10,17 @@ population solver or the limit machinery at run time. No target number is
 hard-coded. A library error in a cell becomes that cell's failure row; the
 other cells still run.
 
+Parallelism: after a cell's solve and setup, `_replicate` runs its
+replications in contiguous seed blocks, one per usable CPU, on a fork pool
+made for that cell, and merges them in replication order; a failing cell
+reports the error a serial run meets first. Without fork, or without the
+package's BLAS pin (see its docstring), the one block runs inline.
+
 Reproducibility: every cell derives its replication seeds from one Philox
 substream keyed by (plan seed, study tag, cell index), and the whole seed
 vector is materialized before any drawing. Results are therefore bit-exact
-across reruns and independent of the order in which cells or replications
-execute.
+across reruns and worker counts, and, with the BLAS pin, across core counts;
+they do not depend on the order in which cells or replications execute.
 """
 from __future__ import annotations
 
@@ -22,10 +28,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _BLAS_PINNED
 from .asymptotics import adequate_table, tau_star
 from .errors import ConfigError, RdspillError
 from .estimators import (
@@ -339,6 +347,64 @@ def _failure(regime: str, n: int, h: float, r: float, err: Exception,
             "error": type(err).__name__, "message": str(err)}
 
 
+def _worker_count(replications: int) -> int:
+    """Processes for one cell: one per usable CPU, at most one per
+    replication. 1 (inline) without fork or without the BLAS pin, because
+    forked workers on threaded OpenBLAS contend for the same cores."""
+    if not _BLAS_PINNED or not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(cpus, replications)
+
+
+def _run_block(job, seeds):
+    """Draw and fit one block of replications; a library error is returned,
+    not raised, so the caller can pick the earliest failing block."""
+    sol, model, n, fit = job
+    try:
+        return [fit(draw_sample(sol, model, n, int(s))) for s in seeds]
+    except RdspillError as err:
+        return err
+
+
+_WORKER_JOB = None  # set only in pool workers, by _adopt_job
+
+
+def _adopt_job(job) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = job
+
+
+def _run_worker_block(seeds):
+    return _run_block(_WORKER_JOB, seeds)
+
+
+def _replicate(job, seeds) -> list:
+    """Value tuples of every replication, in seed order. On the pool, only
+    seeds go out and value tuples come back; a block's error is raised when
+    no earlier block failed, so it is the first error in seed order."""
+    workers = _worker_count(len(seeds))
+    if workers == 1:
+        blocks = [_run_block(job, seeds)]
+    else:
+        # imported here, so commands that run no study do not pay for it
+        import multiprocessing
+
+        # fork passes the job to the workers without pickling it; with the
+        # BLAS pin in effect the process has no BLAS threads to fork across
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, initializer=_adopt_job, initargs=(job,)) as pool:
+            blocks = pool.map(_run_worker_block, np.array_split(seeds, workers),
+                              chunksize=1)
+    values = []
+    for block in blocks:
+        if isinstance(block, RdspillError):
+            raise block
+        values.extend(block)
+    return values
+
+
 def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
                layout, setup, summarize=None) -> ExperimentReport:
     """The cell loop every study shares.
@@ -347,9 +413,10 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
     a cell's position in it keys its replication seeds. For each cell,
     setup(model, rule, sol, h, r, cache) returns (rows, fit): rows are the
     (estimator, quantity, target name, target value, extra) of the stats rows
-    the cell reports, and fit(sample) returns one value per row. Samples are
-    drawn one at a time. An RdspillError anywhere in a cell becomes that
-    cell's failure row. summarize(cells) adds study-specific summary keys.
+    the cell reports, and fit(sample) returns one value per row. The
+    replications run through _replicate. An RdspillError anywhere in a cell
+    becomes that cell's failure row. summarize(cells) adds study-specific
+    summary keys.
     """
     cache = cache if cache is not None else shared_cache
     cells, failures = [], []
@@ -360,7 +427,7 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
             sol = cache.get_or_solve(model, r, plan.grid_n)
             rows, fit = setup(model, rule, sol, h, r, cache)
             seeds = _rep_seeds(plan.seed, study, cell_index, plan.replications)
-            values = [fit(draw_sample(sol, model, n, int(s))) for s in seeds]
+            values = _replicate((sol, model, n, fit), seeds)
             for (row_estimator, quantity, target_name, target_value, extra), series \
                     in zip(rows, zip(*values)):
                 cells.append(_stats_cell(label, row_estimator, quantity, n, h, r,

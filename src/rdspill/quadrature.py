@@ -54,7 +54,7 @@ def window_matrix(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     n = len(z)
     dz = z[1] - z[0]
-    if np.any(lo >= hi):
+    if not np.all(lo < hi):
         raise ValueError("window_matrix requires lo < hi")
     if lo.min() < z[0] - 1e-9 * dz or hi.max() > z[-1] + 1e-9 * dz:
         raise ValueError("window outside grid range")

@@ -206,6 +206,14 @@ class TestIntervalAverage:
         with pytest.raises(ConfigError):
             tab04.interval_average(np.array([-1.0, 1.0, 2.0]), np.array([0.5, 1.0, 3.0]))
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (1.0, np.nan),
+                                        (np.nan, np.nan)])
+    def test_rejects_nan_ends(self, tab04, lo, hi):
+        with pytest.raises(ConfigError, match="lo < hi"):
+            tab04.interval_average(lo, hi)
+        with pytest.raises(ConfigError, match="lo < hi"):
+            tab04.interval_average(np.array([-1.0, lo]), np.array([0.5, hi]))
+
     def test_arrays_match_scalar_calls(self, tab04):
         lo = np.array([-20.0, -9.0, -1.0, -0.3, 0.0, 7.5, 12.0])
         hi = np.array([-10.0, -7.0, 1.0, 0.0, 0.2, 9.0, 13.0])

@@ -7,6 +7,7 @@ with the same config and seed must be byte-identical on disk.
 import copy
 import importlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -518,6 +519,54 @@ class TestExperiment:
         report = json.loads(
             (tmp_path / "results" / "phase_transition_report.json").read_text())
         assert report["provenance"]["seed"] == 77
+
+
+def _child_env(**blas) -> dict:
+    """This process's environment without OPENBLAS_NUM_THREADS (importing
+    rdspill here may have set it), plus the given value if any."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(blas)
+    return env
+
+
+class TestBlasPin:
+    PROBE = ("import os, rdspill; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'], rdspill._BLAS_PINNED)")
+
+    def probe(self, env) -> str:
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_pins_one_thread_when_unset(self):
+        assert self.probe(_child_env()) == "1 True\n"
+
+    def test_import_keeps_a_preset_value(self):
+        assert self.probe(_child_env(OPENBLAS_NUM_THREADS="2")) == "2 False\n"
+
+    def test_pin_needs_numpy_not_yet_loaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import numpy; " + self.PROBE],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.stdout == "1 False\n", proc.stderr
+
+    def test_experiment_report_same_unset_and_pinned(self, tmp_path):
+        # the experiment of check 11's config
+        cfg = write_config(tmp_path, TestExperiment().plan_doc(
+            n_grid=[900], replications=2))
+        reports = []
+        for name, env in (("unset", _child_env()),
+                          ("pinned", _child_env(OPENBLAS_NUM_THREADS="1"))):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "rdspill.cli", "experiment",
+                 "--config", cfg, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            reports.append([(out / f).read_bytes() for f in (
+                "phase_transition_report.json", "phase_transition_report.csv")])
+        assert reports[0] == reports[1]
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 import rdspill.experiments as exp_mod
-from rdspill.errors import ConfigError, InsufficientSupportError
+from rdspill.errors import ConfigError, IllPosedError, InsufficientSupportError
 from rdspill.experiments import (
     ESTIMATOR_NAMES,
     PHASE_REGIMES,
@@ -15,6 +17,7 @@ from rdspill.experiments import (
     _nw_population_value,
     _rep_seeds,
     benchmark_model,
+    local_linear_rdd,
     run_donut_study,
     run_ll_vs_nw,
     run_phase_transition,
@@ -426,3 +429,83 @@ class TestLlVsNw:
         m1 = 1.0 / 3.0
         want = 1.0 + h * m1 * (0.3 + 0.2) + 0.5 * h * m1 / r
         assert got == pytest.approx(want, abs=1e-5)
+
+
+def _force_workers(monkeypatch, workers):
+    """Substitute the worker count; 2 forces the fork pool even here, where
+    numpy loaded before rdspill and the BLAS pin did not take effect."""
+    monkeypatch.setattr(exp_mod, "_worker_count",
+                        lambda replications: min(workers, replications))
+
+
+STUDY_NAMES = ("phase_transition", "spillover_consistency", "donut", "ll_vs_nw")
+
+
+def _worker_plans():
+    exogenous = exogenous_model()
+    return [
+        (run_phase_transition, ExperimentPlan(
+            model=benchmark_model(0.05),
+            regime_map=(RegimeRule("r=8h", "tau_d", 8.0, 0.0),
+                        RegimeRule("r~h", "tau_star", 0.5, 0.0)),
+            n_grid=(1500,), replications=5, seed=42, grid_n=1601)),
+        (run_spillover_consistency, ExperimentPlan(
+            model=benchmark_model(0.05),
+            regime_map=(RegimeRule("r~h", "tau_star", 0.5),),
+            n_grid=(1000, 2000, 4000), replications=5, seed=5, grid_n=1601)),
+        (run_donut_study, ExperimentPlan(
+            model=exogenous, regime_map=(RegimeRule("r=h/2", "tau_d", 0.5),),
+            n_grid=(1200,), replications=5, seed=13, grid_n=1601)),
+        (run_ll_vs_nw, ExperimentPlan(
+            model=exogenous, regime_map=(RegimeRule("r=h", "tau_d", 1.0),),
+            n_grid=(1200, 2400), replications=5, seed=10, grid_n=1601)),
+    ]
+
+
+def _failing_local_linear(sample, cfg):
+    # fails on about a quarter of the replications, with a message naming
+    # the draw, so a failure row shows which replication failed first; in
+    # the plan below some cells fail in one block, some in both, one in none
+    if sample.z[0] > 0.5:
+        raise IllPosedError(f"forced at z[0]={sample.z[0]!r}", 1e13)
+    return local_linear_rdd(sample, cfg)
+
+
+class TestWorkers:
+    def test_blocks_run_in_workers_and_merge_in_seed_order(self, monkeypatch):
+        model = benchmark_model(0.05)
+        sol = SolutionCache().get_or_solve(model, 0.1, 1601)
+        seeds = _rep_seeds(3, "phase_transition", 0, 7)
+        job = (sol, model, 200, lambda sample: (sample.y[0], os.getpid()))
+        _force_workers(monkeypatch, 1)
+        serial = exp_mod._replicate(job, seeds)
+        _force_workers(monkeypatch, 2)
+        pooled = exp_mod._replicate(job, seeds)
+        assert [v for v, _ in pooled] == [v for v, _ in serial]
+        assert {pid for _, pid in serial} == {os.getpid()}
+        assert os.getpid() not in {pid for _, pid in pooled}
+
+    @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
+    def test_reports_identical_for_one_and_two_workers(self, index, monkeypatch):
+        runner, plan = _worker_plans()[index]
+        reports = []
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            report = runner(plan, SolutionCache())
+            reports.append((report.to_json(), report.to_csv()))
+        assert not json.loads(reports[0][0])["failures"]
+        assert reports[0] == reports[1]
+
+    def test_failure_rows_identical_for_one_and_two_workers(self, monkeypatch):
+        runner, plan = _worker_plans()[0]
+        plan = dataclasses.replace(plan, n_grid=(1500, 2000, 2500, 3000))
+        monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
+        reports = []
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            report = runner(plan, SolutionCache())
+            reports.append((report.to_json(), report.to_csv()))
+        failures = json.loads(reports[0][0])["failures"]
+        assert failures and all(f["error"] == "IllPosedError" for f in failures)
+        assert json.loads(reports[0][0])["cells"]
+        assert reports[0] == reports[1]

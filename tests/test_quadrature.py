@@ -133,6 +133,13 @@ class TestWindowMatrix:
         with pytest.raises(ValueError):
             window_matrix(z, np.array([0.0]), np.array([1.5]))
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 0.5), (-0.5, np.nan),
+                                        (np.nan, np.nan)])
+    def test_rejects_nan_window_ends(self, lo, hi):
+        # a NaN end compares false both ways, so only `lo < hi` catches it
+        with pytest.raises(ValueError, match="lo < hi"):
+            window_matrix(_grid(201), np.array([-0.5, lo]), np.array([0.5, hi]))
+
 
 class TestJumpHandling:
     def test_step_function_exact(self):
