@@ -2,19 +2,19 @@
 running variable: exact population solver, cutoff estimators, limit
 objects, and a Monte Carlo harness.
 
-Importing the package before numpy pins OpenBLAS to one thread
-(OPENBLAS_NUM_THREADS=1, unless the variable is already set). Study cells
-run their replications on one process per CPU, and threaded BLAS in each of
-them would only contend for the same cores; the pin also makes the last bits
-of the spillover fits independent of the core count. _BLAS_PINNED records
-whether the pin took effect, which the study pool requires.
+Importing the package before numpy pins OpenBLAS to one thread: it sets
+OPENBLAS_NUM_THREADS=1 unless the variable is already set. Study cells run
+their replications on one process per CPU, and threaded BLAS in each of
+them would only contend for the same cores; the pin also makes the last
+bits of the spillover fits independent of the core count. Once numpy is
+loaded the variable no longer reaches its BLAS, so it is then left unset
+rather than passed on to every subprocess.
 """
 import os as _os
 import sys as _sys
 
-_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-_BLAS_PINNED = (_os.environ["OPENBLAS_NUM_THREADS"] == "1"
-                and "numpy" not in _sys.modules)
+if "numpy" not in _sys.modules:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .asymptotics import (
     LambdaTable,

@@ -13,14 +13,16 @@ other cells still run.
 Parallelism: after a cell's solve and setup, `_replicate` runs its
 replications in contiguous seed blocks, one per usable CPU, on a fork pool
 made for that cell, and merges them in replication order; a failing cell
-reports the error a serial run meets first. Without fork, or without the
-package's BLAS pin (see its docstring), the one block runs inline.
+reports the error a serial run meets first. The one block runs inline
+outside Linux, on one CPU, and when a caller has replaced a function the
+replications call through this module (see `_worker_count`).
 
 Reproducibility: every cell derives its replication seeds from one Philox
 substream keyed by (plan seed, study tag, cell index), and the whole seed
 vector is materialized before any drawing. Results are therefore bit-exact
-across reruns and worker counts, and, with the BLAS pin, across core counts;
-they do not depend on the order in which cells or replications execute.
+across reruns and worker counts, and, with the package's BLAS pin (see its
+docstring), across core counts; they do not depend on the order in which
+cells or replications execute.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _BLAS_PINNED
 from .asymptotics import adequate_table, tau_star
 from .errors import ConfigError, RdspillError
 from .estimators import (
@@ -347,15 +348,22 @@ def _failure(regime: str, n: int, h: float, r: float, err: Exception,
             "error": type(err).__name__, "message": str(err)}
 
 
+# the functions the replications call through this module's namespace
+_REPLICATION_CALLS = (draw_sample, local_linear_rdd, nadaraya_watson_rdd,
+                      donut_rdd, local_spillover_regression)
+
+
 def _worker_count(replications: int) -> int:
     """Processes for one cell: one per usable CPU, at most one per
-    replication. 1 (inline) without fork or without the BLAS pin, because
-    forked workers on threaded OpenBLAS contend for the same cores."""
-    if not _BLAS_PINNED or not hasattr(os, "fork"):
+    replication. 1 (inline) where CPU affinity is unknown, that is outside
+    Linux, the one platform where fork with numpy's BLAS was measured; and
+    when a caller has replaced one of _REPLICATION_CALLS here (a tracer, a
+    counter, a mock), because a forked worker would keep that replacement's
+    records to itself."""
+    if not hasattr(os, "sched_getaffinity") or any(
+            globals()[fn.__name__] is not fn for fn in _REPLICATION_CALLS):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    return min(cpus, replications)
+    return min(len(os.sched_getaffinity(0)), replications)
 
 
 def _run_block(job, seeds):
@@ -391,8 +399,7 @@ def _replicate(job, seeds) -> list:
         # imported here, so commands that run no study do not pay for it
         import multiprocessing
 
-        # fork passes the job to the workers without pickling it; with the
-        # BLAS pin in effect the process has no BLAS threads to fork across
+        # fork passes the job to the workers without pickling it
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers, initializer=_adopt_job, initargs=(job,)) as pool:
             blocks = pool.map(_run_worker_block, np.array_split(seeds, workers),

@@ -522,46 +522,57 @@ class TestExperiment:
 
 
 def _child_env(**blas) -> dict:
-    """This process's environment without OPENBLAS_NUM_THREADS (importing
-    rdspill here may have set it), plus the given value if any."""
+    """This process's environment without OPENBLAS_NUM_THREADS, plus the
+    given value if any."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(blas)
     return env
 
 
-class TestBlasPin:
-    PROBE = ("import os, rdspill; "
-             "print(os.environ['OPENBLAS_NUM_THREADS'], rdspill._BLAS_PINNED)")
+# runs the CLI held to one CPU, where the replications run inline
+ONE_CPU_CLI = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from rdspill.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
-    def probe(self, env) -> str:
-        proc = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+
+class TestBlasPin:
+    PROBE = "import os, rdspill; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    def probe(self, code, env) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
     def test_import_pins_one_thread_when_unset(self):
-        assert self.probe(_child_env()) == "1 True\n"
+        assert self.probe(self.PROBE, _child_env()) == "1\n"
 
     def test_import_keeps_a_preset_value(self):
-        assert self.probe(_child_env(OPENBLAS_NUM_THREADS="2")) == "2 False\n"
+        assert self.probe(self.PROBE, _child_env(OPENBLAS_NUM_THREADS="2")) == "2\n"
 
-    def test_pin_needs_numpy_not_yet_loaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import numpy; " + self.PROBE],
-            env=_child_env(), capture_output=True, text=True, timeout=120)
-        assert proc.stdout == "1 False\n", proc.stderr
+    def test_import_after_numpy_leaves_the_variable_unset(self):
+        assert self.probe("import numpy; " + self.PROBE, _child_env()) == "None\n"
 
-    def test_experiment_report_same_unset_and_pinned(self, tmp_path):
-        # the experiment of check 11's config
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="the pool needs Linux and two usable CPUs")
+    def test_experiment_report_same_on_pool_and_inline(self, tmp_path):
+        # check 11's experiment: unset and pinned by the import, on every
+        # CPU (the pool), against "1" preset and held to one CPU (inline)
         cfg = write_config(tmp_path, TestExperiment().plan_doc(
-            n_grid=[900], replications=2))
+            n_grid=[900], replications=4))
         reports = []
-        for name, env in (("unset", _child_env()),
-                          ("pinned", _child_env(OPENBLAS_NUM_THREADS="1"))):
+        for name, code, env in (
+                ("pool", None, _child_env()),
+                ("inline", ONE_CPU_CLI, _child_env(OPENBLAS_NUM_THREADS="1"))):
             out = tmp_path / name
+            argv = ["-m", "rdspill.cli"] if code is None else ["-c", code]
             proc = subprocess.run(
-                [sys.executable, "-m", "rdspill.cli", "experiment",
-                 "--config", cfg, "--out", str(out)],
+                [sys.executable, *argv, "experiment", "--config", cfg,
+                 "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             reports.append([(out / f).read_bytes() for f in (

@@ -17,6 +17,7 @@ from rdspill.experiments import (
     _nw_population_value,
     _rep_seeds,
     benchmark_model,
+    draw_sample,
     local_linear_rdd,
     run_donut_study,
     run_ll_vs_nw,
@@ -472,6 +473,32 @@ def _failing_local_linear(sample, cfg):
 
 
 class TestWorkers:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the pool runs on Linux only")
+    def test_one_worker_per_usable_cpu(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert exp_mod._worker_count(1) == 1
+        assert exp_mod._worker_count(40) == min(cpus, 40)
+
+    @pytest.mark.parametrize("name", [fn.__name__ for fn in exp_mod._REPLICATION_CALLS])
+    def test_replaced_call_runs_inline(self, name, monkeypatch):
+        original = getattr(exp_mod, name)
+        monkeypatch.setattr(exp_mod, name, lambda *a, **k: original(*a, **k))
+        assert exp_mod._worker_count(40) == 1
+
+    def test_wrapper_sees_every_call_in_this_process(self, monkeypatch):
+        # what a tracer wrapping draw_sample needs: no call lost to a worker
+        pids = []
+
+        def traced(*args, **kwargs):
+            pids.append(os.getpid())
+            return draw_sample(*args, **kwargs)
+
+        monkeypatch.setattr(exp_mod, "draw_sample", traced)
+        runner, plan = _worker_plans()[0]
+        runner(plan, SolutionCache())
+        assert pids == [os.getpid()] * (len(plan.regime_map) * plan.replications)
+
     def test_blocks_run_in_workers_and_merge_in_seed_order(self, monkeypatch):
         model = benchmark_model(0.05)
         sol = SolutionCache().get_or_solve(model, 0.1, 1601)

@@ -42,9 +42,6 @@ from traced_cli import Tracer, instrument
 tracer = Tracer()
 instrument(tracer)
 from rdspill import experiments
-# the tracer records this process only; draws and fits that run in forked
-# replication workers leave no span here, so the study runs inline
-experiments._worker_count = lambda replications: 1
 plan = experiments.ExperimentPlan(
     model=experiments.benchmark_model(0.05),
     regime_map=(experiments.RegimeRule("r~h", "tau_star", 0.5, 0.0),),
