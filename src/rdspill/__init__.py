@@ -18,9 +18,9 @@ if "numpy" not in _sys.modules:
 
 from .asymptotics import (
     LambdaTable,
-    adequate_table,
     build_lambda_table,
     corollary_bounds_check,
+    lambda_table,
     mu_profile,
     nu_profile,
     tau_star,

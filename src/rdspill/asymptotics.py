@@ -11,6 +11,8 @@ through (tau_d, delta(0), gamma(0)):
   on the whole line. lambda jumps by exactly 1 at a = 0 and approaches 0 /
   1/(1-delta0) at -inf / +inf; the table solver (the population's two-grid
   iteration) pads with those constants and carries the jump exactly.
+  One table per delta0 (`lambda_table`) serves every c, as windows beyond +-A
+  read the asymptotes; a Chernoff tail bound sets A (`_tail_terms`).
 * lambda_tilde(a) = lambda(a) - 1{a >= 0}: the same response with the direct
   step removed. It is continuous and also absorbs the exogenous channel: the
   neighborhood-share ramp response equals lambda_tilde/delta0, so no separate
@@ -27,6 +29,7 @@ profiles on each side of the cutoff and adds the direct effect.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,19 +41,23 @@ from .errors import ConfigError, DomainError, NumericError
 from .kernels import kernel_values, one_sided_moment
 from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
 
-DEFAULT_A = 12.0
-DEFAULT_TABLE_N = 4801
-TAIL_BOUND_LIMIT = 1e-4
+TABLE_SPACING = 0.005
+TAIL_BUDGET = 1e-10  # times max(1, plateau): far below the O(spacing^2) quadrature error
+MAX_TABLE_A = 384  # no larger than the per-c sizing built: 3073 coarse nodes, about 150 MB
 
 
-def _tail_bound(delta0: float, distance: float) -> float:
-    """Geometric tail of the Neumann series at `distance` inside the table."""
-    d = abs(delta0)
-    if d == 0.0:
-        return 0.0
-    if distance <= 0:
-        return math.inf
-    return d**distance / (1.0 - d)
+def _tail_terms(delta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chernoff exponents s on a grid below s* (sinh(s*)/s* = 1/|delta0|) and
+    log factors: every table error is at most exp(log_factor - s*A). With S_k a
+    sum of k uniforms on (-1, 1), lambda - asymptote = sum_k delta0^k P(S_k > |a|)
+    and P(S_k > t) <= e^{-st} (sinh(s)/s)^k: for q = |delta0| sinh(s)/s < 1 the
+    error beyond +-A is e^{-sA} q/(1-q), and padding adds |delta0|/2 of it to
+    window averages inside, magnified by at most 1/(1-|delta0|)."""
+    d = max(abs(delta0), 1e-300)  # delta0 = 0 as a limit: its bound underflows to 0
+    s = np.geomspace(1e-6, min(math.sqrt(6.0 / d), 700.0), 4097)  # s* < sqrt(6/d)
+    q = d * np.sinh(s) / s
+    s, q = s[q < 1.0], q[q < 1.0]
+    return s, np.log((1.0 + d / (2.0 * (1.0 - d))) * q / (1.0 - q))
 
 
 @dataclass(frozen=True)
@@ -74,8 +81,11 @@ class LambdaTable:
         """Asymptotic value at +inf, 1/(1 - delta0)."""
         return 1.0 / (1.0 - self.delta0)
 
-    def tail_bound(self, a_abs: float) -> float:
-        return _tail_bound(self.delta0, self.truncation_A - a_abs)
+    @property
+    def tail_bound(self) -> float:
+        """Bound on the truncation error of lambda, inside and beyond +-A."""
+        s, log_factor = _tail_terms(self.delta0)
+        return float(np.min(np.exp(log_factor - s * self.truncation_A)))
 
     def interval_average(self, lo, hi):
         """Mean of lambda over [lo, hi]; pieces beyond +-A use the asymptotes.
@@ -101,19 +111,30 @@ class LambdaTable:
         write_csv(path_or_buf, "a,lambda", self.a_grid, self.values)
 
 
-def build_lambda_table(delta0: float, A: float = DEFAULT_A,
-                       grid_n: int = DEFAULT_TABLE_N) -> LambdaTable:
+def build_lambda_table(delta0: float, A: float | None = None,
+                       grid_n: int | None = None) -> LambdaTable:
     """Solve (I - delta0*G) lambda = 1{a>=0} on [-A, A] by the two-grid solver.
 
     The moving mean is over the whole line; window mass outside the table is
     replaced by the known asymptotic constants. The cutoff jump (size exactly
     1) is carried through the quadrature instead of being smeared over a cell.
-    Raises SolverError when the residual does not reach the solver's stop.
+    A defaults to the least whole number >= 8 whose tail bound meets the budget
+    (NumericError, before allocating, above MAX_TABLE_A), grid_n to spacing
+    TABLE_SPACING. SolverError when the residual misses the solver's stop.
     """
     if not abs(delta0) < 1.0:
         raise DomainError(f"|delta0| must be < 1, got {delta0}")
-    if A < 8.0:
+    if A is None:
+        s, log_factor = _tail_terms(delta0)
+        budget = TAIL_BUDGET * max(1.0, 1.0 / (1.0 - delta0))
+        A = max(8, math.ceil(float(np.min((log_factor - math.log(budget)) / s))))
+        if A > MAX_TABLE_A:
+            raise NumericError(f"the lambda table at delta0={delta0} needs A={A}, "
+                               f"above the largest supported A={MAX_TABLE_A}")
+    if not A >= 8.0:
         raise ConfigError(f"truncation A must be >= 8, got {A}")
+    if grid_n is None:
+        grid_n = int(round(2 * A / TABLE_SPACING)) + 1
     if grid_n < 1601:
         raise ConfigError(f"table grid_n must be >= 1601, got {grid_n}")
     if grid_n % 2 == 0:
@@ -132,34 +153,18 @@ def build_lambda_table(delta0: float, A: float = DEFAULT_A,
         window_integrals(np.zeros(grid_n), a, lo, hi, i0, -1.0, 0.0) + pad_right * plateau)
     ac = coarse_grid(a, 1.0)
     lam, report = two_grid_solve(b, a, ac, windows, window_matrix(ac, *windows(ac)[:2]))
-    if 0.0 <= delta0 < 1.0 and np.any(np.diff(lam) < -1e-8):
+    residual = report["residual_sup_norm"]
+    # two nodes may each be off by the solve's error bound, residual/(1 - |delta0|)
+    if 0.0 <= delta0 < 1.0 and np.any(np.diff(lam) < -max(1e-8, 2 * residual / (1 - delta0))):
         warnings.warn("lambda table is not monotone nondecreasing", RuntimeWarning)
     return LambdaTable(delta0=float(delta0), a_grid=a, values=lam,
-                       truncation_A=float(A), residual=report["residual_sup_norm"])
+                       truncation_A=float(A), residual=residual)
 
 
-def adequate_table(delta0: float, c: float, A: float = DEFAULT_A,
-                   grid_n: int = DEFAULT_TABLE_N) -> LambdaTable:
-    """Build a table whose truncation tail is below 1e-4 at the largest |a| used.
-
-    The widest window for ratio c reaches |a| = 1 + 2/c; A doubles until the
-    geometric tail bound clears the threshold. Node spacing is kept roughly
-    constant, capped at 6401 points: a cap kept only because the pinned
-    tau_star values were computed with it; it coarsens large-A tables.
-    """
-    if not 0.0 < c < 2.0:
-        raise ConfigError(f"c must be in (0, 2), got {c}")
-    a_max = 1.0 + 2.0 / c
-    da = 2 * A / (grid_n - 1)
-    while _tail_bound(delta0, A - a_max) >= TAIL_BOUND_LIMIT:
-        A *= 2.0
-    n = int(round(2 * A / da)) + 1
-    if n > 6401:
-        n = 6401
-    if n % 2 == 0:
-        n += 1
-    n = max(n, 1601)
-    return build_lambda_table(delta0, A, n)
+@functools.cache
+def lambda_table(delta0: float) -> LambdaTable:
+    """The table tau_star reads at delta0, built once per process."""
+    return build_lambda_table(delta0)
 
 
 def _indicator_average(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -235,19 +240,23 @@ def tau_star(model_at_0: dict, c: float, kernel: str,
              table: LambdaTable | None = None, gl_nodes: int = 32) -> float:
     """Intermediate-regime limit of the local linear RDD estimand.
 
-    model_at_0 carries {tau_d, delta0, gamma0}. The table is rebuilt with a
-    doubled truncation when its tail bound is too large for this c; pass a
-    pre-built adequate table to skip that work. One evaluation of each profile
-    per Gauss-Legendre piece serves both kernel moments.
+    model_at_0 carries {tau_d, delta0, gamma0}. The table defaults to
+    lambda_table(delta0); a passed table must be built at the same delta0
+    (ConfigError) and meet the tail budget (NumericError). One evaluation of
+    each profile per Gauss-Legendre piece serves both kernel moments.
     """
     if not 0.0 < c < 2.0:
         raise ConfigError(f"c must be in (0, 2), got {c}")
     tau_d = float(model_at_0["tau_d"])
     delta0 = float(model_at_0["delta0"])
     gamma0 = float(model_at_0["gamma0"])
-    if table is None or table.delta0 != delta0 \
-            or table.tail_bound(1.0 + 2.0 / c) >= TAIL_BOUND_LIMIT:
-        table = adequate_table(delta0, c)
+    if table is None:
+        table = lambda_table(delta0)
+    elif table.delta0 != delta0:
+        raise ConfigError(f"lambda table is for delta0={table.delta0}, not {delta0}")
+    elif table.tail_bound > TAIL_BUDGET * max(1.0, table.plateau):
+        raise NumericError(f"lambda table at A={table.truncation_A} has tail bound "
+                           f"{table.tail_bound:.3g}, above its budget")
     nodes, weights = np.polynomial.legendre.leggauss(gl_nodes)
 
     def side_ints(side):

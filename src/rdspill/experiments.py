@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import adequate_table, tau_star
+from .asymptotics import tau_star
 from .errors import ConfigError, RdspillError
 from .estimators import (
     EstimatorConfig,
@@ -270,8 +270,6 @@ class SolutionCache:
 
 shared_cache = SolutionCache()
 
-_TABLE_CACHE: dict = {}
-
 
 def _rep_seeds(seed: int, study: str, cell_index: int, replications: int) -> np.ndarray:
     gen = substream(seed, _STUDY_TAGS[study], cell_index)
@@ -297,17 +295,9 @@ def _tau_tot_target(model: ModelSpec, r: float, grid_n: int,
 
 def tau_star_for_model(model: ModelSpec, c: float, kernel: str) -> float:
     """Limit value of the cutoff contrast at c = 2r/h, built from the model's
-    values at the cutoff, with the lambda table cached per (delta0, c)."""
-    delta0 = float(model.delta(0.0))
-    key = (delta0, round(c, 12))
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = adequate_table(delta0, c)
-    model_at_0 = {
-        "tau_d": _tau_d(model),
-        "delta0": delta0,
-        "gamma0": float(model.gamma_at(0.0)),
-    }
-    return tau_star(model_at_0, c, kernel, table=_TABLE_CACHE[key])
+    values at the cutoff on the lambda table cached per delta0."""
+    return tau_star({"tau_d": _tau_d(model), "delta0": float(model.delta(0.0)),
+                     "gamma0": float(model.gamma_at(0.0))}, c, kernel)
 
 
 def _cell_target(plan: ExperimentPlan, model: ModelSpec, kind: str, r: float,

@@ -67,7 +67,7 @@ def nu_exact(regime: TreatmentRegime, r: float, z):
     if r >= 2.0:
         raise ConfigError(f"r={r} degenerate: the neighborhood always covers all of [-1, 1]")
     arr = np.asarray(z, dtype=float)
-    if arr.size and (arr.min() < -1.0 - 1e-12 or arr.max() > 1.0 + 1e-12):
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):  # NaN fails too
         raise DomainError("nu_exact evaluated outside [-1, 1]")
     if regime.kind == "all-treated":
         out = np.ones_like(arr)
@@ -220,7 +220,7 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
 def mu_at(sol: PopulationSolution, z: float):
     """F-average of the solved outcome over [z-r, z+r] clipped to [-1, 1]."""
     arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if arr.size and (arr.min() < -1.0 - 1e-12 or arr.max() > 1.0 + 1e-12):
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):  # NaN fails too
         raise DomainError("mu_at evaluated outside [-1, 1]")
     lo = np.maximum(arr - sol.r, -1.0)
     hi = np.minimum(arr + sol.r, 1.0)

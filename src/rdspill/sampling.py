@@ -34,7 +34,7 @@ class Sample:
     def __post_init__(self):
         if self.z.shape != self.y.shape or self.z.ndim != 1:
             raise ConfigError("z and y must be 1-d arrays of equal length")
-        if self.z.size and (self.z.min() < -1.0 or self.z.max() > 1.0):
+        if not np.all(np.abs(self.z) <= 1.0):  # NaN fails too
             raise ConfigError("running variable values must lie in [-1, 1]")
         self.z.flags.writeable = False
         self.y.flags.writeable = False

@@ -1,3 +1,6 @@
+# rdspill before numpy: the package pins OpenBLAS to one thread only when it
+# comes first, and the acceptance studies must run as `rdspill experiment` does
+import rdspill  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 

@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,12 @@ from hypothesis import strategies as st
 
 from rdspill import asymptotics as asy
 from rdspill.asymptotics import (
-    adequate_table,
+    TABLE_SPACING,
+    TAIL_BUDGET,
+    LambdaTable,
     build_lambda_table,
     corollary_bounds_check,
+    lambda_table,
     mu_profile,
     nu_profile,
     tau_star,
@@ -110,9 +116,9 @@ def tab0():
 
 
 @pytest.fixture(scope="module")
-def tab04_c1():
-    # adequate for c = 1 at delta0 = 0.4: needs A above roughly 13.6
-    return adequate_table(0.4, 1.0, A=8.0, grid_n=1601)
+def tab04_sized():
+    # the table tau_star builds itself at delta0 = 0.4: A = 11, spacing 0.005
+    return lambda_table(0.4)
 
 
 class TestBuildLambdaTable:
@@ -163,8 +169,57 @@ class TestBuildLambdaTable:
         assert tab04.values[-1] == pytest.approx(1 / 0.6, abs=1e-4)
 
     def test_tail_bound_formula(self, tab04):
-        a = tab04.truncation_A - 2.0
-        assert tab04.tail_bound(a) == pytest.approx(0.4**2 / 0.6)
+        # min over s in (0, s*) of e^{-sA} q/(1-q) (1 + d/(2(1-d))) with
+        # q = d sinh(s)/s, on a dense uniform grid; s* = 2.55265 at d = 0.4
+        s = np.linspace(1e-4, 2.5526, 200_001)
+        q = 0.4 * np.sinh(s) / s
+        assert q.max() < 1.0
+        ref = np.min(np.exp(-8.0 * s) * q / (1.0 - q)) * (1.0 + 0.4 / 1.2)
+        assert tab04.tail_bound == pytest.approx(ref, rel=1e-3)
+
+    @pytest.mark.parametrize("delta0, A", [(-0.5, 13), (0.0, 8), (0.4, 11), (0.8, 24),
+                                           (0.9, 36), (0.99, 125), (0.998, 296)])
+    def test_extent_is_least_whole_A_within_budget(self, delta0, A):
+        def bound(extent):
+            return LambdaTable(delta0, np.zeros(3), np.zeros(3), float(extent), 0.0).tail_bound
+
+        budget = TAIL_BUDGET * max(1.0, 1.0 / (1.0 - delta0))
+        assert bound(A) <= budget
+        assert A == 8 or bound(A - 1) > budget
+        if delta0 != 0.998:  # that table takes 1.4 s and 90 MB to build
+            assert lambda_table(delta0).truncation_A == A
+
+    def test_extent_beyond_cap_fails_fast(self):
+        # delta0 = 0.999 needs A = 427, past the largest table (A = 384)
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match=r"delta0=0\.999 needs A=427"):
+            lambda_table(0.999)
+        with pytest.raises(NumericError, match="needs A=427"):
+            tau_star({"tau_d": 1.0, "delta0": 0.999, "gamma0": 0.3}, 1.0, "triangular")
+        assert time.perf_counter() - start < 0.1
+
+    def test_sharp_table_near_one_has_no_false_dip(self):
+        # a -1.1e-8 step at a = A - 1 is inside the solve's own error bound
+        # (residual ~6e-9 on a solution of size 100), so no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = build_lambda_table(0.99)
+        assert tab.truncation_A == 125.0
+
+    @pytest.mark.parametrize("delta0, dent", [(0.99, 1e-4), (0.4, 1e-7)])
+    def test_dip_beyond_solver_error_warns(self, monkeypatch, delta0, dent):
+        # the threshold is max(1e-8, 2*residual/(1 - delta0)): 1.3e-6 at 0.99,
+        # the 1e-8 floor at 0.4
+        solve = asy.two_grid_solve
+
+        def dented(*args, **kwargs):
+            lam, report = solve(*args, **kwargs)
+            lam[len(lam) // 4] -= dent
+            return lam, report
+
+        monkeypatch.setattr(asy, "two_grid_solve", dented)
+        with pytest.warns(RuntimeWarning, match="not monotone"):
+            build_lambda_table(delta0)
 
     def test_negative_delta0_solves(self):
         tab = build_lambda_table(-0.5, A=8.0, grid_n=1601)
@@ -240,28 +295,27 @@ class TestLambdaPm:
             assert tab0.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x) \
                 == pytest.approx(1.0, abs=1e-12)
 
-    def test_monotone_in_x(self, tab04_c1):
+    def test_monotone_in_x(self, tab04_sized):
         # the gained window slides right toward the plateau; for positive
         # delta0 its average must not decrease
         xs = np.linspace(0.0, 1.0, 21)[1:]
-        vals = [tab04_c1.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x)
+        vals = [tab04_sized.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x)
                 for x in xs]
         assert np.all(np.diff(vals) > -1e-9)
 
 
 class TestTauStar:
-    def test_benchmark_anchor(self, tab04_c1):
-        ts = tau_star(BENCH, 1.0, "triangular", tab04_c1)
+    def test_benchmark_anchor(self, tab04_sized):
+        ts = tau_star(BENCH, 1.0, "triangular", tab04_sized)
         assert ts == pytest.approx(POP_ANCHOR_C1, abs=5e-4)
 
-    def test_between_direct_and_total(self, tab04_c1):
-        ts = tau_star(BENCH, 1.0, "triangular", tab04_c1)
+    def test_between_direct_and_total(self, tab04_sized):
+        ts = tau_star(BENCH, 1.0, "triangular", tab04_sized)
         assert 1.0 < ts < 2.5
 
     def test_curve_monotone_decreasing_in_c(self):
         cs = [0.2, 0.4, 1.0, 1.5, 1.9]
-        tab = adequate_table(0.4, min(cs), A=8.0, grid_n=1601)
-        vals = [tau_star(BENCH, c, "triangular", tab) for c in cs]
+        vals = [tau_star(BENCH, c, "triangular", lambda_table(0.4)) for c in cs]
         assert np.all(np.diff(vals) < 0)
         assert vals[0] < 2.5 and vals[-1] > 1.0
 
@@ -285,9 +339,8 @@ class TestTauStar:
         assert ts == pytest.approx(1.3, abs=1e-12)
 
     def test_zero_direct_zero_gamma_is_zero(self):
-        tab = build_lambda_table(0.3, A=8.0, grid_n=1601)
         ts = tau_star({"tau_d": 0.0, "delta0": 0.3, "gamma0": 0.0}, 1.0,
-                      "triangular", tab)
+                      "triangular", lambda_table(0.3))
         assert ts == pytest.approx(0.0, abs=1e-12)
 
     def test_delta0_zero_matches_gamma_moment_combo(self, tab0):
@@ -302,9 +355,9 @@ class TestTauStar:
         ts = tau_star({"tau_d": 2.0, "delta0": 0.0, "gamma0": gamma0}, c, kern, tab0)
         assert ts == pytest.approx(2.0 + gamma0 * combo, abs=1e-10)
 
-    def test_kernel_agreement_rough(self, tab04_c1):
+    def test_kernel_agreement_rough(self, tab04_sized):
         # different kernels weight the same profiles; values stay in a band
-        vals = [tau_star(BENCH, 1.0, k, tab04_c1)
+        vals = [tau_star(BENCH, 1.0, k, tab04_sized)
                 for k in ("triangular", "epanechnikov", "uniform")]
         assert max(vals) - min(vals) < 0.25
         assert all(1.0 < v < 2.5 for v in vals)
@@ -321,11 +374,56 @@ class TestTauStar:
             tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.0,
                      "triangular", tab0)
 
-    def test_table_rebuilt_when_inadequate(self, tab04):
-        # A = 8 table is too short for c = 1 at delta0 = 0.4; tau_star must
-        # transparently rebuild rather than use the truncated tail
-        ts = tau_star(BENCH, 1.0, "triangular", tab04)
-        assert ts == pytest.approx(POP_ANCHOR_C1, abs=5e-4)
+    def test_short_table_raises(self, tab04):
+        # an A = 8 table is short of the A = 11 that delta0 = 0.4 needs;
+        # tau_star refuses it rather than read its truncated tail
+        with pytest.raises(NumericError, match="tail bound"):
+            tau_star(BENCH, 1.0, "triangular", tab04)
+
+    def test_table_for_another_delta0_raises(self, tab0):
+        with pytest.raises(ConfigError, match="delta0"):
+            tau_star(BENCH, 1.0, "triangular", tab0)
+
+    def test_default_table_is_cached_per_delta0(self):
+        assert lambda_table(0.4) is lambda_table(0.4)
+        assert tau_star(BENCH, 0.01, "triangular") \
+            == tau_star(BENCH, 0.01, "triangular", lambda_table(0.4))
+
+
+# one reference per delta0: the sized table's tau_star against a table at
+# twice the extent and half the spacing
+_REFERENCE = {}
+
+
+def _reference_table(delta0):
+    if delta0 not in _REFERENCE:
+        A = 2.0 * lambda_table(delta0).truncation_A
+        _REFERENCE[delta0] = build_lambda_table(delta0, A, int(round(2 * A / (TABLE_SPACING / 2))) + 1)
+    return _REFERENCE[delta0]
+
+
+class TestSizedTable:
+    @pytest.mark.parametrize("delta0", [-0.5, 0.4, 0.8, 0.9, 0.99])
+    @pytest.mark.parametrize("c", [1.0, 0.1, 0.01])
+    def test_matches_reference(self, delta0, c):
+        # gamma0 = 0.3: with tau_d = 1 and gamma0 = 0.5 the endogenous term
+        # cancels exactly at delta0 = -0.5
+        model = {"tau_d": 1.0, "delta0": delta0, "gamma0": 0.3}
+        got = tau_star(model, c, "triangular")
+        ref = tau_star(model, c, "triangular", _reference_table(delta0))
+        assert abs(got - ref) <= 1e-5 * abs(ref)
+
+    @pytest.mark.parametrize("delta0", [-0.5, 0.4, 0.8, 0.9, 0.99])
+    def test_tail_bound_covers_reference(self, delta0):
+        # the whole left tail a <= -A, where lambda and its rounding are near
+        # 0, and the node a = +A; the right tail mirrors the left
+        # (lambda(a) + lambda(-a) = plateau) but carries the reference's own
+        # solve error, up to 2e-8 near its edge at delta0 = 0.99
+        tab, ref = lambda_table(delta0), _reference_table(delta0)
+        A, a = tab.truncation_A, ref.a_grid
+        observed = max(np.max(np.abs(ref.values[a <= -A])),
+                       abs(ref.values[np.argmin(np.abs(a - A))] - ref.plateau))
+        assert observed <= tab.tail_bound
 
 
 class TestMoments:
@@ -341,9 +439,9 @@ class TestMoments:
         direct = nu_exact(CUTOFF, c * h / 2, xs * h) - 0.5
         np.testing.assert_allclose(prof, direct, atol=1e-12)
 
-    def test_dual_resolution_agreement(self, tab04_c1):
-        hi = tau_star(BENCH, 1.0, "triangular", tab04_c1, gl_nodes=32)
-        lo = tau_star(BENCH, 1.0, "triangular", tab04_c1, gl_nodes=16)
+    def test_dual_resolution_agreement(self, tab04_sized):
+        hi = tau_star(BENCH, 1.0, "triangular", tab04_sized, gl_nodes=32)
+        lo = tau_star(BENCH, 1.0, "triangular", tab04_sized, gl_nodes=16)
         assert abs(hi - lo) < 1e-6
 
     @pytest.mark.parametrize("delta0", [-0.5, 0.0, 0.4, 0.8])

@@ -556,6 +556,12 @@ class TestBlasPin:
     def test_import_after_numpy_leaves_the_variable_unset(self):
         assert self.probe("import numpy; " + self.PROBE, _child_env()) == "None\n"
 
+    def test_this_suite_runs_pinned(self):
+        # conftest imports rdspill before numpy; had numpy come first, the
+        # variable would be unset (see above) and the acceptance studies
+        # would run on threaded BLAS, unlike `rdspill experiment`
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="the pool needs Linux and two usable CPUs")

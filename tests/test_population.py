@@ -87,6 +87,12 @@ class TestNuExact:
         with pytest.raises(ConfigError):
             TreatmentRegime("sharp")
 
+    @pytest.mark.parametrize("z", [np.nan, np.array([0.1, np.nan])])
+    def test_rejects_nan(self, z):
+        # a min/max range check lets NaN through; nu_exact returned nan
+        with pytest.raises(DomainError):
+            nu_exact(CUTOFF, 0.075, z)
+
     def test_matches_indicator_quadrature(self):
         # the closed form must agree with integrating the treated indicator
         # (stored as right limits plus the unit jump) over each window
@@ -310,6 +316,10 @@ class TestMuAt:
         sol = solve_population(benchmark_model, 0.15, CUTOFF, grid_n=1001)
         with pytest.raises(DomainError):
             mu_at(sol, 1.2)
+        # NaN used to return nan after an invalid-cast RuntimeWarning
+        for z in (np.nan, np.array([0.1, np.nan])):
+            with pytest.raises(DomainError):
+                mu_at(sol, z)
 
     def test_cutoff_average_approaches_limit_linearly(self, benchmark_model):
         # mu at the cutoff converges to (Y(0+) + Y(0-))/2 = 1.25 with error

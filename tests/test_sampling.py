@@ -238,6 +238,8 @@ class TestSampleType:
     def test_range_enforced(self):
         with pytest.raises(ConfigError):
             Sample(z=np.array([0.0, 1.2]), y=np.zeros(2))
+        with pytest.raises(ConfigError):
+            Sample(z=np.array([0.0, np.nan]), y=np.zeros(2))
 
     def test_read_only(self, noiseless_benchmark, noiseless_sol):
         s = draw_sample(noiseless_sol, noiseless_benchmark, 5, seed=1)
