@@ -108,12 +108,20 @@ class SpilloverEstimate:
 def _canonical_order(sample: Sample, half_width: float,
                      strict: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Rows with |Z| <= half_width (|Z| < half_width when strict), sorted by
-    Z with ties broken by Y."""
+    Z with ties broken by Y.
+
+    One argsort of Z serves when the sorted Z has no equal neighbours: a
+    Sample holds no NaN, so distinct Z admit one sorting permutation, the
+    one lexsort finds. Ties (-0.0 == 0.0 among them) take the lexsort."""
     dist = np.abs(sample.z)
-    keep = dist < half_width if strict else dist <= half_width
-    z, y = sample.z[keep], sample.y[keep]
-    order = np.lexsort((y, z))
-    return z[order], y[order]
+    rows = np.flatnonzero(dist < half_width if strict else dist <= half_width)
+    z, y = sample.z[rows], sample.y[rows]
+    order = np.argsort(z)
+    zs = z[order]
+    if np.any(zs[1:] == zs[:-1]):
+        order = np.lexsort((y, z))
+        zs = z[order]
+    return zs, y[order]
 
 
 def _kernel_rows(z: np.ndarray, h: float) -> slice:

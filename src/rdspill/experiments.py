@@ -4,18 +4,19 @@ The four studies run through one cell loop, `_run_cells`. A study supplies
 its plan guards, its cells as (label, radius rule, model, sample size,
 estimator named on a failure row), and per cell the rows it reports with
 their targets and a per-sample fit. The loop solves the population once per
-cell (cached), draws the replications one at a time, fits each, and reports
-mean / sd / se against the theoretical target, which is recomputed from the
-population solver or the limit machinery at run time. No target number is
-hard-coded. A library error in a cell becomes that cell's failure row; the
-other cells still run.
+cell (cached) and sets up every cell, then draws each cell's replications
+one at a time, fits each, and reports mean / sd / se against the theoretical
+target, which is recomputed from the population solver or the limit
+machinery at run time. No target number is hard-coded. A library error in a
+cell becomes that cell's failure row; the other cells still run.
 
-Parallelism: after a cell's solve and setup, `_replicate` runs its
-replications in contiguous seed blocks, one per usable CPU, on a fork pool
-made for that cell, and merges them in replication order; a failing cell
-reports the error a serial run meets first. The one block runs inline
-outside Linux, on one CPU, and when a caller has replaced a function the
-replications call through this module (see `_worker_count`).
+Parallelism: once every cell is solved and set up, `_replicate` splits
+each cell's replications into contiguous seed blocks, one per usable CPU,
+runs all cells' blocks on one fork pool made for the study run, and merges
+them in replication order; a failing cell reports the error a serial run
+meets first. The blocks run inline outside Linux, on one CPU, and when a
+caller has replaced a function the replications call through this module
+(see `_worker_count`).
 
 Reproducibility: every cell derives its replication seeds from one Philox
 substream keyed by (plan seed, study tag, cell index), and the whole seed
@@ -344,12 +345,12 @@ _REPLICATION_CALLS = (draw_sample, local_linear_rdd, nadaraya_watson_rdd,
 
 
 def _worker_count(replications: int) -> int:
-    """Processes for one cell: one per usable CPU, at most one per
-    replication. 1 (inline) where CPU affinity is unknown, that is outside
-    Linux, the one platform where fork with numpy's BLAS was measured; and
-    when a caller has replaced one of _REPLICATION_CALLS here (a tracer, a
-    counter, a mock), because a forked worker would keep that replacement's
-    records to itself."""
+    """Processes for one pool: one per usable CPU, at most one per
+    replication of a cell. 1 (inline) where CPU affinity is unknown, that is
+    outside Linux, the one platform where fork with numpy's BLAS was
+    measured; and when a caller has replaced one of _REPLICATION_CALLS here
+    (a tracer, a counter, a mock), because a forked worker would keep that
+    replacement's records to itself."""
     if not hasattr(os, "sched_getaffinity") or any(
             globals()[fn.__name__] is not fn for fn in _REPLICATION_CALLS):
         return 1
@@ -366,40 +367,51 @@ def _run_block(job, seeds):
         return err
 
 
-_WORKER_JOB = None  # set only in pool workers, by _adopt_job
+_WORKER_JOBS = None  # set only in pool workers, by _adopt_jobs
 
 
-def _adopt_job(job) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = job
+def _adopt_jobs(jobs) -> None:
+    global _WORKER_JOBS
+    _WORKER_JOBS = jobs
 
 
-def _run_worker_block(seeds):
-    return _run_block(_WORKER_JOB, seeds)
+def _run_worker_task(task):
+    index, seeds = task
+    return _run_block(_WORKER_JOBS[index][0], seeds)
 
 
-def _replicate(job, seeds) -> list:
-    """Value tuples of every replication, in seed order. On the pool, only
-    seeds go out and value tuples come back; a block's error is raised when
-    no earlier block failed, so it is the first error in seed order."""
-    workers = _worker_count(len(seeds))
+def _replicate(jobs) -> list:
+    """Per (job, seeds) in jobs, the value tuples of its replications in seed
+    order, or the first RdspillError in seed order.
+
+    Each job's seeds split into contiguous blocks, one per worker, and one
+    pool runs every job's blocks as tasks; only a job index and seeds go out
+    and value tuples come back, merged by task order, so the result is the
+    one a serial run gives whichever worker finishes first."""
+    if not jobs:
+        return []
+    workers = _worker_count(max(len(seeds) for _, seeds in jobs))
+    tasks = [(index, block) for index, (_, seeds) in enumerate(jobs)
+             for block in np.array_split(seeds, workers)]
     if workers == 1:
-        blocks = [_run_block(job, seeds)]
+        blocks = [_run_block(jobs[index][0], block) for index, block in tasks]
     else:
         # imported here, so commands that run no study do not pay for it
         import multiprocessing
 
-        # fork passes the job to the workers without pickling it
+        # fork passes the jobs to the workers without pickling them
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_adopt_job, initargs=(job,)) as pool:
-            blocks = pool.map(_run_worker_block, np.array_split(seeds, workers),
-                              chunksize=1)
-    values = []
-    for block in blocks:
+        with ctx.Pool(workers, initializer=_adopt_jobs, initargs=(jobs,)) as pool:
+            blocks = pool.map(_run_worker_task, tasks, chunksize=1)
+    results = [[] for _ in jobs]
+    for (index, _), block in zip(tasks, blocks):
+        if isinstance(results[index], RdspillError):
+            continue
         if isinstance(block, RdspillError):
-            raise block
-        values.extend(block)
-    return values
+            results[index] = block
+        else:
+            results[index].extend(block)
+    return results
 
 
 def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
@@ -410,27 +422,37 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
     a cell's position in it keys its replication seeds. For each cell,
     setup(model, rule, sol, h, r, cache) returns (rows, fit): rows are the
     (estimator, quantity, target name, target value, extra) of the stats rows
-    the cell reports, and fit(sample) returns one value per row. The
-    replications run through _replicate. An RdspillError anywhere in a cell
-    becomes that cell's failure row. summarize(cells) adds study-specific
-    summary keys.
+    the cell reports, and fit(sample) returns one value per row. Every cell
+    is solved and set up first; then one _replicate call runs all cells'
+    replications. An RdspillError anywhere in a cell becomes that cell's
+    failure row. summarize(cells) adds study-specific summary keys.
     """
     cache = cache if cache is not None else shared_cache
-    cells, failures = [], []
+    planned, jobs = [], []
     for cell_index, (label, rule, model, n, estimator) in enumerate(layout):
         h = plan.h_of(n)
         r = rule.radius(n, h, plan.grid_n)
         try:
             sol = cache.get_or_solve(model, r, plan.grid_n)
             rows, fit = setup(model, rule, sol, h, r, cache)
-            seeds = _rep_seeds(plan.seed, study, cell_index, plan.replications)
-            values = _replicate((sol, model, n, fit), seeds)
-            for (row_estimator, quantity, target_name, target_value, extra), series \
-                    in zip(rows, zip(*values)):
-                cells.append(_stats_cell(label, row_estimator, quantity, n, h, r,
-                                         series, target_name, target_value, extra))
         except RdspillError as err:
-            failures.append(_failure(label, n, h, r, err, estimator))
+            planned.append((label, n, h, r, estimator, err))
+            continue
+        seeds = _rep_seeds(plan.seed, study, cell_index, plan.replications)
+        jobs.append(((sol, model, n, fit), seeds))
+        planned.append((label, n, h, r, estimator, rows))
+    outcomes = iter(_replicate(jobs))
+    cells, failures = [], []
+    for label, n, h, r, estimator, rows in planned:
+        # a cell that failed its setup has no job, so no outcome
+        values = rows if isinstance(rows, RdspillError) else next(outcomes)
+        if isinstance(values, RdspillError):
+            failures.append(_failure(label, n, h, r, values, estimator))
+            continue
+        for (row_estimator, quantity, target_name, target_value, extra), series \
+                in zip(rows, zip(*values)):
+            cells.append(_stats_cell(label, row_estimator, quantity, n, h, r,
+                                     series, target_name, target_value, extra))
     summary = {"n_cells": len(cells), "n_failures": len(failures)}
     if summarize is not None:
         summary.update(summarize(cells))

@@ -94,6 +94,51 @@ class TestEstimatorConfig:
             EstimatorConfig.from_config({"kernel": "uniform"})
 
 
+# -------------------------------------------------------- canonical order --
+
+
+def _lexsort_order(sample, half_width, strict=False):
+    """The canonical order by its definition: one lexsort of the window."""
+    dist = np.abs(sample.z)
+    keep = dist < half_width if strict else dist <= half_width
+    z, y = sample.z[keep], sample.y[keep]
+    order = np.lexsort((y, z))
+    return z[order], y[order]
+
+
+def _ordering_cases():
+    rng = substream(5, 31)
+    cases = {}
+    for i in range(3):
+        z = rng.uniform(-1.0, 1.0, 2000)
+        cases[f"random-{i}"] = (Sample(z=z, y=rng.standard_normal(2000)), 0.3)
+    # repeated z: equal (z, y) rows and equal z with different y
+    z = np.round(rng.uniform(-1.0, 1.0, 3000), 2)
+    cases["repeated-z"] = (Sample(z=z, y=np.round(rng.standard_normal(3000), 0)), 0.5)
+    # the signed zeros compare equal, so only y may order them
+    cases["signed-zeros"] = (Sample(z=np.array([0.0, -0.0, 0.3, -0.0, 0.0, -0.2]),
+                                    y=np.array([2.0, 1.0, 0.5, 3.0, -1.0, 0.0])), 0.5)
+    z = np.full(500, 0.25)
+    cases["all-equal-z"] = (Sample(z=z, y=rng.standard_normal(500)), 0.5)
+    # ties on both window edges, with different y
+    z = np.concatenate([rng.uniform(-0.2, 0.2, 200), np.full(20, 0.2),
+                        np.full(20, -0.2), rng.uniform(0.2, 1.0, 50)])
+    perm = rng.permutation(z.size)
+    cases["edge-ties"] = (Sample(z=z[perm], y=rng.standard_normal(z.size)), 0.2)
+    return cases
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("strict", [False, True], ids=["closed", "open"])
+    @pytest.mark.parametrize("name", list(_ordering_cases()))
+    def test_matches_lexsort_bitwise(self, name, strict):
+        sample, half_width = _ordering_cases()[name]
+        got = est_mod._canonical_order(sample, half_width, strict=strict)
+        want = _lexsort_order(sample, half_width, strict=strict)
+        for a, b in zip(got, want):
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+
+
 # ----------------------------------------------------------- local linear --
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -501,16 +502,51 @@ class TestWorkers:
 
     def test_blocks_run_in_workers_and_merge_in_seed_order(self, monkeypatch):
         model = benchmark_model(0.05)
-        sol = SolutionCache().get_or_solve(model, 0.1, 1601)
-        seeds = _rep_seeds(3, "phase_transition", 0, 7)
-        job = (sol, model, 200, lambda sample: (sample.y[0], os.getpid()))
+        cache = SolutionCache()
+
+        def fit(sample):
+            return sample.y[0], os.getpid()
+
+        # two cells with different seed counts, so the blocks differ in size
+        jobs = [((cache.get_or_solve(model, r, 1601), model, n, fit),
+                 _rep_seeds(3, "phase_transition", index, reps))
+                for index, (r, n, reps) in enumerate(((0.1, 200, 7), (0.2, 300, 4)))]
         _force_workers(monkeypatch, 1)
-        serial = exp_mod._replicate(job, seeds)
+        serial = exp_mod._replicate(jobs)
         _force_workers(monkeypatch, 2)
-        pooled = exp_mod._replicate(job, seeds)
-        assert [v for v, _ in pooled] == [v for v, _ in serial]
-        assert {pid for _, pid in serial} == {os.getpid()}
-        assert os.getpid() not in {pid for _, pid in pooled}
+        pooled = exp_mod._replicate(jobs)
+        for (job, seeds), serial_values, pooled_values in zip(jobs, serial, pooled):
+            sol, _, n, _ = job
+            assert [v for v, _ in serial_values] == [
+                draw_sample(sol, model, n, int(s)).y[0] for s in seeds]
+            assert [v for v, _ in pooled_values] == [v for v, _ in serial_values]
+        assert {pid for values in serial for _, pid in values} == {os.getpid()}
+        assert os.getpid() not in {pid for values in pooled for _, pid in values}
+
+    def test_one_pool_serves_every_cell(self, monkeypatch):
+        # a fit that reports its process: three cells of two blocks each on
+        # 2 workers meet at most 2 processes (a pool per cell shows 3 to 6)
+        monkeypatch.setattr(exp_mod, "local_linear_rdd",
+                            lambda sample, cfg: types.SimpleNamespace(tau_hat=os.getpid()))
+        pids = []
+        stats_cell = exp_mod._stats_cell
+
+        def recording_stats_cell(regime, estimator, quantity, n, h, r, values,
+                                 *rest):
+            pids.extend(values)
+            return stats_cell(regime, estimator, quantity, n, h, r, values, *rest)
+
+        monkeypatch.setattr(exp_mod, "_stats_cell", recording_stats_cell)
+        _force_workers(monkeypatch, 2)
+        plan = ExperimentPlan(
+            model=benchmark_model(0.05),
+            regime_map=(RegimeRule("r=8h", "tau_d", 8.0, 0.0),),
+            n_grid=(1500, 2000, 2500), replications=5, seed=42, grid_n=1601)
+        report = run_phase_transition(plan, SolutionCache())
+        assert report.summary == {"n_cells": 3, "n_failures": 0}
+        assert len(pids) == 3 * plan.replications
+        assert os.getpid() not in pids
+        assert len(set(pids)) <= 2
 
     @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
     def test_reports_identical_for_one_and_two_workers(self, index, monkeypatch):
@@ -535,4 +571,23 @@ class TestWorkers:
         failures = json.loads(reports[0][0])["failures"]
         assert failures and all(f["error"] == "IllPosedError" for f in failures)
         assert json.loads(reports[0][0])["cells"]
+        assert reports[0] == reports[1]
+
+    def test_setup_and_worker_failures_identical_for_one_and_two_workers(
+            self, monkeypatch):
+        # n = 1200 fails in setup (r < h), n = 4800 in a worker, n = 2400 not
+        plan = ExperimentPlan(
+            model=exogenous_model(),
+            regime_map=(RegimeRule("r=0.7h*n^0.05", "tau_d", 0.7, 0.05),),
+            n_grid=(1200, 2400, 4800), replications=5, seed=2, grid_n=1601)
+        monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
+        reports = []
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            report = run_ll_vs_nw(plan, SolutionCache())
+            reports.append((report.to_json(), report.to_csv()))
+        doc = json.loads(reports[0][0])
+        assert [(f["n"], f["error"]) for f in doc["failures"]] == [
+            (1200, "ConfigError"), (4800, "IllPosedError")]
+        assert {cell["n"] for cell in doc["cells"]} == {2400}
         assert reports[0] == reports[1]
