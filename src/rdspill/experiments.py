@@ -3,12 +3,15 @@
 The four studies run through one cell loop, `_run_cells`. A study supplies
 its plan guards, its cells as (label, radius rule, model, sample size,
 estimator named on a failure row), and per cell the rows it reports with
-their targets and a per-sample fit. The loop solves the population once per
-cell (cached) and sets up every cell, then draws each cell's replications
-one at a time, fits each, and reports mean / sd / se against the theoretical
+their targets, a per-sample fit and the fit's reach. The loop solves the
+population once per cell (cached for the call) and sets up every cell, then
+draws each cell's replications one at a time, keeping only the rows with
+|Z| <= reach, fits each, and reports mean / sd / se against the theoretical
 target, which is recomputed from the population solver or the limit
 machinery at run time. No target number is hard-coded. A library error in a
-cell becomes that cell's failure row; the other cells still run.
+cell becomes that cell's failure row; the other cells still run. The kept
+rows are the ones the fit selects, in draw order, so a report has the bits
+that full draws give.
 
 Parallelism: once every cell is solved and set up, `_replicate` splits
 each cell's replications into contiguous seed blocks, one per usable CPU,
@@ -269,9 +272,6 @@ class SolutionCache:
         return self._store[key]
 
 
-shared_cache = SolutionCache()
-
-
 def _rep_seeds(seed: int, study: str, cell_index: int, replications: int) -> np.ndarray:
     gen = substream(seed, _STUDY_TAGS[study], cell_index)
     return gen.integers(0, 2**62, size=replications)
@@ -360,9 +360,9 @@ def _worker_count(replications: int) -> int:
 def _run_block(job, seeds):
     """Draw and fit one block of replications; a library error is returned,
     not raised, so the caller can pick the earliest failing block."""
-    sol, model, n, fit = job
+    sol, model, n, fit, reach = job
     try:
-        return [fit(draw_sample(sol, model, n, int(s))) for s in seeds]
+        return [fit(draw_sample(sol, model, n, int(s), reach=reach)) for s in seeds]
     except RdspillError as err:
         return err
 
@@ -420,26 +420,28 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
 
     layout lists (label, rule, model, n, failure estimator) in report order;
     a cell's position in it keys its replication seeds. For each cell,
-    setup(model, rule, sol, h, r, cache) returns (rows, fit): rows are the
-    (estimator, quantity, target name, target value, extra) of the stats rows
-    the cell reports, and fit(sample) returns one value per row. Every cell
-    is solved and set up first; then one _replicate call runs all cells'
-    replications. An RdspillError anywhere in a cell becomes that cell's
-    failure row. summarize(cells) adds study-specific summary keys.
+    setup(model, rule, sol, h, r, cache) returns (rows, fit, reach): rows are
+    the (estimator, quantity, target name, target value, extra) of the stats
+    rows the cell reports, fit(sample) returns one value per row, and each
+    sample holds only the rows with |Z| <= reach, the fit's window. Every
+    cell is solved and set up first (into a fresh cache when cache is None);
+    then one _replicate call runs all cells' replications. An RdspillError
+    anywhere in a cell becomes that cell's failure row. summarize(cells)
+    adds study-specific summary keys.
     """
-    cache = cache if cache is not None else shared_cache
+    cache = cache if cache is not None else SolutionCache()
     planned, jobs = [], []
     for cell_index, (label, rule, model, n, estimator) in enumerate(layout):
         h = plan.h_of(n)
         r = rule.radius(n, h, plan.grid_n)
         try:
             sol = cache.get_or_solve(model, r, plan.grid_n)
-            rows, fit = setup(model, rule, sol, h, r, cache)
+            rows, fit, reach = setup(model, rule, sol, h, r, cache)
         except RdspillError as err:
             planned.append((label, n, h, r, estimator, err))
             continue
         seeds = _rep_seeds(plan.seed, study, cell_index, plan.replications)
-        jobs.append(((sol, model, n, fit), seeds))
+        jobs.append(((sol, model, n, fit, reach), seeds))
         planned.append((label, n, h, r, estimator, rows))
     outcomes = iter(_replicate(jobs))
     cells, failures = [], []
@@ -500,7 +502,7 @@ def run_phase_transition(plan: ExperimentPlan,
         target = _cell_target(plan, model, rule.target, r, h, cache)
         cfg = EstimatorConfig(kernel=plan.kernel, h=h)
         return ([("local_linear", "tau_hat", *target, None)],
-                lambda sample: (local_linear_rdd(sample, cfg).tau_hat,))
+                lambda sample: (local_linear_rdd(sample, cfg).tau_hat,), cfg.h)
 
     return _run_cells("phase_transition", plan, cache, layout, setup)
 
@@ -543,7 +545,7 @@ def run_spillover_consistency(plan: ExperimentPlan,
                     "tau_tot is undefined for this cell")
             return est.tau_d_hat, est.delta_hat, est.gamma_hat, est.tau_tot_hat
 
-        return rows, fit
+        return rows, fit, cfg.h + cfg.r
 
     def summarize(cells):
         trend = {}
@@ -581,7 +583,7 @@ def run_donut_study(plan: ExperimentPlan,
         target = _cell_target(plan, model, kind, r, h, cache)
         cfg = EstimatorConfig(kernel=plan.kernel, h=h, h_donut=r)
         return ([("donut", "tau_hat", *target, {"h_donut": float(r)})],
-                lambda sample: (donut_rdd(sample, cfg).tau_hat,))
+                lambda sample: (donut_rdd(sample, cfg).tau_hat,), cfg.h)
 
     return _run_cells("donut", plan, cache, layout, setup)
 
@@ -648,7 +650,7 @@ def run_ll_vs_nw(plan: ExperimentPlan,
                          {"tau_d": tau_d, "tau_tot": tau_tot,
                           "margin_from_tau_d": abs(nw_pop - tau_d)}))
             fits.append(lambda sample: nadaraya_watson_rdd(sample, cfg))
-        return rows, lambda sample: tuple(fit(sample) for fit in fits)
+        return rows, lambda sample: tuple(fit(sample) for fit in fits), cfg.h
 
     return _run_cells("ll_vs_nw", plan, cache, layout, setup, _nw_separation)
 

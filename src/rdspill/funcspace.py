@@ -101,8 +101,13 @@ def eval_func(spec: FuncSpec, z):
         for c in reversed(spec.coefficients):
             out = out * arr + c
     else:
+        # term by term, elementwise: a matrix product's sums depend on the
+        # row's position in the array, so a subset would not keep its bits
         offset, amps, freqs = spec._sinusoid_parts()
-        out = offset + np.sin(np.multiply.outer(arr, freqs)) @ amps
+        total = np.zeros_like(arr, dtype=float)
+        for amp, freq in zip(amps, freqs):
+            total = total + amp * np.sin(arr * freq)
+        out = offset + total
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(out)
     return out

@@ -11,6 +11,8 @@ derived with SeedSequence spawn keys, so a replication's draws depend only on
 """
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -58,19 +60,34 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def draw_sample(sol: PopulationSolution, model: ModelSpec, n: int, seed: int) -> Sample:
-    """n i.i.d. observations (Z_i, Y_i) from the solved population."""
+def draw_sample(sol: PopulationSolution, model: ModelSpec, n: int, seed: int,
+                reach: float | None = None) -> Sample:
+    """n i.i.d. observations (Z_i, Y_i) from the solved population.
+
+    With reach, only the rows with |Z| <= reach are kept and evaluated, in
+    draw order. Both random calls still run for all n (the ziggurat normals
+    consume a variable number of words), so the kept rows are bit for bit
+    those rows of the full draw. meta["n"] stays the drawn n.
+    """
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
+    if reach is not None and not (isinstance(reach, numbers.Real) and 0.0 <= reach < math.inf):
+        raise ConfigError(f"reach must be None or a finite number >= 0, got {reach!r}")
     if model.content_hash() != sol.model.content_hash():
         raise ConfigError("model does not match the one the population was solved for")
     rng = substream(seed)
     z = rng.uniform(-1.0, 1.0, size=n)
+    noise = rng.standard_normal(n)
+    if reach is not None:
+        # the rows with |z| <= reach, without an n-long temporary for |z|
+        rows = np.flatnonzero((z >= -reach) & (z <= reach))
+        z, noise = z[rows], noise[rows]
     sigma = np.asarray(eval_func(model.noise_sd, z))
-    y = sol.interp(z) + sigma * rng.standard_normal(n)
+    y = sol.interp(z) + sigma * noise
     meta = {
         "seed": int(seed),
         "n": int(n),
+        "reach": None if reach is None else float(reach),
         "model_hash": model.content_hash(),
         "r": float(sol.r),
         "grid_n": int(len(sol.grid)),

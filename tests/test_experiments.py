@@ -434,8 +434,8 @@ class TestLlVsNw:
 
 
 def _force_workers(monkeypatch, workers):
-    """Substitute the worker count; 2 forces the fork pool even here, where
-    numpy loaded before rdspill and the BLAS pin did not take effect."""
+    """Substitute the worker count; 2 forces the fork pool even where the
+    real rule would run inline, for example with a replaced draw_sample."""
     monkeypatch.setattr(exp_mod, "_worker_count",
                         lambda replications: min(workers, replications))
 
@@ -467,9 +467,12 @@ def _worker_plans():
 def _failing_local_linear(sample, cfg):
     # fails on about a quarter of the replications, with a message naming
     # the draw, so a failure row shows which replication failed first; in
-    # the plan below some cells fail in one block, some in both, one in none
-    if sample.z[0] > 0.5:
-        raise IllPosedError(f"forced at z[0]={sample.z[0]!r}", 1e13)
+    # the plan below some cells fail in one block, some in both, one in none.
+    # It keys on the first row inside the fit's window, which a windowed
+    # draw and a full draw share
+    first = sample.z[np.abs(sample.z) <= cfg.h][0]
+    if first < -0.5 * cfg.h:
+        raise IllPosedError(f"forced at z={first!r}", 1e13)
     return local_linear_rdd(sample, cfg)
 
 
@@ -508,7 +511,7 @@ class TestWorkers:
             return sample.y[0], os.getpid()
 
         # two cells with different seed counts, so the blocks differ in size
-        jobs = [((cache.get_or_solve(model, r, 1601), model, n, fit),
+        jobs = [((cache.get_or_solve(model, r, 1601), model, n, fit, None),
                  _rep_seeds(3, "phase_transition", index, reps))
                 for index, (r, n, reps) in enumerate(((0.1, 200, 7), (0.2, 300, 4)))]
         _force_workers(monkeypatch, 1)
@@ -516,7 +519,7 @@ class TestWorkers:
         _force_workers(monkeypatch, 2)
         pooled = exp_mod._replicate(jobs)
         for (job, seeds), serial_values, pooled_values in zip(jobs, serial, pooled):
-            sol, _, n, _ = job
+            sol, _, n, _, _ = job
             assert [v for v, _ in serial_values] == [
                 draw_sample(sol, model, n, int(s)).y[0] for s in seeds]
             assert [v for v, _ in pooled_values] == [v for v, _ in serial_values]
@@ -591,3 +594,74 @@ class TestWorkers:
             (1200, "ConfigError"), (4800, "IllPosedError")]
         assert {cell["n"] for cell in doc["cells"]} == {2400}
         assert reports[0] == reports[1]
+
+
+def _draws_with(monkeypatch, reach_of):
+    """Make the studies draw with reach_of(reach, sol) in place of the reach
+    their fits ask for."""
+    def draw(sol, model, n, seed, reach=None):
+        return draw_sample(sol, model, n, seed, reach=reach_of(reach, sol))
+
+    monkeypatch.setattr(exp_mod, "draw_sample", draw)
+
+
+class TestWindowedDraws:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
+    def test_reports_identical_to_full_draws(self, index, workers, monkeypatch):
+        runner, plan = _worker_plans()[index]
+        _force_workers(monkeypatch, workers)
+        windowed = runner(plan, SolutionCache())
+        _draws_with(monkeypatch, lambda reach, sol: None)
+        full = runner(plan, SolutionCache())
+        assert not windowed.failures
+        assert (windowed.to_json(), windowed.to_csv()) == (full.to_json(), full.to_csv())
+
+    @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
+    def test_each_fit_asks_for_its_window(self, index, monkeypatch):
+        # h for the kernel fits, h + r for the spillover fit
+        runner, plan = _worker_plans()[index]
+        asked = set()
+
+        def record(reach, sol):
+            asked.add(reach)
+            return reach
+
+        _draws_with(monkeypatch, record)
+        report = runner(plan, SolutionCache())
+        widen = STUDY_NAMES[index] == "spillover_consistency"
+        assert asked == {cell["h"] + cell["r"] if widen else cell["h"]
+                         for cell in report.cells}
+
+    # per study, a reach inside its fit's window: h/2 for local linear, h for
+    # the spillover fit, h/2 for the donut fit, 0.9h for local linear and NW
+    NARROWER = (lambda reach, sol: reach / 2, lambda reach, sol: reach - sol.r,
+                lambda reach, sol: reach / 2, lambda reach, sol: 0.9 * reach)
+
+    @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
+    def test_a_narrower_reach_changes_the_report(self, index, monkeypatch):
+        # the identity above can fail: rows the fit reads are missing here
+        runner, plan = _worker_plans()[index]
+        windowed = runner(plan, SolutionCache())
+        _draws_with(monkeypatch, self.NARROWER[index])
+        narrowed = runner(plan, SolutionCache())
+        assert narrowed.to_json() != windowed.to_json()
+        assert narrowed.to_csv() != windowed.to_csv()
+
+
+def test_a_study_without_a_cache_solves_into_a_fresh_one(monkeypatch):
+    # nothing is kept between calls: two runs solve the same populations
+    solves = []
+    real = exp_mod.solve_population
+
+    def counting(*args):
+        solves.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(exp_mod, "solve_population", counting)
+    runner, plan = _worker_plans()[0]
+    first = runner(plan)
+    per_call = len(solves)
+    second = runner(plan)
+    assert per_call == len(plan.regime_map) and len(solves) == 2 * per_call
+    assert first.to_json() == second.to_json()

@@ -53,6 +53,21 @@ class TestFuncSpec:
             assert set(doc) == {"family", "coefficients"}
             assert FuncSpec.from_config(doc) == f
 
+    @pytest.mark.parametrize("f", [
+        polynomial([0.2, 0.05, 0.1, -0.04]),
+        sinusoid_sum([0.3] + [0.02, 1.0, 0.02, 2.5, 0.02, 4.0, 0.02, 5.5] * 2),
+        sinusoid_sum([0.7]),
+    ], ids=["polynomial", "sinusoid_sum", "sinusoid_offset_only"])
+    def test_value_depends_on_its_own_z_only(self, f):
+        # evaluated in short slices, each value keeps the bits it has in one
+        # long array, whatever its position in the slice
+        z = np.random.default_rng(1).uniform(-1.0, 1.0, 1001)
+        full = eval_func(f, z)
+        assert full.shape == z.shape
+        for width in (1, 2, 3, 5, 7):
+            pieces = [eval_func(f, z[i:i + width]) for i in range(0, z.size, width)]
+            assert np.concatenate(pieces).tobytes() == full.tobytes()
+
     def test_vectorized_eval(self):
         f = polynomial([1.0, 0.3])
         z = np.linspace(-1, 1, 7)

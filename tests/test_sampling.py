@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from rdspill import sampling
-from rdspill.errors import ConfigError, DataError
-from rdspill.funcspace import ModelSpec, constant, polynomial
+from rdspill.errors import ConfigError, DataError, RdspillError
+from rdspill.estimators import (
+    EstimatorConfig,
+    local_linear_rdd,
+    local_spillover_regression,
+    nadaraya_watson_rdd,
+)
+from rdspill.funcspace import ModelSpec, constant, polynomial, sinusoid_sum
 from rdspill.population import CUTOFF, solve_population
 from rdspill.sampling import (
     Sample,
@@ -101,6 +107,82 @@ class TestDrawSample:
             sol = solve_population(noiseless_benchmark, 0.17, CUTOFF, grid_n=grid_n)
             errs.append(np.max(np.abs(sol.interp(z) - fine.interp(z))))
         assert errs[1] < errs[0] / 3.0
+
+
+NOISE_SPECS = {
+    "constant": constant(0.3),
+    "polynomial": polynomial([0.2, 0.05, 0.1, -0.04]),
+    # eight terms: a matrix product over them would round by row position
+    "sinusoid_sum": sinusoid_sum([0.3, 0.02, 1.0, 0.02, 2.5, 0.02, 4.0, 0.02, 5.5,
+                                  0.02, 7.0, 0.02, 8.5, 0.02, 10.0, 0.02, 11.5]),
+}
+WINDOW_H, WINDOW_R = 0.1, 0.05
+
+
+@pytest.fixture(scope="module", params=sorted(NOISE_SPECS))
+def noisy_setup(request):
+    model = ModelSpec(
+        m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
+        delta=constant(0.4), gamma=constant(0.5),
+        noise_sd=NOISE_SPECS[request.param],
+    )
+    return model, solve_population(model, WINDOW_R, CUTOFF, grid_n=1001)
+
+
+def _fit_outcome(fit, sample, cfg):
+    """What fit returns on sample, or the type and message it raises."""
+    try:
+        return fit(sample, cfg)
+    except RdspillError as err:
+        return type(err), str(err)
+
+
+class TestWindowedDraw:
+    @pytest.mark.parametrize("n", [1, 4001, 20001])
+    @pytest.mark.parametrize("reach", [1e-3, WINDOW_H, WINDOW_H + WINDOW_R, 1.0])
+    def test_rows_equal_the_full_draw_in_window(self, noisy_setup, n, reach):
+        # a rounding that depends on a row's position shows on few rows,
+        # so several seeds are drawn
+        model, sol = noisy_setup
+        for seed in range(12):
+            full = draw_sample(sol, model, n, seed=seed)
+            windowed = draw_sample(sol, model, n, seed=seed, reach=reach)
+            k = np.abs(full.z) <= reach
+            assert windowed.z.tobytes() == full.z[k].tobytes()
+            assert windowed.y.tobytes() == full.y[k].tobytes()
+            assert windowed.n == int(k.sum())
+            assert windowed.meta == dict(full.meta, reach=reach)
+            assert full.meta["reach"] is None and full.meta["n"] == n
+
+    @pytest.mark.parametrize("fit, cfg", [
+        (local_linear_rdd, EstimatorConfig(kernel="triangular", h=1e-3)),
+        (nadaraya_watson_rdd, EstimatorConfig(kernel="triangular", h=1e-3)),
+        (local_spillover_regression, EstimatorConfig(kernel="triangular", h=1e-3, r=5e-4)),
+    ], ids=["local_linear", "nadaraya_watson", "spillover"])
+    def test_empty_window_fails_as_the_full_draw_does(self, noisy_setup, fit, cfg):
+        model, sol = noisy_setup
+        reach = cfg.h + (cfg.r or 0.0)
+        full = draw_sample(sol, model, 101, seed=4)
+        windowed = draw_sample(sol, model, 101, seed=4, reach=reach)
+        assert windowed.n == 0 == np.count_nonzero(np.abs(full.z) <= reach)
+        outcome = _fit_outcome(fit, windowed, cfg)
+        assert isinstance(outcome, tuple)  # the fit raised
+        assert outcome == _fit_outcome(fit, full, cfg)
+
+    @pytest.mark.parametrize("reach", [-1e-9, float("nan"), float("inf"), "0.1",
+                                       [0.1]])
+    def test_bad_reach_is_refused_before_drawing(self, noiseless_benchmark,
+                                                 noiseless_sol, reach, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew before checking the reach")
+
+        monkeypatch.setattr(sampling, "substream", no_draw)
+        with pytest.raises(ConfigError, match="reach"):
+            draw_sample(noiseless_sol, noiseless_benchmark, 10, seed=1, reach=reach)
+
+    def test_zero_reach_is_valid(self, noiseless_benchmark, noiseless_sol):
+        s = draw_sample(noiseless_sol, noiseless_benchmark, 10, seed=1, reach=0.0)
+        assert s.n == 0 and s.meta["n"] == 10
 
 
 class TestSubstreams:
