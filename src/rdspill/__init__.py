@@ -65,7 +65,6 @@ from .experiments import (
 )
 from .funcspace import (
     FuncSpec,
-    LipschitzRecord,
     ModelSpec,
     constant,
     eval_func,

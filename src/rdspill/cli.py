@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
+from .config import integer, list_of, read_section, real, text
 from .errors import (
     ConfigError,
     DataError,
-    DomainError,
     EstimationError,
     RdspillError,
     SolverError,
@@ -42,15 +42,11 @@ from .experiments import (
     tau_star_for_model,
 )
 from .funcspace import ModelSpec
-from .population import CUTOFF, solve_population, true_estimands
+from .population import CUTOFF, DEFAULT_GRID_N, solve_population, true_estimands
 from .sampling import Sample, draw_sample, parse_sample_csv
 
 TOP_LEVEL_KEYS = {"model", "estimator", "simulate", "estimate", "crossval",
                   "experiment"}
-SIMULATE_KEYS = {"n", "seed", "r", "grid_n", "declared_regime", "h", "kernel"}
-ESTIMATE_KEYS = {"pooling"}
-CROSSVAL_KEYS = {"candidates", "folds", "seed"}
-EXPERIMENT_KEYS = {"study", "plan"}
 REGIME_LABELS = ("r>>h", "r<<h", "r~h")
 ESTIMATOR_ALIASES = {
     "ll": "local_linear",
@@ -64,34 +60,27 @@ ESTIMATOR_ALIASES = {
 
 
 def _load_config(path: str) -> dict:
+    def refuse(constant):
+        raise ConfigError(f"{path}: {constant} is refused; config numbers must be finite")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
-    unknown = set(doc) - TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    return doc
+    # each subcommand reads the sections it uses
+    return read_section(doc, f"config {path}", {},
+                        dict.fromkeys(TOP_LEVEL_KEYS, lambda sec: sec))
 
 
-def _section(doc: dict, name: str, allowed: set, required: set) -> dict:
+def _section(doc: dict, name: str, seed=None):
+    """doc[name], with its seed replaced by a --seed flag's when one was given."""
     if name not in doc:
         raise ConfigError(f"config is missing the {name!r} section")
     sec = doc[name]
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
-    unknown = set(sec) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {name!r} section: {sorted(unknown)}")
-    missing = required - set(sec)
-    if missing:
-        raise ConfigError(f"{name!r} section missing keys: {sorted(missing)}")
-    return sec
+    return dict(sec, seed=seed) if seed is not None and isinstance(sec, dict) else sec
 
 
 def _provenance(doc: dict, seed, rescale=None) -> dict:
@@ -156,25 +145,21 @@ def _sidecar_path(out: str) -> str:
 
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    if "model" not in doc:
-        raise ConfigError("config is missing the 'model' section")
-    model = ModelSpec.from_config(doc["model"])
-    sim = dict(_section(doc, "simulate", SIMULATE_KEYS, {"n", "r"}))
-    if args.seed is not None:
-        sim["seed"] = args.seed
+    model = ModelSpec.from_config(_section(doc, "model"))
+    raw = _section(doc, "simulate", args.seed)
+    sim = read_section(raw, "'simulate' section", {"n": integer, "r": real},
+                       {"seed": integer, "grid_n": integer, "declared_regime": text,
+                        "h": real, "kernel": text})
     if "seed" not in sim:
         raise ConfigError("no seed: set one in the 'simulate' section or pass --seed")
-    effective = dict(doc, simulate=sim)
-    n = int(sim["n"])
-    seed = int(sim["seed"])
-    r = float(sim["r"])
-    grid_n = int(sim.get("grid_n", 4001))
+    effective = dict(doc, simulate=raw)
+    n, seed, r = sim["n"], sim["seed"], sim["r"]
+    grid_n = sim.get("grid_n", DEFAULT_GRID_N)
     declared = sim.get("declared_regime")
     if declared is not None and declared not in REGIME_LABELS:
-        raise ConfigError(
-            f"declared_regime must be one of {REGIME_LABELS}, got {declared!r}")
-    if declared == "r~h" and "h" not in sim:
-        raise ConfigError("declaring the r~h regime requires an 'h' value")
+        raise ConfigError(f"declared_regime must be one of {REGIME_LABELS}, got {declared!r}")
+    if declared == "r~h" and not sim.get("h", 0.0) > 0.0:
+        raise ConfigError("declaring the r~h regime requires a positive 'h' value")
     sol = solve_population(model, r, CUTOFF, grid_n)
     sample = draw_sample(sol, model, n, seed)
     sample.to_csv(args.out)
@@ -189,9 +174,8 @@ def cmd_simulate(args) -> int:
     if declared is not None:
         sidecar["declared_regime"] = declared
     if declared == "r~h":
-        h = float(sim["h"])
-        kernel = str(sim.get("kernel", "triangular"))
-        sidecar["tau_star"] = tau_star_for_model(model, 2.0 * r / h, kernel)
+        sidecar["tau_star"] = tau_star_for_model(model, 2.0 * r / sim["h"],
+                                                 sim.get("kernel", "triangular"))
     _write_json(_sidecar_path(args.out), sidecar)
     print(f"wrote {args.out} ({n} rows) and {_sidecar_path(args.out)}")
     return 0
@@ -211,13 +195,9 @@ def _run_estimator(name: str, sample: Sample, cfg: EstimatorConfig,
 
 def cmd_estimate(args) -> int:
     doc = _load_config(args.config)
-    if "estimator" not in doc:
-        raise ConfigError("config is missing the 'estimator' section")
-    cfg = EstimatorConfig.from_config(doc["estimator"])
-    pooling = "average"
-    if "estimate" in doc:
-        pooling = str(_section(doc, "estimate", ESTIMATE_KEYS, set())
-                      .get("pooling", "average"))
+    cfg = EstimatorConfig.from_config(_section(doc, "estimator"))
+    pooling = read_section(doc.get("estimate", {}), "'estimate' section", {},
+                           {"pooling": text}).get("pooling", "average")
     sample, rescale_info = _load_sample(args)
     names = (ESTIMATOR_NAMES if args.estimator == "all"
              else (ESTIMATOR_ALIASES[args.estimator],))
@@ -235,18 +215,16 @@ def cmd_estimate(args) -> int:
 
 def cmd_crossval(args) -> int:
     doc = _load_config(args.config)
-    if "estimator" not in doc:
-        raise ConfigError("config is missing the 'estimator' section")
-    cfg = EstimatorConfig.from_config(doc["estimator"])
-    cv = dict(_section(doc, "crossval", CROSSVAL_KEYS, {"candidates", "folds"}))
-    if args.seed is not None:
-        cv["seed"] = args.seed
+    cfg = EstimatorConfig.from_config(_section(doc, "estimator"))
+    raw = _section(doc, "crossval", args.seed)
+    cv = read_section(raw, "'crossval' section",
+                      {"candidates": list_of(real), "folds": integer}, {"seed": integer})
     if "seed" not in cv:
         raise ConfigError("no seed: set one in the 'crossval' section or pass --seed")
-    effective = dict(doc, crossval=cv)
+    effective = dict(doc, crossval=raw)
     sample, rescale_info = _load_sample(args)
-    result = cross_validate_r(sample, cfg, list(cv["candidates"]),
-                              folds=int(cv["folds"]), seed=int(cv["seed"]))
+    result = cross_validate_r(sample, cfg, cv["candidates"],
+                              folds=cv["folds"], seed=cv["seed"])
     print("r,feasible,mse_plus,mse_minus")
     for row in result["cv_table"]:
         feasible = "yes" if row["feasible"] else "no"
@@ -258,22 +236,20 @@ def cmd_crossval(args) -> int:
     if args.out:
         _write_json(args.out, {
             "crossval": result,
-            "provenance": _provenance(effective, int(cv["seed"]), rescale_info),
+            "provenance": _provenance(effective, cv["seed"], rescale_info),
         })
     return 0
 
 
 def cmd_experiment(args) -> int:
     doc = _load_config(args.config)
-    sec = _section(doc, "experiment", EXPERIMENT_KEYS, {"study", "plan"})
+    sec = read_section(_section(doc, "experiment"), "'experiment' section",
+                       {"study": text, "plan": lambda plan: plan})
     study = sec["study"]
     if study not in STUDIES:
         raise ConfigError(
             f"unknown study {study!r}; expected one of {sorted(STUDIES)}")
-    plan_doc = dict(sec["plan"])
-    if args.seed is not None:
-        plan_doc["seed"] = args.seed
-    plan = ExperimentPlan.from_config(plan_doc)
+    plan = ExperimentPlan.from_config(_section(sec, "plan", args.seed))
     report = STUDIES[study](plan)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, f"{study}_report.json")
@@ -352,8 +328,6 @@ def main(argv=None) -> int:
         return int(exit_err.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as err:
-        return _fail(1, err)
     except SolverError as err:
         return _fail(2, err)
     except DataError as err:

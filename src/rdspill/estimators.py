@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_section, real, text
 from .errors import (
     CollinearityError,
     ConfigError,
@@ -54,7 +55,7 @@ class EstimatorConfig:
             raise ConfigError(f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}")
         if not 0.0 < self.h <= 1.0:
             raise ConfigError(f"bandwidth h must be in (0, 1], got {self.h}")
-        if self.r is not None and self.r <= 0.0:
+        if self.r is not None and not self.r > 0.0:
             raise ConfigError(f"spillover radius r must be positive, got {self.r}")
         if not 0.0 <= self.h_donut < self.h:
             raise ConfigError(
@@ -70,17 +71,8 @@ class EstimatorConfig:
 
     @classmethod
     def from_config(cls, doc: dict) -> "EstimatorConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("estimator config must be a mapping")
-        unknown = set(doc) - {"kernel", "h", "r", "h_donut"}
-        if unknown:
-            raise ConfigError(f"unknown estimator config keys: {sorted(unknown)}")
-        missing = {"kernel", "h"} - set(doc)
-        if missing:
-            raise ConfigError(f"estimator config missing keys: {sorted(missing)}")
-        return cls(kernel=doc["kernel"], h=float(doc["h"]),
-                   r=float(doc["r"]) if "r" in doc else None,
-                   h_donut=float(doc.get("h_donut", 0.0)))
+        return cls(**read_section(doc, "estimator config", {"kernel": text, "h": real},
+                                  {"r": real, "h_donut": real}))
 
 
 @dataclass(frozen=True)
@@ -266,7 +258,7 @@ def mu_hat(sample: Sample, r: float, z: float) -> dict:
     observation is excluded as the evaluation point's own row (with
     continuously distributed Z, exact coincidence identifies it uniquely).
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ConfigError(f"neighborhood radius must be positive, got {r}")
     pool = _NeighborPool(*_canonical_order(sample, abs(z) + r, strict=True))
     exclude = None

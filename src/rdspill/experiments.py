@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import tau_star
+from .config import integer, list_of, read_section, real, text
 from .errors import ConfigError, RdspillError
 from .estimators import (
     EstimatorConfig,
@@ -50,7 +51,7 @@ from .estimators import (
 )
 from .funcspace import ModelSpec, constant, polynomial
 from .kernels import KERNEL_NAMES, kernel_values
-from .population import ALL_TREATED, CUTOFF, NONE_TREATED, solve_population
+from .population import ALL_TREATED, CUTOFF, DEFAULT_GRID_N, NONE_TREATED, solve_population
 from .sampling import draw_sample, substream
 
 VERSION = "0.1.0"
@@ -107,15 +108,9 @@ class RegimeRule:
 
     @classmethod
     def from_config(cls, doc: dict) -> "RegimeRule":
-        unknown = set(doc) - {"label", "target", "factor", "n_power"}
-        if unknown:
-            raise ConfigError(f"unknown regime rule keys: {sorted(unknown)}")
-        try:
-            return cls(label=str(doc["label"]), target=str(doc["target"]),
-                       factor=float(doc["factor"]),
-                       n_power=float(doc.get("n_power", 0.0)))
-        except KeyError as missing:
-            raise ConfigError(f"regime rule missing key {missing}") from None
+        return cls(**read_section(doc, "regime rule",
+                                  {"label": text, "target": text, "factor": real},
+                                  {"n_power": real}))
 
 
 PHASE_REGIMES = (
@@ -142,7 +137,7 @@ class ExperimentPlan:
     h_power: float = -0.2
     kernel: str = "triangular"
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
-    grid_n: int = 4001
+    grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         object.__setattr__(self, "regime_map", tuple(self.regime_map))
@@ -194,28 +189,12 @@ class ExperimentPlan:
 
     @classmethod
     def from_config(cls, doc: dict) -> "ExperimentPlan":
-        if not isinstance(doc, dict):
-            raise ConfigError("experiment plan config must be a mapping")
-        known = {"model", "regime_map", "n_grid", "replications", "seed",
-                 "h_coef", "h_power", "kernel", "estimators", "grid_n"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown experiment plan keys: {sorted(unknown)}")
-        missing = {"model", "regime_map", "n_grid", "replications", "seed"} - set(doc)
-        if missing:
-            raise ConfigError(f"experiment plan missing keys: {sorted(missing)}")
-        return cls(
-            model=ModelSpec.from_config(doc["model"]),
-            regime_map=tuple(RegimeRule.from_config(d) for d in doc["regime_map"]),
-            n_grid=tuple(int(n) for n in doc["n_grid"]),
-            replications=int(doc["replications"]),
-            seed=int(doc["seed"]),
-            h_coef=float(doc.get("h_coef", 1.0)),
-            h_power=float(doc.get("h_power", -0.2)),
-            kernel=str(doc.get("kernel", "triangular")),
-            estimators=tuple(doc.get("estimators", ESTIMATOR_NAMES)),
-            grid_n=int(doc.get("grid_n", 4001)),
-        )
+        return cls(**read_section(
+            doc, "experiment plan",
+            {"model": ModelSpec.from_config, "regime_map": list_of(RegimeRule.from_config),
+             "n_grid": list_of(integer), "replications": integer, "seed": integer},
+            {"h_coef": real, "h_power": real, "kernel": text,
+             "estimators": list_of(text), "grid_n": integer}))
 
     def config_hash(self) -> str:
         return hash_config(self.to_config())

@@ -14,9 +14,11 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import boolean, list_of, read_section, real, text
 from .errors import ConfigError, DomainError
 
 FAMILIES = ("constant", "polynomial", "sinusoid-sum")
+MODEL_FUNCTIONS = ("m_plus", "m_minus", "delta", "gamma", "noise_sd")
 
 # margin below 1 required of sup|delta|, so the fixed-point map has a
 # certified contraction factor
@@ -70,9 +72,8 @@ class FuncSpec:
 
     @classmethod
     def from_config(cls, doc: dict) -> "FuncSpec":
-        if not isinstance(doc, dict) or set(doc) != {"family", "coefficients"}:
-            raise ConfigError(f"function spec must be {{family, coefficients}}, got {doc!r}")
-        return cls(doc["family"], doc["coefficients"])
+        return cls(**read_section(doc, "function spec",
+                                  {"family": text, "coefficients": list_of(real)}))
 
 
 def constant(c: float) -> FuncSpec:
@@ -127,13 +128,6 @@ def lipschitz_constant(spec: FuncSpec) -> float:
 
 
 @dataclass(frozen=True)
-class LipschitzRecord:
-    C: float        # max of the two outcome-branch constants
-    C_delta: float
-    C_gamma: float
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Full structural model: outcome branches, spillover coefficients, noise.
 
@@ -153,7 +147,6 @@ class ModelSpec:
     noise_sd: FuncSpec
     gamma_one_sided: bool = False
     delta_bar: float = field(init=False)
-    lipschitz: LipschitzRecord = field(init=False)
 
     def __post_init__(self):
         grid = np.linspace(-1.0, 1.0, _VALIDATION_GRID_N)
@@ -173,15 +166,6 @@ class ModelSpec:
         if np.min(svals) < 0.0:
             raise ConfigError("noise_sd must be nonnegative on [-1, 1]")
         object.__setattr__(self, "delta_bar", sup_abs)
-        object.__setattr__(
-            self,
-            "lipschitz",
-            LipschitzRecord(
-                C=max(lipschitz_constant(self.m_plus), lipschitz_constant(self.m_minus)),
-                C_delta=lipschitz_constant(self.delta),
-                C_gamma=lipschitz_constant(self.gamma),
-            ),
-        )
 
     def gamma_at(self, z):
         """gamma as it enters outcomes: gamma(z), or gamma(z)*1{z<=0} when one-sided."""
@@ -196,39 +180,16 @@ class ModelSpec:
         return out
 
     def to_config(self) -> dict:
-        doc = {
-            "m_plus": self.m_plus.to_config(),
-            "m_minus": self.m_minus.to_config(),
-            "delta": self.delta.to_config(),
-            "gamma": self.gamma.to_config(),
-            "noise_sd": self.noise_sd.to_config(),
-        }
+        doc = {name: getattr(self, name).to_config() for name in MODEL_FUNCTIONS}
         if self.gamma_one_sided:
             doc["gamma_one_sided"] = True
         return doc
 
     @classmethod
     def from_config(cls, doc: dict) -> "ModelSpec":
-        required = {"m_plus", "m_minus", "delta", "gamma", "noise_sd"}
-        if not isinstance(doc, dict):
-            raise ConfigError("model config must be a mapping")
-        unknown = set(doc) - required - {"gamma_one_sided"}
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        missing = required - set(doc)
-        if missing:
-            raise ConfigError(f"model config missing keys: {sorted(missing)}")
-        one_sided = doc.get("gamma_one_sided", False)
-        if not isinstance(one_sided, bool):
-            raise ConfigError("gamma_one_sided must be a boolean")
-        return cls(
-            m_plus=FuncSpec.from_config(doc["m_plus"]),
-            m_minus=FuncSpec.from_config(doc["m_minus"]),
-            delta=FuncSpec.from_config(doc["delta"]),
-            gamma=FuncSpec.from_config(doc["gamma"]),
-            noise_sd=FuncSpec.from_config(doc["noise_sd"]),
-            gamma_one_sided=one_sided,
-        )
+        return cls(**read_section(doc, "model config",
+                                  dict.fromkeys(MODEL_FUNCTIONS, FuncSpec.from_config),
+                                  {"gamma_one_sided": boolean}))
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_config(), sort_keys=True, separators=(",", ":"))

@@ -62,7 +62,7 @@ def nu_exact(regime: TreatmentRegime, r: float, z):
     saturating at 0/1 once the neighborhood clears the cutoff, slope 1/(2r)
     in between.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ConfigError("neighborhood radius must be positive")
     if r >= 2.0:
         raise ConfigError(f"r={r} degenerate: the neighborhood always covers all of [-1, 1]")
@@ -189,7 +189,7 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
     """
     if grid_n % 2 == 0 or grid_n < 201:
         raise ConfigError(f"grid_n must be odd and >= 201, got {grid_n}")
-    if r <= 0 or r >= 2:
+    if not 0.0 < r < 2.0:
         raise ConfigError(f"radius r={r} outside (0, 2)")
     grid = np.linspace(-1.0, 1.0, grid_n)
     dz = grid[1] - grid[0]

@@ -140,6 +140,15 @@ class TestConfigErrors:
         assert rc == 1
         assert "'h'" in err
 
+    @pytest.mark.parametrize("h", [0, -0.15])
+    def test_regime_comparable_needs_a_positive_h(self, tmp_path, capsys, h):
+        doc = base_config()
+        doc["simulate"].update(declared_regime="r~h", h=h)
+        rc, _, err = run_cli(["simulate", "--config", write_config(tmp_path, doc),
+                              "--out", str(tmp_path / "o.csv")], capsys)
+        assert rc == 1
+        assert "positive 'h'" in err
+
     def test_unknown_study(self, tmp_path, capsys):
         doc = {"experiment": {"study": "phase", "plan": {}}}
         rc, _, err = run_cli(["experiment", "--config", write_config(tmp_path, doc),
@@ -165,6 +174,94 @@ class TestConfigErrors:
 
     def test_no_subcommand(self, capsys):
         assert run_cli([], capsys)[0] == 1
+
+
+def experiment_config() -> dict:
+    return {"experiment": {"study": "phase_transition", "plan": {
+        "model": copy.deepcopy(BENCH),
+        "regime_map": [{"label": "r>>h", "target": "tau_d", "factor": 8.0}],
+        "n_grid": [2000], "replications": 2, "seed": 1}}}
+
+
+NAN, INF = float("nan"), float("inf")
+# (subcommand, path to the value, the malformed value, what the error names);
+# json.dumps writes nan and inf as NaN and Infinity, which json.load accepts
+MALFORMED = [
+    ("simulate", ("simulate", "n"), "abc", "'n'"),
+    ("simulate", ("simulate", "n"), 500.9, "'n'"),
+    ("simulate", ("simulate", "seed"), 1.5, "'seed'"),
+    ("simulate", ("simulate", "seed"), True, "'seed'"),
+    ("simulate", ("simulate", "seed"), -1, "'seed'"),
+    ("simulate", ("simulate", "r"), None, "'r'"),
+    ("simulate", ("simulate", "r"), NAN, "NaN"),
+    ("simulate", ("simulate", "grid_n"), -INF, "-Infinity"),
+    ("simulate", ("simulate", "h"), "0.15", "'h'"),
+    ("simulate", ("simulate", "declared_regime"), 3, "'declared_regime'"),
+    ("simulate", ("simulate",), [1], "'simulate' section"),
+    ("simulate", ("model", "delta", "coefficients"), 5, "'coefficients'"),
+    ("simulate", ("model", "gamma", "coefficients"), [0.5, "x"], "'coefficients'"),
+    ("simulate", ("model", "gamma_one_sided"), "yes", "'gamma_one_sided'"),
+    ("simulate", ("model", "m_plus"), [1], "function spec"),
+    ("estimate", ("estimator", "h"), "0.15", "'h'"),
+    ("estimate", ("estimator", "r"), NAN, "NaN"),
+    ("estimate", ("estimator", "r"), INF, "Infinity"),
+    ("estimate", ("estimator", "kernel"), 1, "'kernel'"),
+    ("estimate", ("estimate",), {"pooling": ["plus"]}, "'pooling'"),
+    ("crossval", ("crossval", "candidates"), 0.05, "'candidates'"),
+    ("crossval", ("crossval", "folds"), 2.7, "'folds'"),
+    ("crossval", ("crossval", "seed"), "3", "'seed'"),
+    ("experiment", ("experiment", "plan"), [1], "experiment plan"),
+    ("experiment", ("experiment", "study"), ["x"], "'study'"),
+    ("experiment", ("experiment", "plan", "regime_map"), [1], "regime rule"),
+    ("experiment", ("experiment", "plan", "regime_map", 0, "factor"), None, "'factor'"),
+    ("experiment", ("experiment", "plan", "n_grid"), [2000.5], "'n_grid'"),
+    ("experiment", ("experiment", "plan", "replications"), "2", "'replications'"),
+    ("experiment", ("experiment", "plan", "seed"), -7, "'seed'"),
+    ("experiment", ("experiment", "plan", "h_coef"), True, "'h_coef'"),
+    ("experiment", ("experiment", "plan", "estimators"), "local_linear", "'estimators'"),
+]
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("command, path, value, named", MALFORMED,
+                             ids=[f"{c}-{'.'.join(map(str, p))}={v!r}"
+                                  for c, p, v, _ in MALFORMED])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, command, path,
+                                         value, named):
+        doc = experiment_config() if command == "experiment" else base_config()
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        data = tmp_path / "d.csv"
+        data.write_text("z,y\n0.1,1.0\n-0.1,0.0\n", encoding="utf-8")
+        extra = {"simulate": ["--out", str(tmp_path / "o.csv")],
+                 "estimate": ["--data", str(data), "--out", str(tmp_path / "o.json")],
+                 "crossval": ["--data", str(data)],
+                 "experiment": ["--out", str(tmp_path / "d")]}[command]
+        rc, out, err = run_cli([command, "--config", write_config(tmp_path, doc),
+                                *extra], capsys)
+        assert rc == 1
+        assert err.startswith("rdspill: error:") and err.count("\n") == 1
+        assert named in err
+        assert "Traceback" not in err and out == ""
+
+    def test_whole_valued_float_count_is_accepted(self, tmp_path, capsys):
+        doc = base_config()
+        doc["simulate"]["n"] = 20000
+        as_int = write_config(tmp_path, doc, "int.json")
+        as_float = tmp_path / "float.json"
+        as_float.write_text(json.dumps(doc).replace('"n": 20000', '"n": 2e4'),
+                            encoding="utf-8")
+        assert '"n": 2e4' in as_float.read_text(encoding="utf-8")
+        for cfg, out in ((as_int, "int.csv"), (str(as_float), "float.csv")):
+            rc, _, err = run_cli(["simulate", "--config", cfg,
+                                  "--out", str(tmp_path / out)], capsys)
+            assert rc == 0, err
+        assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
+        sidecar = json.loads((tmp_path / "float.estimands.json").read_text())
+        assert sidecar["n"] == 20000 and isinstance(sidecar["n"], int)
 
 
 class TestSimulate:

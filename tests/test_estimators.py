@@ -77,6 +77,10 @@ class TestEstimatorConfig:
         with pytest.raises(ConfigError):
             EstimatorConfig(kernel="triangular", h=0.2, r=0.0)
 
+    def test_rejects_nan_r(self):
+        with pytest.raises(ConfigError, match="positive"):
+            EstimatorConfig(kernel="triangular", h=0.2, r=float("nan"))
+
     def test_rejects_donut_at_bandwidth(self):
         with pytest.raises(ConfigError):
             EstimatorConfig(kernel="triangular", h=0.2, h_donut=0.2)
@@ -341,6 +345,10 @@ class TestMuHat:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ConfigError):
             mu_hat(linear_sample(20), r=0.0, z=0.0)
+
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ConfigError, match="positive"):
+            mu_hat(linear_sample(20), r=float("nan"), z=0.0)
 
     @given(st.floats(-1.0, 1.0), st.floats(0.01, 1.0))
     def test_share_weights_complement(self, z, r):

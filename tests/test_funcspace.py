@@ -124,9 +124,10 @@ class TestModelSpec:
     def test_benchmark_fields(self, benchmark_model):
         m = benchmark_model
         assert m.delta_bar == pytest.approx(0.4)
-        assert m.lipschitz.C == pytest.approx(0.3)
-        assert m.lipschitz.C_delta == 0.0
-        assert m.lipschitz.C_gamma == 0.0
+        assert max(lipschitz_constant(m.m_plus),
+                   lipschitz_constant(m.m_minus)) == pytest.approx(0.3)
+        assert lipschitz_constant(m.delta) == 0.0
+        assert lipschitz_constant(m.gamma) == 0.0
         assert noise_sup(m) == pytest.approx(0.1)
 
     def test_rejects_near_unit_delta(self):

@@ -6,7 +6,8 @@ import pytest
 
 from rdspill.asymptotics import build_lambda_table
 from rdspill.errors import ConfigError, DomainError
-from rdspill.funcspace import ModelSpec, constant, eval_func, polynomial, sinusoid_sum
+from rdspill.funcspace import (ModelSpec, constant, eval_func, lipschitz_constant,
+                               polynomial, sinusoid_sum)
 from rdspill.population import (
     ALL_TREATED,
     CUTOFF,
@@ -77,6 +78,10 @@ class TestNuExact:
         np.testing.assert_array_equal(nu_exact(ALL_TREATED, 0.1, z), 1.0)
         np.testing.assert_array_equal(nu_exact(NONE_TREATED, 0.1, z), 0.0)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ConfigError, match="positive"):
+            nu_exact(CUTOFF, float("nan"), 0.0)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             nu_exact(CUTOFF, 0.0, 0.0)
@@ -142,6 +147,10 @@ class TestSolvePopulation:
         # factor 2 covers the oracle's own rounding
         assert gap <= 2 * SOLVER_TOL / (1 - 0.4)
         assert sol.solver_report["iterations"] >= 1
+
+    def test_rejects_nan_radius(self, benchmark_model):
+        with pytest.raises(ConfigError, match="outside"):
+            solve_population(benchmark_model, float("nan"), CUTOFF, grid_n=1001)
 
     def test_smallest_radius_matches_dense_oracle(self, dense_population):
         # just above 4 grid spacings: the coarse grid sits at its node cap
@@ -294,7 +303,8 @@ class TestStructureLemmas:
         assert np.max(slope(sol.nu)) <= 1 / (2 * r) + 1e-9
         osc = np.max(sol.y) - np.min(sol.y)
         assert np.max(slope(sol.mu)) <= osc / (2 * r) + 1e-9
-        bound = benchmark_model.lipschitz.C \
+        bound = max(lipschitz_constant(benchmark_model.m_plus),
+                    lipschitz_constant(benchmark_model.m_minus)) \
             + benchmark_model.delta_bar * np.max(slope(sol.mu)) \
             + 0.5 * np.max(slope(sol.nu))
         assert np.max(slope(sol.y)) <= bound * 1.01 + 1e-9
