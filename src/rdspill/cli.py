@@ -42,6 +42,7 @@ from .experiments import (
     tau_star_for_model,
 )
 from .funcspace import ModelSpec
+from .kernels import KERNEL_NAMES
 from .population import CUTOFF, DEFAULT_GRID_N, solve_population, true_estimands
 from .sampling import Sample, draw_sample, parse_sample_csv
 
@@ -158,11 +159,17 @@ def cmd_simulate(args) -> int:
     declared = sim.get("declared_regime")
     if declared is not None and declared not in REGIME_LABELS:
         raise ConfigError(f"declared_regime must be one of {REGIME_LABELS}, got {declared!r}")
-    if declared == "r~h" and not sim.get("h", 0.0) > 0.0:
-        raise ConfigError("declaring the r~h regime requires a positive 'h' value")
+    if declared == "r~h":
+        if not sim.get("h", 0.0) > 0.0:
+            raise ConfigError("declaring the r~h regime requires a positive 'h' value")
+    elif "h" in sim or "kernel" in sim:
+        raise ConfigError("'h' and 'kernel' in the 'simulate' section are read only "
+                          "with \"declared_regime\": \"r~h\"")
+    kernel = sim.get("kernel", "triangular")
+    if kernel not in KERNEL_NAMES:
+        raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
     sol = solve_population(model, r, CUTOFF, grid_n)
     sample = draw_sample(sol, model, n, seed)
-    sample.to_csv(args.out)
     estimands = true_estimands(model, r, grid_n)
     sidecar = {
         "n": n,
@@ -174,8 +181,9 @@ def cmd_simulate(args) -> int:
     if declared is not None:
         sidecar["declared_regime"] = declared
     if declared == "r~h":
-        sidecar["tau_star"] = tau_star_for_model(model, 2.0 * r / sim["h"],
-                                                 sim.get("kernel", "triangular"))
+        sidecar["tau_star"] = tau_star_for_model(model, 2.0 * r / sim["h"], kernel)
+    # every value is computed before the first write, so a failure leaves no file
+    sample.to_csv(args.out)
     _write_json(_sidecar_path(args.out), sidecar)
     print(f"wrote {args.out} ({n} rows) and {_sidecar_path(args.out)}")
     return 0

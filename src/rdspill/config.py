@@ -1,12 +1,28 @@
 """The one reader of config sections, and typed readers for their values.
 Every refusal is a ConfigError naming the section and, for a bad value, the
-key. Numbers are finite and not bools; whole numbers (counts, seeds) are >= 0."""
+key, and the list index where the value sits in a list; a refusal inside a
+nested section is prefixed with each enclosing section and key. Numbers are
+finite and not bools; whole numbers (counts, seeds) are >= 0."""
 from __future__ import annotations
 
 import math
 import numbers
 
 from .errors import ConfigError
+
+_REFUSALS = (TypeError, ValueError, OverflowError, ConfigError)
+
+
+class _InList(ValueError):
+    """A refusal whose message starts with the list index of the value."""
+
+
+def _tail(err: Exception) -> str:
+    """err's message as it follows the name of the refused value: a nested
+    section's message after a colon, a bad value's after a space."""
+    if isinstance(err, _InList):
+        return str(err)
+    return f": {err}" if isinstance(err, ConfigError) else f" {err}"
 
 
 def read_section(doc, what: str, required: dict, optional: dict = {}) -> dict:
@@ -25,8 +41,8 @@ def read_section(doc, what: str, required: dict, optional: dict = {}) -> dict:
     for key, value in doc.items():
         try:
             out[key] = readers[key](value)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"{what}: {key!r} {err}") from None
+        except _REFUSALS as err:
+            raise ConfigError(f"{what}: {key!r}{_tail(err)}") from None
     return out
 
 
@@ -59,5 +75,11 @@ def list_of(reader):
     def read(value) -> tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"must be a list, got {value!r}")
-        return tuple(reader(item) for item in value)
+        out = []
+        for index, item in enumerate(value):
+            try:
+                out.append(reader(item))
+            except _REFUSALS as err:
+                raise _InList(f"[{index}]{_tail(err)}") from None
+        return tuple(out)
     return read

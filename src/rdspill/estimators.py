@@ -153,7 +153,8 @@ def _side_split(z: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 
 def _require_linear_support(z_side: np.ndarray, side: str) -> None:
-    if z_side.size < 3 or np.unique(z_side).size < 2:
+    # min == max, not np.unique: the first np.unique in a process imports numpy.ma
+    if z_side.size < 3 or z_side.min() == z_side.max():
         raise InsufficientSupportError(
             side, f"need >= 3 positively weighted observations with non-identical "
                   f"running-variable values on the {side} side, "

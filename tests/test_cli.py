@@ -149,6 +149,26 @@ class TestConfigErrors:
         assert rc == 1
         assert "positive 'h'" in err
 
+    @pytest.mark.parametrize("delta0, update, code, named", [
+        (0.4, {"declared_regime": "r~h", "h": 0.2, "kernel": "box"}, 1, "unknown kernel 'box'"),
+        (0.4, {"kernel": "box"}, 1, "declared_regime"),
+        (0.4, {"kernel": "uniform"}, 1, "declared_regime"),
+        (0.4, {"h": 0.2}, 1, "declared_regime"),
+        (0.4, {"declared_regime": "r>>h", "h": 0.2}, 1, "declared_regime"),
+        # the solve and the draw succeed; the lambda table is refused
+        (0.999, {"declared_regime": "r~h", "h": 0.2}, 4, "delta0=0.999"),
+    ])
+    def test_simulate_refusal_writes_no_file(self, tmp_path, capsys, delta0, update,
+                                             code, named):
+        doc = base_config()
+        doc["model"]["delta"]["coefficients"] = [delta0]
+        doc["simulate"].update(update)
+        cfg = write_config(tmp_path, doc)
+        rc, out, err = run_cli(["simulate", "--config", cfg,
+                                "--out", str(tmp_path / "o.csv")], capsys)
+        assert rc == code and named in err and out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_unknown_study(self, tmp_path, capsys):
         doc = {"experiment": {"study": "phase", "plan": {}}}
         rc, _, err = run_cli(["experiment", "--config", write_config(tmp_path, doc),
@@ -198,10 +218,12 @@ MALFORMED = [
     ("simulate", ("simulate", "h"), "0.15", "'h'"),
     ("simulate", ("simulate", "declared_regime"), 3, "'declared_regime'"),
     ("simulate", ("simulate",), [1], "'simulate' section"),
-    ("simulate", ("model", "delta", "coefficients"), 5, "'coefficients'"),
-    ("simulate", ("model", "gamma", "coefficients"), [0.5, "x"], "'coefficients'"),
+    ("simulate", ("model", "delta", "coefficients"), 5,
+     "'delta': function spec: 'coefficients'"),
+    ("simulate", ("model", "gamma", "coefficients"), [0.5, "x"],
+     "'gamma': function spec: 'coefficients'[1]"),
     ("simulate", ("model", "gamma_one_sided"), "yes", "'gamma_one_sided'"),
-    ("simulate", ("model", "m_plus"), [1], "function spec"),
+    ("simulate", ("model", "m_plus"), [1], "'m_plus': function spec"),
     ("estimate", ("estimator", "h"), "0.15", "'h'"),
     ("estimate", ("estimator", "r"), NAN, "NaN"),
     ("estimate", ("estimator", "r"), INF, "Infinity"),
@@ -212,9 +234,10 @@ MALFORMED = [
     ("crossval", ("crossval", "seed"), "3", "'seed'"),
     ("experiment", ("experiment", "plan"), [1], "experiment plan"),
     ("experiment", ("experiment", "study"), ["x"], "'study'"),
-    ("experiment", ("experiment", "plan", "regime_map"), [1], "regime rule"),
-    ("experiment", ("experiment", "plan", "regime_map", 0, "factor"), None, "'factor'"),
-    ("experiment", ("experiment", "plan", "n_grid"), [2000.5], "'n_grid'"),
+    ("experiment", ("experiment", "plan", "regime_map"), [1], "'regime_map'[0]: regime rule"),
+    ("experiment", ("experiment", "plan", "regime_map", 0, "factor"), None,
+     "'regime_map'[0]: regime rule: 'factor'"),
+    ("experiment", ("experiment", "plan", "n_grid"), [2000.5], "'n_grid'[0]"),
     ("experiment", ("experiment", "plan", "replications"), "2", "'replications'"),
     ("experiment", ("experiment", "plan", "seed"), -7, "'seed'"),
     ("experiment", ("experiment", "plan", "h_coef"), True, "'h_coef'"),

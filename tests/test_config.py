@@ -40,6 +40,10 @@ class TestReaders:
                 reader(value)
 
 
+def _subsection(doc):
+    return read_section(doc, "t", {"k": real})
+
+
 class TestReadSection:
     READERS = ({"n": integer}, {"kernel": text})
 
@@ -59,11 +63,24 @@ class TestReadSection:
             read_section(doc, "s", *self.READERS)
         assert all(word in str(err.value) for word in words)
 
-    def test_nested_config_error_passes_through(self):
+    def test_nested_config_error_names_the_section_and_key(self):
         def nested(value):
             raise ConfigError("inner message")
-        with pytest.raises(ConfigError, match="^inner message$"):
+        with pytest.raises(ConfigError, match="^s: 'n': inner message$"):
             read_section({"n": 1}, "s", {"n": nested})
+
+    @pytest.mark.parametrize("reader, value, message", [
+        (list_of(real), [1, 2, "x"], "s: 'n'[2] must be a finite number, got 'x'"),
+        (list_of(list_of(real)), [[1], [2, None]],
+         "s: 'n'[1][1] must be a finite number, got None"),
+        (list_of(_subsection), [{"k": 1}, 5], "s: 'n'[1]: t must be a JSON object, got 5"),
+        (list_of(_subsection), [{"k": "a"}],
+         "s: 'n'[0]: t: 'k' must be a finite number, got 'a'"),
+    ])
+    def test_list_refusals_name_the_index(self, reader, value, message):
+        with pytest.raises(ConfigError) as err:
+            read_section({"n": value}, "s", {"n": reader})
+        assert str(err.value) == message
 
     def test_huge_integer_is_a_config_error(self):
         with pytest.raises(ConfigError, match="'n'"):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,11 +221,27 @@ class TestLocalLinear:
         assert exc.value.side == "plus"
 
     def test_identical_z_is_insufficient(self):
-        z = np.array([0.1, 0.1, 0.1, -0.1, -0.2, -0.3])
-        with pytest.raises(InsufficientSupportError) as exc:
-            local_linear_rdd(Sample(z=z, y=np.arange(6.0)),
-                             EstimatorConfig(kernel="uniform", h=1.0))
-        assert exc.value.side == "plus"
+        # -0.0 and 0.0 are one value, as np.unique counts them
+        for plus in ([0.1, 0.1, 0.1], [0.0, -0.0, 0.0]):
+            z = np.array(plus + [-0.1, -0.2, -0.3])
+            with pytest.raises(InsufficientSupportError) as exc:
+                local_linear_rdd(Sample(z=z, y=np.arange(6.0)),
+                                 EstimatorConfig(kernel="uniform", h=1.0))
+            assert exc.value.side == "plus"
+
+    def test_fit_leaves_numpy_ma_unimported(self):
+        # the first np.unique in a process imports numpy.ma, 16-29 ms of a CLI run
+        code = ("import sys, numpy as np\n"
+                "from rdspill.estimators import EstimatorConfig, local_linear_rdd\n"
+                "from rdspill.sampling import Sample\n"
+                "z = np.linspace(-0.9, 0.9, 40)\n"
+                "local_linear_rdd(Sample(z=z, y=z + (z >= 0)),\n"
+                "                 EstimatorConfig(kernel='triangular', h=0.5))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_kernel_support_can_starve_a_side(self):
         z = np.array([-0.01, -0.02, -0.03, 0.5, 0.6, 0.7])
