@@ -89,10 +89,39 @@ def _provenance(doc: dict, seed, rescale=None) -> dict:
             "seed": seed, "rescale": rescale}
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _check_out_dir(directory: str, created: bool = False) -> None:
+    """Refuse, before any work, an output directory that does not exist, or,
+    when the run creates it, one whose nearest existing ancestor is not a
+    directory."""
+    existing = os.path.abspath(directory or ".")
+    while created and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        reason = "not a directory" if os.path.exists(existing) else "no such directory"
+        raise ConfigError(f"cannot write into {directory!r}: {existing}: {reason}")
+
+
+def _save(contents: dict) -> None:
+    """Write each path's text, or call its writer(fh), in order. An OSError
+    becomes a ConfigError, after the files this call opened are removed, so
+    a failed write leaves no partial output."""
+    opened = []
+    try:
+        for path, content in contents.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(content)
+    except OSError as err:
+        for done in opened:
+            os.remove(done)
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 # ------------------------------------------------------------------ data --
@@ -168,6 +197,7 @@ def cmd_simulate(args) -> int:
     kernel = sim.get("kernel", "triangular")
     if kernel not in KERNEL_NAMES:
         raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
+    _check_out_dir(os.path.dirname(args.out))
     sol = solve_population(model, r, CUTOFF, grid_n)
     sample = draw_sample(sol, model, n, seed)
     estimands = true_estimands(model, r, grid_n)
@@ -183,8 +213,7 @@ def cmd_simulate(args) -> int:
     if declared == "r~h":
         sidecar["tau_star"] = tau_star_for_model(model, 2.0 * r / sim["h"], kernel)
     # every value is computed before the first write, so a failure leaves no file
-    sample.to_csv(args.out)
-    _write_json(_sidecar_path(args.out), sidecar)
+    _save({args.out: sample.to_csv, _sidecar_path(args.out): _json_text(sidecar)})
     print(f"wrote {args.out} ({n} rows) and {_sidecar_path(args.out)}")
     return 0
 
@@ -206,6 +235,7 @@ def cmd_estimate(args) -> int:
     cfg = EstimatorConfig.from_config(_section(doc, "estimator"))
     pooling = read_section(doc.get("estimate", {}), "'estimate' section", {},
                            {"pooling": text}).get("pooling", "average")
+    _check_out_dir(os.path.dirname(args.out))
     sample, rescale_info = _load_sample(args)
     names = (ESTIMATOR_NAMES if args.estimator == "all"
              else (ESTIMATOR_ALIASES[args.estimator],))
@@ -216,7 +246,7 @@ def cmd_estimate(args) -> int:
         "records": records,
         "provenance": _provenance(doc, None, rescale_info),
     }
-    _write_json(args.out, payload)
+    _save({args.out: _json_text(payload)})
     print(f"wrote {args.out} ({len(records)} record(s))")
     return 0
 
@@ -230,6 +260,8 @@ def cmd_crossval(args) -> int:
     if "seed" not in cv:
         raise ConfigError("no seed: set one in the 'crossval' section or pass --seed")
     effective = dict(doc, crossval=raw)
+    if args.out:
+        _check_out_dir(os.path.dirname(args.out))
     sample, rescale_info = _load_sample(args)
     result = cross_validate_r(sample, cfg, cv["candidates"],
                               folds=cv["folds"], seed=cv["seed"])
@@ -242,10 +274,10 @@ def cmd_crossval(args) -> int:
     print("selected r_plus=%.17g r_minus=%.17g"
           % (result["r_plus"], result["r_minus"]))
     if args.out:
-        _write_json(args.out, {
+        _save({args.out: _json_text({
             "crossval": result,
             "provenance": _provenance(effective, cv["seed"], rescale_info),
-        })
+        })})
     return 0
 
 
@@ -258,14 +290,15 @@ def cmd_experiment(args) -> int:
         raise ConfigError(
             f"unknown study {study!r}; expected one of {sorted(STUDIES)}")
     plan = ExperimentPlan.from_config(_section(sec, "plan", args.seed))
+    _check_out_dir(args.out, created=True)
     report = STUDIES[study](plan)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create {args.out}: {err.strerror or err}") from None
     json_path = os.path.join(args.out, f"{study}_report.json")
     csv_path = os.path.join(args.out, f"{study}_report.csv")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
+    _save({json_path: report.to_json(), csv_path: report.to_csv()})
     print(f"{study}: {len(report.cells)} cells, {len(report.failures)} "
           f"failures -> {json_path}")
     return 4 if report.failures else 0

@@ -21,6 +21,7 @@ w_plus + w_minus = 1. Empty neighbor sets contribute zero to their term.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +124,23 @@ def _kernel_rows(z: np.ndarray, h: float) -> slice:
 
 
 def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str,
-         ill_posed_check: bool = False):
-    """Weighted least squares via lstsq on the sqrt-weighted design; with
-    ill_posed_check, a condition number above ILL_POSED_CONDITION raises."""
+         with_cond: bool = False, ill_posed_check: bool = False):
+    """Weighted least squares via lstsq on the sqrt-weighted design.
+
+    Returns (beta, cond). The condition number cond costs a second SVD, so
+    it is computed only with with_cond or ill_posed_check, and is None
+    otherwise; with ill_posed_check, a value above ILL_POSED_CONDITION
+    raises. A design holding inf or NaN raises before any SVD, which need
+    not converge on one."""
     sw = np.sqrt(w)
     Xw = X * sw[:, None]
     yw = y * sw
-    cond = float(np.linalg.cond(Xw))
+    if not np.isfinite(Xw).all():
+        raise IllPosedError(
+            f"weighted design on the {side} side holds inf or NaN; a radius "
+            f"too small to move Z in floating point makes the treated share "
+            f"0/0", condition_number=math.inf)
+    cond = float(np.linalg.cond(Xw)) if with_cond or ill_posed_check else None
     if ill_posed_check and (not np.isfinite(cond) or cond > ILL_POSED_CONDITION):
         raise IllPosedError(
             f"spillover design on the {side} side has condition number "
@@ -140,7 +151,8 @@ def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str,
     if rank < X.shape[1]:
         raise NumericError(
             f"singular weighted design on the {side} side "
-            f"(rank {rank} < {X.shape[1]}, condition number {cond:.3e})")
+            f"(rank {rank} < {X.shape[1]}, condition number "
+            f"{np.linalg.cond(Xw):.3e})")
     return beta, cond
 
 
@@ -312,7 +324,7 @@ def _fit_spillover_sides(z, y, w, mu_delta, nu_delta):
         degenerate = not (np.any(mds) or np.any(nds))
         if degenerate:
             _require_linear_support(zs, side)
-            beta2, cond = _wls(X[:, :2], ys, ws, side)
+            beta2, cond = _wls(X[:, :2], ys, ws, side, with_cond=True)
             beta = np.concatenate([beta2, np.zeros(4)])
         else:
             if zs.size < 6:

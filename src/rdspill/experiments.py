@@ -5,13 +5,13 @@ its plan guards, its cells as (label, radius rule, model, sample size,
 estimator named on a failure row), and per cell the rows it reports with
 their targets, a per-sample fit and the fit's reach. The loop solves the
 population once per cell (cached for the call) and sets up every cell, then
-draws each cell's replications one at a time, keeping only the rows with
-|Z| <= reach, fits each, and reports mean / sd / se against the theoretical
-target, which is recomputed from the population solver or the limit
-machinery at run time. No target number is hard-coded. A library error in a
-cell becomes that cell's failure row; the other cells still run. The kept
-rows are the ones the fit selects, in draw order, so a report has the bits
-that full draws give.
+draws each cell's replications one at a time, drawing only the window
+|Z| <= reach of each n-row sample (binomial thinning, see draw_sample), fits
+each, and reports mean / sd / se against the theoretical target, which is
+recomputed from the population solver or the limit machinery at run time.
+No target number is hard-coded. A library error in a cell becomes that
+cell's failure row; the other cells still run. A report has the law that
+full draws give, not their bits.
 
 Parallelism: once every cell is solved and set up, `_replicate` splits
 each cell's replications into contiguous seed blocks, one per usable CPU,
@@ -402,7 +402,7 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
     setup(model, rule, sol, h, r, cache) returns (rows, fit, reach): rows are
     the (estimator, quantity, target name, target value, extra) of the stats
     rows the cell reports, fit(sample) returns one value per row, and each
-    sample holds only the rows with |Z| <= reach, the fit's window. Every
+    sample is drawn as only the window |Z| <= reach the fit reads. Every
     cell is solved and set up first (into a fresh cache when cache is None);
     then one _replicate call runs all cells' replications. An RdspillError
     anywhere in a cell becomes that cell's failure row. summarize(cells)

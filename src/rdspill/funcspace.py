@@ -147,6 +147,7 @@ class ModelSpec:
     noise_sd: FuncSpec
     gamma_one_sided: bool = False
     delta_bar: float = field(init=False)
+    _content_hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.linspace(-1.0, 1.0, _VALIDATION_GRID_N)
@@ -166,6 +167,10 @@ class ModelSpec:
         if np.min(svals) < 0.0:
             raise ConfigError("noise_sd must be nonnegative on [-1, 1]")
         object.__setattr__(self, "delta_bar", sup_abs)
+        # every draw and cache lookup compares models by this hash
+        blob = json.dumps(self.to_config(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(self, "_content_hash",
+                           hashlib.sha256(blob.encode()).hexdigest()[:16])
 
     def gamma_at(self, z):
         """gamma as it enters outcomes: gamma(z), or gamma(z)*1{z<=0} when one-sided."""
@@ -192,5 +197,5 @@ class ModelSpec:
                                   {"gamma_one_sided": boolean}))
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_config(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """First 16 hex digits of the SHA-256 of the canonical JSON config."""
+        return self._content_hash

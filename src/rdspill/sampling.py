@@ -64,10 +64,12 @@ def draw_sample(sol: PopulationSolution, model: ModelSpec, n: int, seed: int,
                 reach: float | None = None) -> Sample:
     """n i.i.d. observations (Z_i, Y_i) from the solved population.
 
-    With reach, only the rows with |Z| <= reach are kept and evaluated, in
-    draw order. Both random calls still run for all n (the ziggurat normals
-    consume a variable number of words), so the kept rows are bit for bit
-    those rows of the full draw. meta["n"] stays the drawn n.
+    With reach < 1, only the window |Z| <= reach of an n-row draw is drawn,
+    by binomial thinning: Z is uniform on [-1, 1], so the window holds
+    K ~ Binomial(n, reach) rows, uniform on [-reach, reach). The rows have
+    the law of the full draw's window, not its bits, and the cost scales
+    with the window. With reach None or >= 1 all n rows are drawn, the same
+    rows either way. meta["n"] stays the drawn n.
     """
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
@@ -76,12 +78,10 @@ def draw_sample(sol: PopulationSolution, model: ModelSpec, n: int, seed: int,
     if model.content_hash() != sol.model.content_hash():
         raise ConfigError("model does not match the one the population was solved for")
     rng = substream(seed)
-    z = rng.uniform(-1.0, 1.0, size=n)
-    noise = rng.standard_normal(n)
-    if reach is not None:
-        # the rows with |z| <= reach, without an n-long temporary for |z|
-        rows = np.flatnonzero((z >= -reach) & (z <= reach))
-        z, noise = z[rows], noise[rows]
+    p = 1.0 if reach is None else min(reach, 1.0)
+    k = n if p == 1.0 else int(rng.binomial(n, p))
+    z = rng.uniform(-p, p, size=k)
+    noise = rng.standard_normal(k)
     sigma = np.asarray(eval_func(model.noise_sd, z))
     y = sol.interp(z) + sigma * noise
     meta = {

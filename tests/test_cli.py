@@ -287,6 +287,81 @@ class TestMalformedConfigs:
         assert sidecar["n"] == 20000 and isinstance(sidecar["n"], int)
 
 
+def _one_error_line(err: str) -> bool:
+    return (err.startswith("rdspill: error:") and err.count("\n") == 1
+            and "Traceback" not in err)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "crossval", "experiment"])
+    def test_exits_1_before_the_work_and_writes_nothing(self, tmp_path, capsys,
+                                                       monkeypatch, command):
+        # a missing directory for the three file outputs; a regular file
+        # where experiment's output directory would be created
+        doc = experiment_config() if command == "experiment" else base_config()
+        cfg = write_config(tmp_path, doc)
+        data = tmp_path / "d.csv"
+        data.write_text("z,y\n0.1,1.0\n-0.1,0.0\n", encoding="utf-8")
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        extra = {"simulate": ["--out", str(tmp_path / "nodir" / "s.csv")],
+                 "estimate": ["--data", str(data), "--out", str(tmp_path / "nodir" / "e.json")],
+                 "crossval": ["--data", str(data), "--out", str(tmp_path / "nodir" / "c.json")],
+                 "experiment": ["--out", str(tmp_path / "afile" / "sub")]}[command]
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work started before the output was checked")
+
+        monkeypatch.setattr(cli, "solve_population", no_work)
+        monkeypatch.setattr(cli, "parse_sample_csv", no_work)
+        monkeypatch.setattr(cli, "STUDIES", {"phase_transition": no_work})
+        before = sorted(p.name for p in tmp_path.iterdir())
+        rc, out, err = run_cli([command, "--config", cfg, *extra], capsys)
+        assert rc == 1 and out == "" and _one_error_line(err), err
+        assert "nodir" in err or "afile" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_a_failed_second_write_removes_the_first(self, tmp_path, capsys):
+        # the sidecar's path is a directory: the CSV written before it goes too
+        (tmp_path / "s.estimands.json").mkdir()
+        rc, out, err = run_cli(["simulate", "--config", write_config(tmp_path, base_config()),
+                                "--out", str(tmp_path / "s.csv")], capsys)
+        assert rc == 1 and out == "" and _one_error_line(err), err
+        assert "s.estimands.json" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                               "s.estimands.json"]
+
+
+class TestTinyRadius:
+    # r = 1e-300 does not move Z in floating point, so the spillover design
+    # holds NaN; the run must end like r = 1e-12, in an estimation error
+    @pytest.mark.parametrize("r", [1e-12, 1e-300])
+    def test_spillover_estimate_exits_4(self, tmp_path, capsys, r):
+        doc = base_config()
+        doc["estimator"]["r"] = r
+        cfg = write_config(tmp_path, doc)
+        data = tmp_path / "s.csv"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(data)], capsys)[0] == 0
+        with np.errstate(invalid="ignore"):
+            rc, out, err = run_cli(["estimate", "--config", cfg, "--data", str(data),
+                                    "--out", str(tmp_path / "e.json"),
+                                    "--estimator", "spillover"], capsys)
+        assert rc == 4 and out == "" and _one_error_line(err), err
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-300])
+    def test_crossval_exits_4(self, tmp_path, capsys, r):
+        doc = base_config()
+        doc["crossval"]["candidates"] = [r]
+        cfg = write_config(tmp_path, doc)
+        data = tmp_path / "s.csv"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(data)], capsys)[0] == 0
+        with np.errstate(invalid="ignore"):
+            rc, out, err = run_cli(["crossval", "--config", cfg, "--data", str(data),
+                                    "--out", str(tmp_path / "c.json")], capsys)
+        assert rc == 4 and _one_error_line(err), err
+        assert "no candidate radius" in err
+        assert not (tmp_path / "c.json").exists()
+
+
 class TestSimulate:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from rdspill.errors import (
     CrossValidationError,
     IllPosedError,
     InsufficientSupportError,
+    NumericError,
 )
 from rdspill.estimators import (
     EstimatorConfig,
@@ -150,6 +152,29 @@ class TestCanonicalOrder:
 
 
 class TestLocalLinear:
+    @pytest.mark.parametrize("fit", [local_linear_rdd, donut_rdd])
+    def test_takes_no_condition_number(self, fit, monkeypatch):
+        # the fit discards it, so it must not pay for the second SVD
+        calls = []
+        cond = np.linalg.cond
+
+        def counting_cond(*args, **kwargs):
+            calls.append(1)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        fit(linear_sample(noise=0.3),
+            EstimatorConfig(kernel="triangular", h=0.5, h_donut=0.05))
+        assert calls == []
+
+    def test_rank_deficient_design_names_its_condition_number(self):
+        z = np.linspace(0.1, 0.5, 9)
+        X = np.column_stack([np.ones_like(z), np.ones_like(z)])
+        w = np.full_like(z, 0.25)
+        with pytest.raises(NumericError, match="rank 1 < 2") as exc:
+            est_mod._wls(X, 1.0 + z, w, "plus")
+        assert f"condition number {np.linalg.cond(X * 0.5):.3e}" in str(exc.value)
+
     def test_exact_on_piecewise_linear_data(self):
         cfg = EstimatorConfig(kernel="triangular", h=0.8)
         est = local_linear_rdd(linear_sample(), cfg)
@@ -454,6 +479,45 @@ class TestSpilloverRegression:
         est = local_spillover_regression(quiet_sample, EstimatorConfig(kernel="triangular", h=0.2, r=0.05))
         assert est.beta_plus[2:] != (0.0,) * 4  # the full six-regressor fit ran
         assert len(cond_calls) == 2
+
+    def test_condition_numbers_are_those_of_the_fitted_designs(self, quiet_sample,
+                                                               monkeypatch):
+        # each side reports the condition number of the very matrix lstsq
+        # solves, bit for bit, on the full fit and on the nested fallback
+        lstsq = np.linalg.lstsq
+        designs = []
+
+        def recording_lstsq(a, b, rcond=None):
+            designs.append(a.copy())
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
+        est = local_spillover_regression(quiet_sample, cfg)
+        nested_sample = linear_sample(n=500, seed=61, noise=0.25)
+        monkeypatch.setattr(
+            est_mod, "_mu_values",
+            lambda pool, targets, r, exclude=None: np.full(np.shape(targets), 0.5))
+        monkeypatch.setattr(est_mod, "nu_exact", lambda regime, r, z: 0.5)
+        nested = local_spillover_regression(nested_sample,
+                                            EstimatorConfig(kernel="triangular", h=0.3, r=0.05))
+        assert [d.shape[1] for d in designs] == [6, 6, 2, 2]
+        for fit, (plus, minus) in ((est, designs[:2]), (nested, designs[2:])):
+            assert fit.condition_numbers == {"plus": float(np.linalg.cond(plus)),
+                                             "minus": float(np.linalg.cond(minus))}
+
+    def test_non_finite_design_is_ill_posed_before_any_svd(self, quiet_sample,
+                                                           monkeypatch):
+        # r = 1e-300 does not move Z in floating point: the treated share is
+        # 0/0, and the SVD of a NaN design need not converge
+        def no_cond(*args, **kwargs):
+            raise AssertionError("took the condition number of a non-finite design")
+
+        monkeypatch.setattr(np.linalg, "cond", no_cond)
+        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=1e-300)
+        with np.errstate(invalid="ignore"), pytest.raises(IllPosedError, match="inf or NaN") as exc:
+            local_spillover_regression(quiet_sample, cfg)
+        assert exc.value.condition_number == math.inf
 
     def test_normal_equations_residual(self, quiet_sample):
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)

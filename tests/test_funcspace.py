@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -214,3 +217,24 @@ class TestModelSpec:
         assert h1 != h2
         assert len(h1) == 16
         int(h1, 16)  # hex
+
+    def test_content_hash_is_the_config_digest(self, benchmark_model):
+        # the hash is computed once, at construction; it must stay the
+        # digest of the canonical config, and equal models share it
+        def make(gamma, one_sided):
+            return ModelSpec(
+                m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
+                delta=constant(0.4), gamma=gamma,
+                noise_sd=sinusoid_sum([0.1, 0.02, 3.0]), gamma_one_sided=one_sided)
+
+        models = [benchmark_model, make(constant(0.5), False),
+                  make(constant(0.5), True), make(polynomial([0.5, -0.1]), True)]
+        for model in models:
+            blob = json.dumps(model.to_config(), sort_keys=True, separators=(",", ":"))
+            assert model.content_hash() == hashlib.sha256(blob.encode()).hexdigest()[:16]
+            twin = ModelSpec.from_config(model.to_config())
+            assert twin == model and twin.content_hash() == model.content_hash()
+        assert len({model.content_hash() for model in models}) == len(models)
+        assert dataclasses.replace(models[1], gamma_one_sided=True) == models[2]
+        assert dataclasses.replace(models[1], gamma_one_sided=True).content_hash() \
+            == models[2].content_hash()

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -137,22 +138,59 @@ def _fit_outcome(fit, sample, cfg):
         return type(err), str(err)
 
 
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, points, side="right") / a.size
+    cdf_b = np.searchsorted(b, points, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+def _variance_se(mu2: float, mu4: float, m: int) -> float:
+    """Standard error of the sample variance of m draws with central
+    moments mu2 and mu4."""
+    return math.sqrt((mu4 - mu2**2 * (m - 3) / (m - 1)) / m)
+
+
 class TestWindowedDraw:
     @pytest.mark.parametrize("n", [1, 4001, 20001])
     @pytest.mark.parametrize("reach", [1e-3, WINDOW_H, WINDOW_H + WINDOW_R, 1.0])
     def test_rows_equal_the_full_draw_in_window(self, noisy_setup, n, reach):
-        # a rounding that depends on a row's position shows on few rows,
-        # so several seeds are drawn
+        """Equal in law below reach 1, where the window is drawn by binomial
+        thinning; equal bit for bit at reach 1, where the full draw runs."""
         model, sol = noisy_setup
-        for seed in range(12):
-            full = draw_sample(sol, model, n, seed=seed)
-            windowed = draw_sample(sol, model, n, seed=seed, reach=reach)
-            k = np.abs(full.z) <= reach
-            assert windowed.z.tobytes() == full.z[k].tobytes()
-            assert windowed.y.tobytes() == full.y[k].tobytes()
-            assert windowed.n == int(k.sum())
-            assert windowed.meta == dict(full.meta, reach=reach)
-            assert full.meta["reach"] is None and full.meta["n"] == n
+        seeds = range(12 if reach >= 1.0 else 200)
+        full = [draw_sample(sol, model, n, seed=seed) for seed in seeds[:20]]
+        windowed = [draw_sample(sol, model, n, seed=seed, reach=reach) for seed in seeds]
+        for f, w in zip(full, windowed):
+            assert w.meta == dict(f.meta, reach=reach)
+            assert f.meta["reach"] is None and f.meta["n"] == n
+            if reach >= 1.0:
+                assert w.z.tobytes() == f.z.tobytes()
+                assert w.y.tobytes() == f.y.tobytes()
+        if reach >= 1.0:
+            return
+
+        # K ~ Binomial(n, reach): mean, and variance through its 4th moment
+        k = np.array([w.n for w in windowed], dtype=float)
+        m, pq = k.size, reach * (1.0 - reach)
+        mu2, mu4 = n * pq, n * pq * (1.0 + 3.0 * (n - 2) * pq)
+        assert abs(k.mean() - n * reach) <= 4.0 * math.sqrt(mu2 / m)
+        assert abs(k.var(ddof=1) - mu2) <= 4.0 * _variance_se(mu2, mu4, m)
+
+        z = np.concatenate([w.z for w in windowed[:20]])
+        y = np.concatenate([w.y for w in windowed[:20]])
+        assert np.all(np.abs(z) <= reach)
+        in_window = np.concatenate([f.z[np.abs(f.z) <= reach] for f in full])
+        if min(z.size, in_window.size) >= 20:
+            # the two-sample KS critical value at level 0.001
+            assert _ks_statistic(z, in_window) <= 1.95 * math.sqrt(
+                (z.size + in_window.size) / (z.size * in_window.size))
+        noise = (y - sol.interp(z)) / np.asarray(model.noise_sd(z))
+        if noise.size >= 20:
+            assert abs(noise.mean()) <= 4.0 / math.sqrt(noise.size)
+            assert abs(noise.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (noise.size - 1))
 
     @pytest.mark.parametrize("fit, cfg", [
         (local_linear_rdd, EstimatorConfig(kernel="triangular", h=1e-3)),
@@ -160,12 +198,14 @@ class TestWindowedDraw:
         (local_spillover_regression, EstimatorConfig(kernel="triangular", h=1e-3, r=5e-4)),
     ], ids=["local_linear", "nadaraya_watson", "spillover"])
     def test_empty_window_fails_as_the_full_draw_does(self, noisy_setup, fit, cfg):
+        # reach 0 makes K ~ Binomial(n, 0) = 0 certain; this full draw has no
+        # row in the fit's window, and the fit reads no row outside it
         model, sol = noisy_setup
-        reach = cfg.h + (cfg.r or 0.0)
         full = draw_sample(sol, model, 101, seed=4)
-        windowed = draw_sample(sol, model, 101, seed=4, reach=reach)
-        assert windowed.n == 0 == np.count_nonzero(np.abs(full.z) <= reach)
-        outcome = _fit_outcome(fit, windowed, cfg)
+        assert np.count_nonzero(np.abs(full.z) <= cfg.h + (cfg.r or 0.0)) == 0
+        empty = draw_sample(sol, model, 101, seed=4, reach=0.0)
+        assert empty.n == 0
+        outcome = _fit_outcome(fit, empty, cfg)
         assert isinstance(outcome, tuple)  # the fit raised
         assert outcome == _fit_outcome(fit, full, cfg)
 
