@@ -1,8 +1,11 @@
 """Cutoff estimators: local linear, Nadaraya-Watson, donut, and the
 six-regressor local spillover regression with its derived quantities.
 
-All fits are weighted least squares computed through an orthogonalizing
-solver (numpy lstsq), never through explicit normal-equation inversion.
+Every local regression runs through one per-side fit (_fit_sides): weighted
+least squares by an orthogonalizing solver (numpy lstsq), never by normal
+equations, of Y on (1, Z) or on the six spillover regressors. A side whose
+spillover columns are all zero takes the (1, Z) fit, so with vanishing
+spillover terms the spillover fit is the local linear fit, bit for bit.
 
 Every estimator first selects the rows it can use and only then
 canonicalizes them (sorts by Z, ties by Y). Local linear, Nadaraya-Watson and
@@ -117,12 +120,6 @@ def _canonical_order(sample: Sample, half_width: float,
     return zs, y[order]
 
 
-def _kernel_rows(z: np.ndarray, h: float) -> slice:
-    """The rows of sorted z inside the kernel support |z| <= h."""
-    return slice(int(np.searchsorted(z, -h, side="left")),
-                 int(np.searchsorted(z, h, side="right")))
-
-
 def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str,
          with_cond: bool = False, ill_posed_check: bool = False):
     """Weighted least squares via lstsq on the sqrt-weighted design.
@@ -156,12 +153,13 @@ def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str,
     return beta, cond
 
 
-def _side_split(z: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Positively weighted observations per side; ties at 0 are treated."""
+def _side_split(z: np.ndarray, y: np.ndarray, w: np.ndarray, *extra):
+    """The positively weighted rows of (z, y, w, *extra), as a plus and a
+    minus tuple; ties at 0 are treated."""
     keep = w > 0.0
-    z, y, w = z[keep], y[keep], w[keep]
-    plus = z >= 0.0
-    return (z[plus], y[plus], w[plus]), (z[~plus], y[~plus], w[~plus]), keep
+    cols = [a[keep] for a in (z, y, w, *extra)]
+    plus = cols[0] >= 0.0
+    return tuple(a[plus] for a in cols), tuple(a[~plus] for a in cols)
 
 
 def _require_linear_support(z_side: np.ndarray, side: str) -> None:
@@ -173,21 +171,40 @@ def _require_linear_support(z_side: np.ndarray, side: str) -> None:
                   f"got {z_side.size} points")
 
 
+def _fit_sides(z, y, w, mu_delta=None, nu_delta=None) -> dict:
+    """Per-side WLS on (1, Z), or on the six spillover regressors when
+    mu_delta and nu_delta are given; {side: (beta, cond, n)}, cond None
+    without them. A side whose spillover columns are all zero takes the
+    (1, Z) fit, zero-padded to six coefficients."""
+    extra = () if mu_delta is None else (mu_delta, nu_delta)
+    out = {}
+    for side, (zs, ys, ws, *cols) in zip(("plus", "minus"), _side_split(z, y, w, *extra)):
+        if cols and (np.any(cols[0]) or np.any(cols[1])):
+            if zs.size < 6:
+                raise InsufficientSupportError(
+                    side, f"need >= 6 positively weighted observations on the "
+                          f"{side} side, got {zs.size}")
+            beta, cond = _wls(_spillover_design(zs, *cols), ys, ws, side, ill_posed_check=True)
+        else:
+            _require_linear_support(zs, side)
+            beta, cond = _wls(np.column_stack([np.ones_like(zs), zs]), ys, ws,
+                              side, with_cond=bool(cols))
+            if cols:
+                beta = np.concatenate([beta, np.zeros(4)])
+        out[side] = (beta, cond, int(zs.size))
+    return out
+
+
 def local_linear_rdd(sample: Sample, cfg: EstimatorConfig) -> RddEstimate:
     """Per-side weighted linear fit of Y on (1, Z); tau from the intercepts."""
     z, y = _canonical_order(sample, cfg.h)
-    w = kernel_values(cfg.kernel, z / cfg.h)
-    (zp, yp, wp), (zm, ym, wm), _ = _side_split(z, y, w)
-    _require_linear_support(zp, "plus")
-    _require_linear_support(zm, "minus")
-    bp, _ = _wls(np.column_stack([np.ones_like(zp), zp]), yp, wp, "plus")
-    bm, _ = _wls(np.column_stack([np.ones_like(zm), zm]), ym, wm, "minus")
+    fits = _fit_sides(z, y, kernel_values(cfg.kernel, z / cfg.h))
+    (bp, _, n_p), (bm, _, n_m) = fits["plus"], fits["minus"]
     return RddEstimate(
         beta_plus=(float(bp[0]), float(bp[1])),
         beta_minus=(float(bm[0]), float(bm[1])),
         tau_hat=float(bp[0] - bm[0]),
-        n_plus=int(zp.size), n_minus=int(zm.size),
-        min_side_support=int(min(zp.size, zm.size)),
+        n_plus=n_p, n_minus=n_m, min_side_support=min(n_p, n_m),
     )
 
 
@@ -195,7 +212,7 @@ def nadaraya_watson_rdd(sample: Sample, cfg: EstimatorConfig) -> float:
     """Difference of kernel-weighted outcome means across the cutoff."""
     z, y = _canonical_order(sample, cfg.h)
     w = kernel_values(cfg.kernel, z / cfg.h)
-    (zp, yp, wp), (zm, ym, wm), _ = _side_split(z, y, w)
+    (zp, yp, wp), (zm, ym, wm) = _side_split(z, y, w)
     if zp.size < 1:
         raise InsufficientSupportError("plus", "no positively weighted observations with Z >= 0")
     if zm.size < 1:
@@ -299,6 +316,15 @@ def _spillover_design(z: np.ndarray, mu_delta: np.ndarray, nu_delta: np.ndarray)
     ])
 
 
+def _kernel_rows(pool: _NeighborPool, h: float, kernel: str):
+    """z, y, kernel weights and own pool positions of the pool's rows with
+    |Z| <= h."""
+    a = int(np.searchsorted(pool.z, -h, side="left"))
+    b = int(np.searchsorted(pool.z, h, side="right"))
+    z = pool.z[a:b]
+    return z, pool.y[a:b], kernel_values(kernel, z / h), np.arange(a, b)
+
+
 def _spillover_regressors(z: np.ndarray, pool: _NeighborPool, r: float,
                           exclude_pos: np.ndarray | None):
     mu = np.broadcast_to(np.asarray(_mu_values(pool, z, r, exclude_pos),
@@ -308,32 +334,6 @@ def _spillover_regressors(z: np.ndarray, pool: _NeighborPool, r: float,
     nu_delta = np.broadcast_to(
         np.asarray(nu_exact(CUTOFF, r, z), dtype=float) - nu0, z.shape)
     return mu - mu0, nu_delta, mu0
-
-
-def _fit_spillover_sides(z, y, w, mu_delta, nu_delta):
-    """Per-side WLS on the six regressors; falls back to the nested linear
-    model when every spillover column is identically zero."""
-    keep = w > 0.0
-    z, y, w = z[keep], y[keep], w[keep]
-    mu_delta, nu_delta = mu_delta[keep], nu_delta[keep]
-    out = {}
-    for side, mask in (("plus", z >= 0.0), ("minus", z < 0.0)):
-        zs, ys, ws = z[mask], y[mask], w[mask]
-        mds, nds = mu_delta[mask], nu_delta[mask]
-        X = _spillover_design(zs, mds, nds)
-        degenerate = not (np.any(mds) or np.any(nds))
-        if degenerate:
-            _require_linear_support(zs, side)
-            beta2, cond = _wls(X[:, :2], ys, ws, side, with_cond=True)
-            beta = np.concatenate([beta2, np.zeros(4)])
-        else:
-            if zs.size < 6:
-                raise InsufficientSupportError(
-                    side, f"need >= 6 positively weighted observations on the "
-                          f"{side} side, got {zs.size}")
-            beta, cond = _wls(X, ys, ws, side, ill_posed_check=True)
-        out[side] = (beta, cond, int(zs.size))
-    return out
 
 
 def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
@@ -352,12 +352,9 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
             f"2r/h = {c:.3f} >= 2: the treated-share contrast is a linear "
             f"function of Z on the whole fit window and collinear with it")
     pool = _NeighborPool(*_canonical_order(sample, cfg.h + cfg.r, strict=True))
-    rows = _kernel_rows(pool.z, cfg.h)
-    z, y = pool.z[rows], pool.y[rows]
-    mu_delta, nu_delta, mu0 = _spillover_regressors(
-        z, pool, cfg.r, np.arange(rows.start, rows.stop))
-    w = kernel_values(cfg.kernel, z / cfg.h)
-    fits = _fit_spillover_sides(z, y, w, mu_delta, nu_delta)
+    z, y, w, own = _kernel_rows(pool, cfg.h, cfg.kernel)
+    mu_delta, nu_delta, mu0 = _spillover_regressors(z, pool, cfg.r, own)
+    fits = _fit_sides(z, y, w, mu_delta, nu_delta)
     bp, cond_p, n_p = fits["plus"]
     bm, cond_m, n_m = fits["minus"]
     tau_d_hat = float(bp[0] - bm[0])
@@ -418,28 +415,21 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
     for k in range(folds):
         test = fold_id == k
         pool = _NeighborPool(z[~test], y[~test])
-        rows = _kernel_rows(pool.z, cfg.h)
-        z_fit, y_fit = pool.z[rows], pool.y[rows]
-        w_fit = kernel_values(cfg.kernel, z_fit / cfg.h)
-        exclude_pos = np.arange(rows.start, rows.stop)
-        held = test & (w > 0.0)
-        z_test, y_test, w_test = z[held], y[held], w[held]
-        plus_test = z_test >= 0.0
+        z_fit, y_fit, w_fit, own = _kernel_rows(pool, cfg.h, cfg.kernel)
+        held = dict(zip(("plus", "minus"), _side_split(z[test], y[test], w[test])))
         for i, r in enumerate(candidates):
             if mse[i] is None:
                 continue
             try:
-                mu_delta, nu_delta, _ = _spillover_regressors(
-                    z_fit, pool, r, exclude_pos)
-                fits = _fit_spillover_sides(z_fit, y_fit, w_fit, mu_delta, nu_delta)
+                mu_delta, nu_delta, _ = _spillover_regressors(z_fit, pool, r, own)
+                fits = _fit_sides(z_fit, y_fit, w_fit, mu_delta, nu_delta)
             except EstimationError:
                 mse[i] = None
                 continue
-            mu_d_test, nu_d_test, _ = _spillover_regressors(z_test, pool, r, None)
-            X_test = _spillover_design(z_test, mu_d_test, nu_d_test)
-            for side, mask in (("plus", plus_test), ("minus", ~plus_test)):
-                resid = y_test[mask] - X_test[mask] @ fits[side][0]
-                mse[i][side] += float(np.sum(w_test[mask] * resid**2))
+            for side, (zs, ys, ws) in held.items():
+                mu_d, nu_d, _ = _spillover_regressors(zs, pool, r, None)
+                resid = ys - _spillover_design(zs, mu_d, nu_d) @ fits[side][0]
+                mse[i][side] += float(np.sum(ws * resid**2))
 
     cv_table = [{"r": r, "feasible": m is not None,
                  "mse_plus": None if m is None else m["plus"],

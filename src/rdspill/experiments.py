@@ -51,7 +51,8 @@ from .estimators import (
 )
 from .funcspace import ModelSpec, constant, polynomial
 from .kernels import KERNEL_NAMES, kernel_values
-from .population import ALL_TREATED, CUTOFF, DEFAULT_GRID_N, NONE_TREATED, solve_population
+from .population import (ALL_TREATED, CUTOFF, DEFAULT_GRID_N, NONE_TREATED, check_grid_n,
+                         solve_population)
 from .sampling import draw_sample, substream
 
 VERSION = "0.1.0"
@@ -98,7 +99,11 @@ class RegimeRule:
             raise ConfigError(f"regime factor must be positive, got {self.factor}")
 
     def radius(self, n: int, h: float, grid_n: int) -> float:
-        r = self.factor * h * float(n) ** self.n_power
+        try:
+            r = self.factor * h * float(n) ** self.n_power
+        except OverflowError:
+            raise ConfigError(f"regime {self.label!r} overflows at n={n}: "
+                              f"n^{self.n_power} is out of range") from None
         floor = RADIUS_FLOOR_CELLS * 2.0 / (grid_n - 1)
         return min(max(r, floor), RADIUS_CAP)
 
@@ -160,6 +165,7 @@ class ExperimentPlan:
         bad = set(self.estimators) - set(ESTIMATOR_NAMES)
         if bad:
             raise ConfigError(f"unknown estimators: {sorted(bad)}")
+        check_grid_n(self.grid_n)
         for n in self.n_grid:
             h = self.h_of(n)
             if not 0.0 < h <= 1.0:

@@ -39,15 +39,6 @@ class TreatmentRegime:
         if self.kind not in REGIME_KINDS:
             raise ConfigError(f"unknown treatment regime {self.kind!r}; expected one of {REGIME_KINDS}")
 
-    def treated(self, z) -> np.ndarray:
-        """d(z) under this regime; at the cutoff itself d(0) = 1."""
-        z = np.asarray(z, dtype=float)
-        if self.kind == "all-treated":
-            return np.ones_like(z)
-        if self.kind == "none-treated":
-            return np.zeros_like(z)
-        return (z >= 0.0).astype(float)
-
 
 CUTOFF = TreatmentRegime("cutoff")
 ALL_TREATED = TreatmentRegime("all-treated")
@@ -76,7 +67,8 @@ def nu_exact(regime: TreatmentRegime, r: float, z):
     else:
         lo = np.maximum(arr - r, -1.0)
         hi = np.minimum(arr + r, 1.0)
-        out = (np.clip(hi, 0.0, None) - np.clip(lo, 0.0, None)) / (hi - lo)
+        with np.errstate(invalid="ignore"):  # 0/0 where r does not move z; _wls refuses the NaN
+            out = (np.clip(hi, 0.0, None) - np.clip(lo, 0.0, None)) / (hi - lo)
     if np.ndim(z) == 0:
         return float(out)
     return out
@@ -179,6 +171,12 @@ def _model_rhs(model: ModelSpec, regime: TreatmentRegime, grid: np.ndarray, r: f
     return m_vals + gamma_vals * nu_vals, nu_vals
 
 
+def check_grid_n(grid_n: int) -> None:
+    """Refuse a grid that solve_population cannot use."""
+    if grid_n % 2 == 0 or grid_n < 201:
+        raise ConfigError(f"grid_n must be odd and >= 201, got {grid_n}")
+
+
 def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
                      grid_n: int = DEFAULT_GRID_N) -> PopulationSolution:
     """Solve the fixed point on a uniform grid of grid_n points over [-1, 1].
@@ -187,8 +185,7 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
     of spacing r/4, stopped once the residual sup-norm is at most 1e-10 or
     the rounding floor of the solution, whichever is higher.
     """
-    if grid_n % 2 == 0 or grid_n < 201:
-        raise ConfigError(f"grid_n must be odd and >= 201, got {grid_n}")
+    check_grid_n(grid_n)
     if not 0.0 < r < 2.0:
         raise ConfigError(f"radius r={r} outside (0, 2)")
     grid = np.linspace(-1.0, 1.0, grid_n)

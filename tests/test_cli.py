@@ -242,6 +242,11 @@ MALFORMED = [
     ("experiment", ("experiment", "plan", "seed"), -7, "'seed'"),
     ("experiment", ("experiment", "plan", "h_coef"), True, "'h_coef'"),
     ("experiment", ("experiment", "plan", "estimators"), "local_linear", "'estimators'"),
+    # grids solve_population refuses, and a radius rule whose n^n_power overflows
+    *[("experiment", ("experiment", "plan", "grid_n"), g, f"grid_n must be odd and >= 201, got {g}")
+      for g in (0, 1, 2, 200)],
+    ("experiment", ("experiment", "plan", "regime_map", 0, "n_power"), 400,
+     "regime 'r>>h' overflows at n=2000"),
 ]
 
 
@@ -269,6 +274,7 @@ class TestMalformedConfigs:
         assert err.startswith("rdspill: error:") and err.count("\n") == 1
         assert named in err
         assert "Traceback" not in err and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d.csv"]
 
     def test_whole_valued_float_count_is_accepted(self, tmp_path, capsys):
         doc = base_config()
@@ -330,9 +336,11 @@ class TestUnwritableOutput:
                                                                "s.estimands.json"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTinyRadius:
     # r = 1e-300 does not move Z in floating point, so the spillover design
-    # holds NaN; the run must end like r = 1e-12, in an estimation error
+    # holds NaN; the run must end like r = 1e-12, in an estimation error,
+    # with no numpy warning before the error line
     @pytest.mark.parametrize("r", [1e-12, 1e-300])
     def test_spillover_estimate_exits_4(self, tmp_path, capsys, r):
         doc = base_config()
@@ -340,10 +348,9 @@ class TestTinyRadius:
         cfg = write_config(tmp_path, doc)
         data = tmp_path / "s.csv"
         assert run_cli(["simulate", "--config", cfg, "--out", str(data)], capsys)[0] == 0
-        with np.errstate(invalid="ignore"):
-            rc, out, err = run_cli(["estimate", "--config", cfg, "--data", str(data),
-                                    "--out", str(tmp_path / "e.json"),
-                                    "--estimator", "spillover"], capsys)
+        rc, out, err = run_cli(["estimate", "--config", cfg, "--data", str(data),
+                                "--out", str(tmp_path / "e.json"),
+                                "--estimator", "spillover"], capsys)
         assert rc == 4 and out == "" and _one_error_line(err), err
         assert not (tmp_path / "e.json").exists()
 
@@ -354,9 +361,8 @@ class TestTinyRadius:
         cfg = write_config(tmp_path, doc)
         data = tmp_path / "s.csv"
         assert run_cli(["simulate", "--config", cfg, "--out", str(data)], capsys)[0] == 0
-        with np.errstate(invalid="ignore"):
-            rc, out, err = run_cli(["crossval", "--config", cfg, "--data", str(data),
-                                    "--out", str(tmp_path / "c.json")], capsys)
+        rc, out, err = run_cli(["crossval", "--config", cfg, "--data", str(data),
+                                "--out", str(tmp_path / "c.json")], capsys)
         assert rc == 4 and _one_error_line(err), err
         assert "no candidate radius" in err
         assert not (tmp_path / "c.json").exists()

@@ -625,7 +625,7 @@ class TestSpilloverRegression:
             beta = np.array([1.0, 0.0, 1.0, 0.0, 0.2, 0.0])
             return {"plus": (beta, 5.0, 100), "minus": (beta.copy(), 5.0, 100)}
 
-        monkeypatch.setattr(est_mod, "_fit_spillover_sides", fake_fits)
+        monkeypatch.setattr(est_mod, "_fit_sides", fake_fits)
         est = local_spillover_regression(sample, cfg)
         assert est.delta_hat == 1.0
         assert est.tau_tot_hat is None

@@ -28,6 +28,7 @@ from rdspill.experiments import (
 )
 from rdspill.funcspace import ModelSpec, constant, polynomial
 from rdspill.population import true_estimands
+from rdspill.sampling import Sample
 
 
 def exogenous_model(noise=0.05):
@@ -646,10 +647,25 @@ class TestWindowedDraws:
 
     @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
     def test_a_narrower_reach_changes_the_report(self, index, monkeypatch):
-        # rows the fit reads are missing here, so the report must move
+        # the same draws, less the rows between a narrower reach and the
+        # fit's: the fit reads those rows, so the report must move; keeping
+        # every row must leave it byte-identical
         runner, plan = _worker_plans()[index]
         windowed = runner(plan, SolutionCache())
-        _draws_with(monkeypatch, self.NARROWER[index])
+
+        def draws_within(reach_of):
+            def draw(sol, model, n, seed, reach=None):
+                sample = draw_sample(sol, model, n, seed, reach=reach)
+                keep = np.abs(sample.z) <= reach_of(reach, sol)
+                return Sample(z=sample.z[keep], y=sample.y[keep], meta=sample.meta)
+
+            monkeypatch.setattr(exp_mod, "draw_sample", draw)
+
+        draws_within(lambda reach, sol: reach)
+        kept = runner(plan, SolutionCache())
+        assert kept.to_json() == windowed.to_json()
+        assert kept.to_csv() == windowed.to_csv()
+        draws_within(self.NARROWER[index])
         narrowed = runner(plan, SolutionCache())
         assert narrowed.to_json() != windowed.to_json()
         assert narrowed.to_csv() != windowed.to_csv()
