@@ -11,6 +11,7 @@ derived with SeedSequence spawn keys, so a replication's draws depend only on
 """
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import operator
@@ -24,7 +25,19 @@ from .errors import ConfigError, DataError
 from .funcspace import ModelSpec, eval_func
 from .population import PopulationSolution
 
-CHUNK_BYTES = 1 << 20  # text read and converted at a time by parse_sample_csv
+CHUNK_BYTES = 1 << 16  # bytes read and converted at a time by parse_sample_csv
+
+# The fast parse needs a long double with a 64-bit significand or wider
+# and a binary exponent of its own: x87 extended (x86-64 Linux, 63
+# fraction bits) or quad (aarch64 Linux, 112), not double-double. This is
+# a platform fact, not an option; elsewhere every file takes the reference
+# parse.
+LONGDOUBLE_EXACT = (np.finfo(np.longdouble).nmant >= 63
+                    and np.finfo(np.longdouble).nexp >= 15)
+_MAX_FRAC = 27  # 10**27 = 2**27 * 5**27 is exact in 64 bits
+_POW10 = np.cumprod(np.r_[1, np.full(_MAX_FRAC, 10)].astype(np.longdouble))
+_COMMA, _NEWLINE, _MINUS, _PLUS, _DOT, _LOWER_E = b",\n-+.e"
+_TO_COMMA = bytes.maketrans(b"\neE", b",,,")  # with '.', '+' and '-' deleted
 
 
 @dataclass(frozen=True)
@@ -99,36 +112,180 @@ def parse_sample_csv(path, require_unit_range: bool = True):
     """Read `z,y` CSV data into raw arrays, reporting the first malformed
     cell by row and column.
 
-    Blank lines are skipped and not counted: row 1 is the header, row 2 the
-    first data row. The file is read in chunks of about CHUNK_BYTES, each
-    converted in one call with Python float semantics; a chunk that fails a
-    check is rescanned row by row for the exact message.
+    Every cell reads as Python float() reads it, bit for bit. Blank lines
+    are skipped and not counted: row 1 is the header, row 2 the first data
+    row. A byte that is not UTF-8 fails its cell, or the header, as any
+    other text that is not a number does.
+
+    After a first line of exactly `z,y`, the file is read from its bytes by
+    whole-array steps, a piece of about CHUNK_BYTES at a time, for as long
+    as each piece holds only `\n`-ended pairs of plain or e-notation
+    decimals (`-0.125`, `5.`, `.5`, `1e-05`); see _decimal_fields. From the
+    first piece that holds anything else, or a cell the fast parse cannot
+    settle (one float() refuses, a non-finite value or, under the range
+    check, a z outside [-1, 1]), the reference parse reads the rest: text
+    in chunks of about CHUNK_BYTES, each converted in one call with Python
+    float semantics, and a chunk that fails a check rescanned row by row
+    for the exact message. Blank lines, CRLF line ends, spaces, underscores,
+    a leading '+', 'nan' and 'inf' all hand over that way. A file that
+    cannot seek, such as a pipe, takes the reference parse throughout.
 
     require_unit_range=False skips the per-row z in [-1, 1] check; the CLI
     uses this to ingest raw data it is about to rescale.
     """
-    header = None
-    first_row = 2
-    blocks = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for chunk in iter(lambda: fh.readlines(CHUNK_BYTES), []):
-                lines = [ln for ln in chunk if not ln.isspace()]
-                if header is None and lines:
-                    header = lines.pop(0).rstrip("\n")
-                    if [h.strip() for h in header.split(",")] != ["z", "y"]:
-                        raise DataError(f"{path}: expected header 'z,y', got {header!r}")
-                if lines:
-                    blocks.append(_parse_rows(path, lines, first_row, require_unit_range))
-                    first_row += len(lines)
+        with open(path, "rb") as fh:
+            blocks, row = [], 1
+            if LONGDOUBLE_EXACT and fh.seekable():
+                blocks, row = _parse_fast(fh, require_unit_range)
+            with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
+                blocks += _parse_text(path, text, row, require_unit_range)
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
     if not blocks:
         raise DataError(f"{path}: no data rows")
     return (np.concatenate([b[:, 0] for b in blocks]),
             np.concatenate([b[:, 1] for b in blocks]))
+
+
+def _parse_fast(fh, require_unit_range: bool):
+    """Read the decimal rows at the start of binary file fh. Returns their
+    (n, 2) blocks and the row the reference parse goes on from (1 for the
+    header), with fh at that row's first byte."""
+    header = fh.readline()
+    if header != b"z,y\n":
+        fh.seek(0)
+        return [], 1
+    blocks, row, offset = [], 2, len(header)
+    for chunk in _newline_chunks(fh):
+        values = _decimal_fields(chunk)
+        if values is None or (require_unit_range and np.abs(values[0::2]).max() > 1.0):
+            break
+        blocks.append(values.reshape(-1, 2))
+        row += values.size // 2
+        offset += len(chunk)
+    fh.seek(offset)
+    return blocks, row
+
+
+def _newline_chunks(fh):
+    """The rest of a binary file in pieces of about CHUNK_BYTES, each cut
+    after a newline; the last piece gets one if the file lacks it."""
+    tail = b""
+    for data in iter(lambda: fh.read(CHUNK_BYTES), b""):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield tail + data[:cut]
+            tail = data[cut:]
+        else:
+            tail += data
+    if tail:
+        yield tail + b"\n"
+
+
+def _decimal_fields(chunk: bytes):
+    """The fields of whole `a,b\n` lines as float64, in file order, with the
+    bits of float(); None where the reference parse must decide.
+
+    A field is an optional `-`, digits with at most one dot and at least
+    one digit, then optionally `e` or `E`, an optional sign and at least
+    one digit. Its mantissa's digits form an integer m; with d digits after
+    the dot and exponent x, its value is m / 10**k for k = d - x. For
+    m < 10**18 and |k| <= 27 both operands are exact in a 64-bit
+    significand (5**27 < 2**64), so the np.longdouble division (a product
+    for k < 0) rounds once (Clinger, PLDI 1990). Rounding that to 53 bits
+    gives float()'s double unless the 64-bit result is itself a midpoint
+    between two doubles (about 1 field in 2048); those fields and the
+    longer or larger ones go to float(). The sign is applied last, so `-0`
+    stays -0.0.
+    """
+    odd = chunk.translate(None, b"0123456789.,\n-")
+    if odd.translate(None, b"eE+"):
+        return None
+    arr = np.frombuffer(chunk, np.uint8)
+    seps = np.flatnonzero(arr <= _COMMA)  # every ',' and '\n', and any '+'
+    if b"+" in odd:
+        seps = seps[arr[seps] != _PLUS]
+    kinds = arr[seps]
+    # comma, newline, comma, ...: two fields on every line, no blank line
+    if not ((kinds[0::2] == _COMMA).all() and (kinds[1::2] == _NEWLINE).all()):
+        return None
+    starts = np.r_[0, seps[:-1] + 1]
+    neg = arr[starts] == _MINUS
+    ends = seps.copy()  # of each mantissa
+    n_signs = np.count_nonzero(neg)
+    if odd:
+        marks = np.flatnonzero((arr | 0x20) == _LOWER_E)  # every 'e' and 'E'
+        e_field = np.searchsorted(seps, marks)
+        if (np.diff(e_field) <= 0).any():
+            return None  # two exponents in one field
+        ends[e_field] = marks
+        exp_sign = arr[marks + 1]
+        exp_neg = exp_sign == _MINUS
+        exp_plus = exp_sign == _PLUS
+        if (seps[e_field] - marks - 1 - (exp_neg | exp_plus) < 1).any():
+            return None  # an exponent without a digit
+        if odd.count(b"+") != np.count_nonzero(exp_plus):
+            return None  # a '+' that does not sign an exponent
+        n_signs += np.count_nonzero(exp_neg)
+    if chunk.count(b"-") != n_signs:
+        return None  # a '-' that signs neither a field nor its exponent
+    dots = np.flatnonzero(arr == _DOT)
+    dot_field = np.searchsorted(seps, dots)
+    if (np.diff(dot_field) <= 0).any() or (dots > ends[dot_field]).any():
+        return None  # two dots in one field, or one in an exponent
+    k = np.zeros(seps.size, np.intp)
+    k[dot_field] = ends[dot_field] - dots - 1
+    n_digits = ends - starts - neg
+    n_digits[dot_field] -= 1
+    if (n_digits < 1).any():
+        return None  # float() refuses '-' and '.'; numpy reads a bare '-' as 0
+    # numpy clamps an overflowing field to 2**63 - 1, which m >= 10**18 catches
+    m = np.fromstring(chunk.translate(_TO_COMMA, b".+-"), dtype=np.int64, sep=",")
+    if odd:
+        at = e_field + np.arange(1, e_field.size + 1)  # each exponent follows its m
+        exponent = np.minimum(m[at], 999)
+        k[e_field] -= np.where(exp_neg, -exponent, exponent)
+        m = np.delete(m, at)
+    power = _POW10[np.minimum(np.abs(k), _MAX_FRAC)]
+    q = m.astype(np.longdouble) / power
+    if odd:
+        up = np.flatnonzero(k < 0)
+        q[up] = m[up].astype(np.longdouble) * power[up]
+    values = q.astype(np.float64)
+    # q is a midpoint when err is half the gap between its two doubles:
+    # ulp/2, or ulp/4 just below a power of two. err is exact with a 64-bit
+    # significand; with a wider one its rounding can only add slow fields.
+    err = np.abs((q - values).astype(np.float64))
+    ulp = np.spacing(values)
+    slow = (m >= 10 ** 18) | (np.abs(k) > _MAX_FRAC) | (2 * err == ulp) | (4 * err == ulp)
+    np.negative(values, out=values, where=neg)
+    for f in np.flatnonzero(slow).tolist():
+        try:
+            values[f] = float(chunk[starts[f]:seps[f]])
+        except ValueError:
+            return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_text(path, fh, row: int, require_unit_range: bool) -> list:
+    """The reference parse of text file fh from its current line, which is
+    row `row` (1 for the header): one (n, 2) block per chunk, rescanned row
+    by row on failure."""
+    blocks = []
+    for chunk in iter(lambda: fh.readlines(CHUNK_BYTES), []):
+        lines = [ln for ln in chunk if not ln.isspace()]
+        if row == 1 and lines:
+            header = lines.pop(0).rstrip("\n")
+            if [h.strip() for h in header.split(",")] != ["z", "y"]:
+                raise DataError(f"{path}: expected header 'z,y', got {header!r}")
+            row = 2
+        if lines:
+            blocks.append(_parse_rows(path, lines, row, require_unit_range))
+            row += len(lines)
+    if row == 1:
+        raise DataError(f"{path}: empty file")
+    return blocks
 
 
 def _parse_rows(path, lines: list, first_row: int, require_unit_range: bool) -> np.ndarray:

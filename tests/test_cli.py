@@ -517,6 +517,18 @@ class TestEstimate:
         assert rc == 3
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "crossval"])
+    def test_non_utf8_data_exits_3_with_one_line(self, tmp_path, capsys, command):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"z,y\n0.5,1.0\n0.2,\xff\n")
+        out = tmp_path / "o.json"
+        rc, stdout, err = run_cli([command, "--config",
+                                   write_config(tmp_path, base_config()),
+                                   "--data", str(data), "--out", str(out)], capsys)
+        assert rc == 3
+        assert err == f"rdspill: error: {data}: row 3, column y: not a number: '\\udcff'\n"
+        assert stdout == "" and not out.exists()
+
     def test_solver_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverError("residual blew up")

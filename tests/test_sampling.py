@@ -1,8 +1,15 @@
+import decimal
 import math
+import os
+import tempfile
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdspill import sampling
 from rdspill.errors import ConfigError, DataError, RdspillError
@@ -350,6 +357,219 @@ class TestCsv:
             tracemalloc.stop()
         assert z.size == 200_000
         assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_non_utf8_byte_fails_its_cell(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"z,y\n0.5,1.0\n\n  \n0.2,1.\xe95\n0.1,1.0\n")
+        with pytest.raises(DataError, match=r"latin1\.csv: row 3, column y: "
+                                            r"not a number: '1\.\\udce95'$"):
+            parse_sample_csv(p)
+
+    def test_non_utf8_byte_after_a_bad_cell_is_not_what_is_reported(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"z,y\n0.5,1.0\n0.2,x\n0.1,\xff\n")
+        with pytest.raises(DataError, match=r"row 3, column y: not a number: 'x'$"):
+            parse_sample_csv(p)
+
+    def test_non_utf8_header(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"z,\xffy\n0.5,1.0\n")
+        with pytest.raises(DataError, match=r"expected header 'z,y', got 'z,\\udcffy'$"):
+            parse_sample_csv(p)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_reads_as_a_file_does(self, tmp_path):
+        # a pipe cannot seek back to the piece the fast parse declines, so
+        # it takes the reference parse from its first byte
+        content = b"z,y\n0.5,1.0\n-0.25,1e-05\n0.125,2\r\n"
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(content,))
+        writer.start()
+        try:
+            z, y = parse_sample_csv(fifo)
+        finally:
+            writer.join()
+        p = tmp_path / "file.csv"
+        p.write_bytes(content)
+        assert (z.tobytes(), y.tobytes()) == tuple(c.tobytes() for c in parse_sample_csv(p))
+
+
+def _outcome(path, **kwargs):
+    """The column bits parse_sample_csv gives, or its DataError message."""
+    try:
+        z, y = parse_sample_csv(path, **kwargs)
+    except DataError as err:
+        return str(err)
+    return z.tobytes(), y.tobytes()
+
+
+def _outcomes(path, monkeypatch, **kwargs):
+    """The outcome as the platform allows, then with the fast parse off."""
+    fast = _outcome(path, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "LONGDOUBLE_EXACT", False)
+        patch.setattr(sampling, "_parse_fast", None)  # never reached when off
+        reference = _outcome(path, **kwargs)
+    return fast, reference
+
+
+def _handover_row(path, require_unit_range=False):
+    """The row the reference parse goes on from after the fast parse (1 for
+    the header), or None where the fast parse reads the whole file."""
+    with open(path, "rb") as fh:
+        _, row = sampling._parse_fast(fh, require_unit_range)
+        return row if fh.read() or row == 1 else None
+
+
+def _parsed_bits(texts: list, tmp: Path) -> np.ndarray:
+    """The bits the fast parse gives `texts`, read as y cells."""
+    path = tmp / "cells.csv"
+    path.write_text("z,y\n" + "".join(f"0,{t}\n" for t in texts))
+    with open(path, "rb") as fh:
+        blocks, _ = sampling._parse_fast(fh, True)
+        assert fh.read() == b"", "the fast parse declined"
+    return np.concatenate([b[:, 1] for b in blocks]).view(np.uint64)
+
+
+def _float_bits(texts: list) -> np.ndarray:
+    return np.array([float(t) for t in texts]).view(np.uint64)
+
+
+# (spelling, whether the fast parse reads it itself); every other spelling
+# goes to the reference parse, which must then give the same outcome
+SPELLINGS = [
+    ("-", False), (".", False), ("-.", False), ("", False), ("--5", False),
+    ("5-", False), ("1.2.3", False), ("+", False), ("1e", False), ("e5", False),
+    ("+.5", False), ("5.", True), (".5", True), ("-0", True), ("0005.500", True),
+    ("1_000", False), (" 0.25 ", False), ("1e-05", True), ("1e+5", True),
+    ("1E5", True), ("-1.5e-3", True), ("5.e3", True), (".5E-3", True),
+    ("-0e0", True), ("1e-400", True), ("-1e-99999999999999999999", True),
+    ("1e+-5", False), ("1e5.0", False), ("1e5e5", False), ("1+5", False),
+    ("+1e5", False), ("1e-", False), (".e5", False),
+    ("nan", False), ("inf", False), ("1e999", False), ("\uff11", False),
+    ("1234567890123456789", True), ("-12345678901234567890", True),
+    ("99999999999999999999", True), ("0." + "3" * 28, True),
+    ("-0." + "0" * 27 + "1", True), ("0." + "0" * 40, True),
+]
+
+
+class TestFastParse:
+    """The byte-level decimal parse against float() and the reference parse."""
+
+    @pytest.mark.parametrize("text, fast_reads", SPELLINGS)
+    def test_spelling_in_row_2(self, tmp_path, monkeypatch, text, fast_reads):
+        p = tmp_path / "cell.csv"
+        p.write_bytes(f"z,y\n0.5,{text}\n-0.5,1.0\n".encode("utf-8"))
+        fast, reference = _outcomes(p, monkeypatch)
+        assert fast == reference
+        assert (_handover_row(p) is None) == fast_reads
+
+    @pytest.mark.parametrize("text, fast_reads", SPELLINGS)
+    def test_spelling_as_z_past_the_first_chunk(self, tmp_path, monkeypatch, text,
+                                               fast_reads):
+        before = "z,y\n" + (GOOD_LINE + "\n") * 5_000
+        assert len(before) > 2 * sampling.CHUNK_BYTES
+        p = tmp_path / "late.csv"
+        p.write_bytes((before + f"{text},1.0\n" + (GOOD_LINE + "\n") * 10).encode("utf-8"))
+        for require_unit_range in (True, False):
+            fast, reference = _outcomes(p, monkeypatch,
+                                        require_unit_range=require_unit_range)
+            assert fast == reference
+        # a late decline hands over at its own piece, not at the first row
+        row = _handover_row(p)
+        assert row is None if fast_reads else 2 < row <= 5_002
+
+    # (content, the row the reference parse goes on from, None where the
+    # fast parse reads the whole file)
+    @pytest.mark.parametrize("content, handover", [
+        (b"z,y\n0.5,1.0\n-0.25,3", None),  # no final newline
+        (b"z,y\n", None),  # no data rows, as the reference parse reports
+        (b"z,y\n\n0.5,1.0\n\n\n-0.5,2.0\n\n", 2),
+        (b"z,y\n\n\n", 2),
+        (b"\nz,y\n0.5,1.0\n", 1),
+        (b"z,y\n0.5,1.0\n   \n", 2),
+        (b"z,y\r\n0.5,1.0\r\n-0.5,2.0\r\n", 1),
+        (b"z,y\r0.5,1.0\r", 1),
+        (b" z , y\n0.5,1.0\n", 1),
+        ("\ufeffz,y\n0.5,1.0\n".encode("utf-8"), 1),
+        (b"z,y", 1),
+        (b"", 1),
+        (b"z,y\n0.5,1.0,2.0\n", 2),
+        (b"z,y\n0.5\n", 2),
+        (b"z,y\n0.5,1.0\n0.2,\xff\n", 2),
+        (b"z,y\n1.5,1.0\n", 2),
+    ])
+    def test_file_layout(self, tmp_path, monkeypatch, content, handover):
+        p = tmp_path / "layout.csv"
+        p.write_bytes(content)
+        fast, reference = _outcomes(p, monkeypatch)
+        assert fast == reference
+        assert _handover_row(p, require_unit_range=True) == handover
+
+    @pytest.mark.parametrize("late", ["", "   ", "0.5;1.0", "0.5,1.0\r"])
+    def test_a_late_piece_hands_over_with_its_rows_kept(self, tmp_path, monkeypatch,
+                                                        late):
+        lines = [GOOD_LINE] * 5_000 + [late] + ["-0.25,2.5"] * 10
+        p = tmp_path / "late.csv"
+        p.write_bytes(("z,y\n" + "\n".join(lines) + "\n").encode("utf-8"))
+        assert 2 < _handover_row(p) <= 5_002
+        fast, reference = _outcomes(p, monkeypatch)
+        assert fast == reference
+
+    def test_numpy_integer_reader_traps(self):
+        # why _decimal_fields counts each field's digits and caps m below
+        # 10**18: numpy's reader takes a bare '-' as 0, and clamps an
+        # overflowing field to 2**63 - 1 without an error
+        assert np.fromstring(b"1,-,2", dtype=np.int64, sep=",").tolist() == [1, 0, 2]
+        assert np.fromstring(b"99999999999999999999", dtype=np.int64,
+                             sep=",").tolist() == [2**63 - 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, np.uint64).view(np.float64))).filter(math.isfinite),
+        min_size=1, max_size=40))
+    def test_finite_bit_patterns_read_as_float_reads_them(self, values):
+        texts = [repr(v) for v in values] + ["%.17g" % v for v in values]
+        with tempfile.TemporaryDirectory() as tmp:
+            got = _parsed_bits(texts, Path(tmp))
+        np.testing.assert_array_equal(got, _float_bits(texts))
+
+    def test_decimal_midpoints_read_as_float_reads_them(self, tmp_path):
+        # exact midpoints between adjacent doubles, and the 17- and 18-digit
+        # decimals just below and above them: the cells where one rounding
+        # in 64 bits then one in 53 could differ from float()'s one rounding
+        rng = np.random.default_rng(20)
+        doubles = rng.uniform(1.0, 10.0, 3000) * 10.0 ** rng.integers(-9, 30, 3000)
+        texts = [str(2**53 + 1), str(2**54 + 2), str(3 * 2**53 + 3)]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 1000
+            for v in doubles:
+                low = decimal.Decimal(float(v))
+                mid = (low + decimal.Decimal(math.nextafter(float(v), math.inf))) / 2
+                texts.append(format(mid, "f"))
+                sign, digits, exponent = mid.as_tuple()
+                for keep in (17, 18):
+                    cut = decimal.Decimal((sign, digits[:keep], exponent + len(digits) - keep))
+                    last_digit = decimal.Decimal((0, (1,), cut.as_tuple().exponent))
+                    for neighbour in (cut, cut + last_digit):
+                        texts += [format(neighbour, "f"), format(neighbour, "e")]
+        np.testing.assert_array_equal(_parsed_bits(texts, tmp_path), _float_bits(texts))
+
+    @pytest.mark.parametrize("fmt", ["%.17g", "%.20g", "%.6f", "%.25f", "%.16e"])
+    def test_formats_over_many_magnitudes(self, tmp_path, fmt):
+        rng = np.random.default_rng(21)
+        values = rng.uniform(-10.0, 10.0, 5000) * 10.0 ** rng.integers(-25, 25, 5000)
+        texts = [fmt % v for v in values]
+        np.testing.assert_array_equal(_parsed_bits(texts, tmp_path), _float_bits(texts))
+
+    def test_the_fast_parse_turned_off_gives_the_same_bits(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(22)
+        p = tmp_path / "sample.csv"
+        Sample(z=rng.uniform(-1.0, 1.0, 30_000), y=rng.normal(0.0, 1e-4, 30_000)).to_csv(p)
+        assert _handover_row(p) is None
+        fast, reference = _outcomes(p, monkeypatch)
+        assert fast == reference
 
 
 class TestSampleType:
