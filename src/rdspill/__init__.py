@@ -3,12 +3,13 @@ running variable: exact population solver, cutoff estimators, limit
 objects, and a Monte Carlo harness.
 
 Importing the package before numpy pins OpenBLAS to one thread: it sets
-OPENBLAS_NUM_THREADS=1 unless the variable is already set. Study cells run
-their replications on one process per CPU, and threaded BLAS in each of
-them would only contend for the same cores; the pin also makes the last
-bits of the spillover fits independent of the core count. Once numpy is
-loaded the variable no longer reaches its BLAS, so it is then left unset
-rather than passed on to every subprocess.
+OPENBLAS_NUM_THREADS=1 unless the variable is already set. The pin makes
+the last bits of the spillover fits, and so every artifact, independent of
+the core count, and it spares desk-scale solves threaded OpenBLAS's cold
+start (a cold tau_star at c = 1 took 0.16-0.17 s threaded against 6-7 ms
+pinned on two cores). Once numpy is loaded the variable no longer reaches
+its BLAS, so it is then left unset rather than passed on to every
+subprocess.
 """
 import os as _os
 import sys as _sys

@@ -4,29 +4,22 @@ The four studies run through one cell loop, `_run_cells`. A study supplies
 its plan guards, its cells as (label, radius rule, model, sample size,
 estimator named on a failure row), and per cell the rows it reports with
 their targets, a per-sample fit and the fit's reach. The loop solves the
-population once per cell (cached for the call) and sets up every cell, then
-draws each cell's replications one at a time, drawing only the window
-|Z| <= reach of each n-row sample (binomial thinning, see draw_sample), fits
-each, and reports mean / sd / se against the theoretical target, which is
-recomputed from the population solver or the limit machinery at run time.
+population once per cell (cached for the call), sets the cell up, then
+draws its replications one at a time in the calling process, drawing only
+the window |Z| <= reach of each n-row sample (binomial thinning, see
+draw_sample), fits each, and reports mean / sd / se against the
+theoretical target, which is recomputed from the population solver or the
+limit machinery at run time.
 No target number is hard-coded. A library error in a cell becomes that
 cell's failure row; the other cells still run. A report has the law that
 full draws give, not their bits.
 
-Parallelism: once every cell is solved and set up, `_replicate` splits
-each cell's replications into contiguous seed blocks, one per usable CPU,
-runs all cells' blocks on one fork pool made for the study run, and merges
-them in replication order; a failing cell reports the error a serial run
-meets first. The blocks run inline outside Linux, on one CPU, and when a
-caller has replaced a function the replications call through this module
-(see `_worker_count`).
-
 Reproducibility: every cell derives its replication seeds from one Philox
 substream keyed by (plan seed, study tag, cell index), and the whole seed
 vector is materialized before any drawing. Results are therefore bit-exact
-across reruns and worker counts, and, with the package's BLAS pin (see its
-docstring), across core counts; they do not depend on the order in which
-cells or replications execute.
+across reruns and, with the package's BLAS pin (see its docstring), across
+core counts; they do not depend on the order in which cells or
+replications execute.
 """
 from __future__ import annotations
 
@@ -34,7 +27,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,81 +316,6 @@ def _failure(regime: str, n: int, h: float, r: float, err: Exception,
             "error": type(err).__name__, "message": str(err)}
 
 
-# the functions the replications call through this module's namespace
-_REPLICATION_CALLS = (draw_sample, local_linear_rdd, nadaraya_watson_rdd,
-                      donut_rdd, local_spillover_regression)
-
-
-def _worker_count(replications: int) -> int:
-    """Processes for one pool: one per usable CPU, at most one per
-    replication of a cell. 1 (inline) where CPU affinity is unknown, that is
-    outside Linux, the one platform where fork with numpy's BLAS was
-    measured; and when a caller has replaced one of _REPLICATION_CALLS here
-    (a tracer, a counter, a mock), because a forked worker would keep that
-    replacement's records to itself."""
-    if not hasattr(os, "sched_getaffinity") or any(
-            globals()[fn.__name__] is not fn for fn in _REPLICATION_CALLS):
-        return 1
-    return min(len(os.sched_getaffinity(0)), replications)
-
-
-def _run_block(job, seeds):
-    """Draw and fit one block of replications; a library error is returned,
-    not raised, so the caller can pick the earliest failing block."""
-    sol, model, n, fit, reach = job
-    try:
-        return [fit(draw_sample(sol, model, n, int(s), reach=reach)) for s in seeds]
-    except RdspillError as err:
-        return err
-
-
-_WORKER_JOBS = None  # set only in pool workers, by _adopt_jobs
-
-
-def _adopt_jobs(jobs) -> None:
-    global _WORKER_JOBS
-    _WORKER_JOBS = jobs
-
-
-def _run_worker_task(task):
-    index, seeds = task
-    return _run_block(_WORKER_JOBS[index][0], seeds)
-
-
-def _replicate(jobs) -> list:
-    """Per (job, seeds) in jobs, the value tuples of its replications in seed
-    order, or the first RdspillError in seed order.
-
-    Each job's seeds split into contiguous blocks, one per worker, and one
-    pool runs every job's blocks as tasks; only a job index and seeds go out
-    and value tuples come back, merged by task order, so the result is the
-    one a serial run gives whichever worker finishes first."""
-    if not jobs:
-        return []
-    workers = _worker_count(max(len(seeds) for _, seeds in jobs))
-    tasks = [(index, block) for index, (_, seeds) in enumerate(jobs)
-             for block in np.array_split(seeds, workers)]
-    if workers == 1:
-        blocks = [_run_block(jobs[index][0], block) for index, block in tasks]
-    else:
-        # imported here, so commands that run no study do not pay for it
-        import multiprocessing
-
-        # fork passes the jobs to the workers without pickling them
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_adopt_jobs, initargs=(jobs,)) as pool:
-            blocks = pool.map(_run_worker_task, tasks, chunksize=1)
-    results = [[] for _ in jobs]
-    for (index, _), block in zip(tasks, blocks):
-        if isinstance(results[index], RdspillError):
-            continue
-        if isinstance(block, RdspillError):
-            results[index] = block
-        else:
-            results[index].extend(block)
-    return results
-
-
 def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
                layout, setup, summarize=None) -> ExperimentReport:
     """The cell loop every study shares.
@@ -408,33 +325,25 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
     setup(model, rule, sol, h, r, cache) returns (rows, fit, reach): rows are
     the (estimator, quantity, target name, target value, extra) of the stats
     rows the cell reports, fit(sample) returns one value per row, and each
-    sample is drawn as only the window |Z| <= reach the fit reads. Every
-    cell is solved and set up first (into a fresh cache when cache is None);
-    then one _replicate call runs all cells' replications. An RdspillError
-    anywhere in a cell becomes that cell's failure row. summarize(cells)
-    adds study-specific summary keys.
+    sample is drawn as only the window |Z| <= reach the fit reads. One pass
+    per cell solves it (into a fresh cache when cache is None), sets it up,
+    then draws and fits its replications in seed order. The first
+    RdspillError in a cell ends it as that cell's failure row.
+    summarize(cells) adds study-specific summary keys.
     """
     cache = cache if cache is not None else SolutionCache()
-    planned, jobs = [], []
+    cells, failures = [], []
     for cell_index, (label, rule, model, n, estimator) in enumerate(layout):
         h = plan.h_of(n)
         r = rule.radius(n, h, plan.grid_n)
         try:
             sol = cache.get_or_solve(model, r, plan.grid_n)
             rows, fit, reach = setup(model, rule, sol, h, r, cache)
+            values = [fit(draw_sample(sol, model, n, int(s), reach=reach))
+                      for s in _rep_seeds(plan.seed, study, cell_index,
+                                          plan.replications)]
         except RdspillError as err:
-            planned.append((label, n, h, r, estimator, err))
-            continue
-        seeds = _rep_seeds(plan.seed, study, cell_index, plan.replications)
-        jobs.append(((sol, model, n, fit, reach), seeds))
-        planned.append((label, n, h, r, estimator, rows))
-    outcomes = iter(_replicate(jobs))
-    cells, failures = [], []
-    for label, n, h, r, estimator, rows in planned:
-        # a cell that failed its setup has no job, so no outcome
-        values = rows if isinstance(rows, RdspillError) else next(outcomes)
-        if isinstance(values, RdspillError):
-            failures.append(_failure(label, n, h, r, values, estimator))
+            failures.append(_failure(label, n, h, r, err, estimator))
             continue
         for (row_estimator, quantity, target_name, target_value, extra), series \
                 in zip(rows, zip(*values)):

@@ -713,6 +713,16 @@ class TestExperiment:
             assert ((tmp_path / "one" / fname).read_bytes()
                     == (tmp_path / "two" / fname).read_bytes())
 
+    def test_runs_without_multiprocessing(self, tmp_path):
+        # the replications run in the calling process: no pool is started
+        cfg = write_config(tmp_path, self.plan_doc())
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE_CLI, "experiment",
+             "--config", cfg, "--out", str(tmp_path / "results")],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_cell_failure_exits_4_but_still_writes(self, tmp_path, capsys):
         # a bandwidth this small strands the local fits without support
         cfg = write_config(tmp_path, self.plan_doc(
@@ -742,7 +752,16 @@ def _child_env(**blas) -> dict:
     return env
 
 
-# runs the CLI held to one CPU, where the replications run inline
+# runs the CLI, then prints whether the run imported multiprocessing
+MODULES_PROBE_CLI = """
+import sys
+from rdspill.cli import main
+rc = main(sys.argv[1:])
+print("multiprocessing" in sys.modules)
+sys.exit(rc)
+"""
+
+# runs the CLI held to one CPU
 ONE_CPU_CLI = """
 import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -777,16 +796,18 @@ class TestBlasPin:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2,
-                        reason="the pool needs Linux and two usable CPUs")
-    def test_experiment_report_same_on_pool_and_inline(self, tmp_path):
+                        reason="an all-CPU run needs Linux and two usable CPUs "
+                               "to differ from a one-CPU run")
+    def test_experiment_report_same_on_all_cpus_unset_and_one_cpu_preset(
+            self, tmp_path):
         # check 11's experiment: unset and pinned by the import, on every
-        # CPU (the pool), against "1" preset and held to one CPU (inline)
+        # CPU, against "1" preset and held to one CPU
         cfg = write_config(tmp_path, TestExperiment().plan_doc(
             n_grid=[900], replications=4))
         reports = []
         for name, code, env in (
-                ("pool", None, _child_env()),
-                ("inline", ONE_CPU_CLI, _child_env(OPENBLAS_NUM_THREADS="1"))):
+                ("all_cpus", None, _child_env()),
+                ("one_cpu", ONE_CPU_CLI, _child_env(OPENBLAS_NUM_THREADS="1"))):
             out = tmp_path / name
             argv = ["-m", "rdspill.cli"] if code is None else ["-c", code]
             proc = subprocess.run(

@@ -33,8 +33,9 @@ def test_taxonomy_is_enumerated():
 
 @pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
 def test_pickle_roundtrip_keeps_message_and_attributes(cls):
-    # a forked replication worker sends its error back pickled; an error
-    # that fails to unpickle kills the pool's result thread and hangs map()
+    # a caller that runs studies in its own worker processes gets their
+    # errors back pickled; an error that fails to unpickle kills a
+    # multiprocessing pool's result thread and hangs its map()
     err = _instance(cls)
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is cls

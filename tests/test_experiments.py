@@ -2,13 +2,13 @@ import dataclasses
 import json
 import math
 import os
-import types
 
 import numpy as np
 import pytest
 
 import rdspill.experiments as exp_mod
 from rdspill.errors import ConfigError, IllPosedError, InsufficientSupportError
+from rdspill.estimators import EstimatorConfig
 from rdspill.experiments import (
     ESTIMATOR_NAMES,
     PHASE_REGIMES,
@@ -435,17 +435,10 @@ class TestLlVsNw:
         assert got == pytest.approx(want, abs=1e-5)
 
 
-def _force_workers(monkeypatch, workers):
-    """Substitute the worker count; 2 forces the fork pool even where the
-    real rule would run inline, for example with a replaced draw_sample."""
-    monkeypatch.setattr(exp_mod, "_worker_count",
-                        lambda replications: min(workers, replications))
-
-
 STUDY_NAMES = ("phase_transition", "spillover_consistency", "donut", "ll_vs_nw")
 
 
-def _worker_plans():
+def _study_plans():
     exogenous = exogenous_model()
     return [
         (run_phase_transition, ExperimentPlan(
@@ -469,132 +462,92 @@ def _worker_plans():
 def _failing_local_linear(sample, cfg):
     # fails on about a quarter of the replications, with a message naming
     # the draw, so a failure row shows which replication failed first; in
-    # the plan below some cells fail in one block, some in both, one in none.
-    # It keys on the first row inside the fit's window
+    # the plan below some cells fail at their first seed, some later, some
+    # not at all. It keys on the first row inside the fit's window
     first = sample.z[np.abs(sample.z) <= cfg.h][0]
     if first < -0.5 * cfg.h:
         raise IllPosedError(f"forced at z={first!r}", 1e13)
     return local_linear_rdd(sample, cfg)
 
 
-class TestWorkers:
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="the pool runs on Linux only")
-    def test_one_worker_per_usable_cpu(self):
-        cpus = len(os.sched_getaffinity(0))
-        assert exp_mod._worker_count(1) == 1
-        assert exp_mod._worker_count(40) == min(cpus, 40)
+# per call the replications make through this module, a plan whose study
+# makes it once per replication of every cell
+REPLICATION_CALLS = {"draw_sample": 0, "local_linear_rdd": 0,
+                     "local_spillover_regression": 1, "donut_rdd": 2,
+                     "nadaraya_watson_rdd": 3}
 
-    @pytest.mark.parametrize("name", [fn.__name__ for fn in exp_mod._REPLICATION_CALLS])
-    def test_replaced_call_runs_inline(self, name, monkeypatch):
-        original = getattr(exp_mod, name)
-        monkeypatch.setattr(exp_mod, name, lambda *a, **k: original(*a, **k))
-        assert exp_mod._worker_count(40) == 1
 
-    def test_wrapper_sees_every_call_in_this_process(self, monkeypatch):
-        # what a tracer wrapping draw_sample needs: no call lost to a worker
-        pids = []
+@pytest.mark.parametrize("name", REPLICATION_CALLS)
+def test_wrapper_sees_every_call_in_this_process(name, monkeypatch):
+    # what a tracer wrapping a replication's call needs
+    pids = []
+    original = getattr(exp_mod, name)
 
-        def traced(*args, **kwargs):
-            pids.append(os.getpid())
-            return draw_sample(*args, **kwargs)
+    def traced(*args, **kwargs):
+        pids.append(os.getpid())
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(exp_mod, "draw_sample", traced)
-        runner, plan = _worker_plans()[0]
-        runner(plan, SolutionCache())
-        assert pids == [os.getpid()] * (len(plan.regime_map) * plan.replications)
+    monkeypatch.setattr(exp_mod, name, traced)
+    runner, plan = _study_plans()[REPLICATION_CALLS[name]]
+    report = runner(plan, SolutionCache())
+    assert not report.failures
+    cells = {(cell["regime"], cell["n"]) for cell in report.cells}
+    assert pids == [os.getpid()] * (len(cells) * plan.replications)
 
-    def test_blocks_run_in_workers_and_merge_in_seed_order(self, monkeypatch):
-        model = benchmark_model(0.05)
-        cache = SolutionCache()
 
-        def fit(sample):
-            return sample.y[0], os.getpid()
+def test_failure_row_is_the_earliest_failing_seed(monkeypatch):
+    runner, plan = _study_plans()[0]
+    plan = dataclasses.replace(plan, n_grid=(1500, 2000, 2500, 3000))
+    cache = SolutionCache()
+    # an independent loop over the seeds: the draws a cell must make and
+    # the failure it must report
+    want_seeds, want_failures, failed_late = [], [], False
+    cells = [(rule, n) for rule in plan.regime_map for n in plan.n_grid]
+    for cell_index, (rule, n) in enumerate(cells):
+        h = plan.h_of(n)
+        r = rule.radius(n, h, plan.grid_n)
+        sol = cache.get_or_solve(plan.model, r, plan.grid_n)
+        cfg = EstimatorConfig(kernel=plan.kernel, h=h)
+        seeds = _rep_seeds(plan.seed, "phase_transition", cell_index,
+                           plan.replications)
+        for k, seed in enumerate(seeds):
+            want_seeds.append(int(seed))
+            try:
+                _failing_local_linear(
+                    draw_sample(sol, plan.model, n, int(seed), reach=h), cfg)
+            except IllPosedError as err:
+                want_failures.append((rule.label, n, str(err)))
+                failed_late = failed_late or k > 0
+                break
+    assert want_failures and failed_late
+    assert len(want_failures) < len(cells)
 
-        # two cells with different seed counts, so the blocks differ in size
-        jobs = [((cache.get_or_solve(model, r, 1601), model, n, fit, None),
-                 _rep_seeds(3, "phase_transition", index, reps))
-                for index, (r, n, reps) in enumerate(((0.1, 200, 7), (0.2, 300, 4)))]
-        _force_workers(monkeypatch, 1)
-        serial = exp_mod._replicate(jobs)
-        _force_workers(monkeypatch, 2)
-        pooled = exp_mod._replicate(jobs)
-        for (job, seeds), serial_values, pooled_values in zip(jobs, serial, pooled):
-            sol, _, n, _, _ = job
-            assert [v for v, _ in serial_values] == [
-                draw_sample(sol, model, n, int(s)).y[0] for s in seeds]
-            assert [v for v, _ in pooled_values] == [v for v, _ in serial_values]
-        assert {pid for values in serial for _, pid in values} == {os.getpid()}
-        assert os.getpid() not in {pid for values in pooled for _, pid in values}
+    drawn = []
 
-    def test_one_pool_serves_every_cell(self, monkeypatch):
-        # a fit that reports its process: three cells of two blocks each on
-        # 2 workers meet at most 2 processes (a pool per cell shows 3 to 6)
-        monkeypatch.setattr(exp_mod, "local_linear_rdd",
-                            lambda sample, cfg: types.SimpleNamespace(tau_hat=os.getpid()))
-        pids = []
-        stats_cell = exp_mod._stats_cell
+    def counting(sol, model, n, seed, reach=None):
+        drawn.append(seed)
+        return draw_sample(sol, model, n, seed, reach=reach)
 
-        def recording_stats_cell(regime, estimator, quantity, n, h, r, values,
-                                 *rest):
-            pids.extend(values)
-            return stats_cell(regime, estimator, quantity, n, h, r, values, *rest)
+    monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
+    monkeypatch.setattr(exp_mod, "draw_sample", counting)
+    report = runner(plan, cache)
+    assert [(f["regime"], f["n"], f["message"]) for f in report.failures] \
+        == want_failures
+    assert all(f["error"] == "IllPosedError" for f in report.failures)
+    assert drawn == want_seeds
 
-        monkeypatch.setattr(exp_mod, "_stats_cell", recording_stats_cell)
-        _force_workers(monkeypatch, 2)
-        plan = ExperimentPlan(
-            model=benchmark_model(0.05),
-            regime_map=(RegimeRule("r=8h", "tau_d", 8.0, 0.0),),
-            n_grid=(1500, 2000, 2500), replications=5, seed=42, grid_n=1601)
-        report = run_phase_transition(plan, SolutionCache())
-        assert report.summary == {"n_cells": 3, "n_failures": 0}
-        assert len(pids) == 3 * plan.replications
-        assert os.getpid() not in pids
-        assert len(set(pids)) <= 2
 
-    @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
-    def test_reports_identical_for_one_and_two_workers(self, index, monkeypatch):
-        runner, plan = _worker_plans()[index]
-        reports = []
-        for workers in (1, 2):
-            _force_workers(monkeypatch, workers)
-            report = runner(plan, SolutionCache())
-            reports.append((report.to_json(), report.to_csv()))
-        assert not json.loads(reports[0][0])["failures"]
-        assert reports[0] == reports[1]
-
-    def test_failure_rows_identical_for_one_and_two_workers(self, monkeypatch):
-        runner, plan = _worker_plans()[0]
-        plan = dataclasses.replace(plan, n_grid=(1500, 2000, 2500, 3000))
-        monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
-        reports = []
-        for workers in (1, 2):
-            _force_workers(monkeypatch, workers)
-            report = runner(plan, SolutionCache())
-            reports.append((report.to_json(), report.to_csv()))
-        failures = json.loads(reports[0][0])["failures"]
-        assert failures and all(f["error"] == "IllPosedError" for f in failures)
-        assert json.loads(reports[0][0])["cells"]
-        assert reports[0] == reports[1]
-
-    def test_setup_and_worker_failures_identical_for_one_and_two_workers(
-            self, monkeypatch):
-        # n = 1200 fails in setup (r < h), n = 4800 in a worker, n = 2400 not
-        plan = ExperimentPlan(
-            model=exogenous_model(),
-            regime_map=(RegimeRule("r=0.7h*n^0.05", "tau_d", 0.7, 0.05),),
-            n_grid=(1200, 2400, 4800), replications=5, seed=2, grid_n=1601)
-        monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
-        reports = []
-        for workers in (1, 2):
-            _force_workers(monkeypatch, workers)
-            report = run_ll_vs_nw(plan, SolutionCache())
-            reports.append((report.to_json(), report.to_csv()))
-        doc = json.loads(reports[0][0])
-        assert [(f["n"], f["error"]) for f in doc["failures"]] == [
-            (1200, "ConfigError"), (4800, "IllPosedError")]
-        assert {cell["n"] for cell in doc["cells"]} == {2400}
-        assert reports[0] == reports[1]
+def test_setup_and_replication_failures(monkeypatch):
+    # n = 1200 fails in setup (r < h), n = 4800 in a replication, n = 2400 not
+    plan = ExperimentPlan(
+        model=exogenous_model(),
+        regime_map=(RegimeRule("r=0.7h*n^0.05", "tau_d", 0.7, 0.05),),
+        n_grid=(1200, 2400, 4800), replications=5, seed=2, grid_n=1601)
+    monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
+    report = run_ll_vs_nw(plan, SolutionCache())
+    assert [(f["n"], f["error"]) for f in report.failures] == [
+        (1200, "ConfigError"), (4800, "IllPosedError")]
+    assert {cell["n"] for cell in report.cells} == {2400}
 
 
 def _draws_with(monkeypatch, reach_of):
@@ -607,14 +560,14 @@ def _draws_with(monkeypatch, reach_of):
 
 
 class TestWindowedDraws:
-    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("seed_set", (1, 2))
     @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
-    def test_reports_identical_to_full_draws(self, index, workers, monkeypatch):
-        """Identical in law: each cell mean from windowed draws, on either
-        worker count, is within 4 combined SEs of the one from full draws.
-        test_reports_identical_for_one_and_two_workers pins the bytes."""
-        runner, plan = _worker_plans()[index]
-        _force_workers(monkeypatch, workers)
+    def test_reports_identical_to_full_draws(self, index, seed_set, monkeypatch):
+        """Identical in law: each cell mean from windowed draws is within 4
+        combined SEs of the one from full draws, on the plan's seed (set 1)
+        and on the next seed (set 2)."""
+        runner, plan = _study_plans()[index]
+        plan = dataclasses.replace(plan, seed=plan.seed + seed_set - 1)
         windowed = runner(plan, SolutionCache())
         _draws_with(monkeypatch, lambda reach, sol: None)
         full = runner(plan, SolutionCache())
@@ -627,7 +580,7 @@ class TestWindowedDraws:
     @pytest.mark.parametrize("index", range(4), ids=lambda i: STUDY_NAMES[i])
     def test_each_fit_asks_for_its_window(self, index, monkeypatch):
         # h for the kernel fits, h + r for the spillover fit
-        runner, plan = _worker_plans()[index]
+        runner, plan = _study_plans()[index]
         asked = set()
 
         def record(reach, sol):
@@ -650,7 +603,7 @@ class TestWindowedDraws:
         # the same draws, less the rows between a narrower reach and the
         # fit's: the fit reads those rows, so the report must move; keeping
         # every row must leave it byte-identical
-        runner, plan = _worker_plans()[index]
+        runner, plan = _study_plans()[index]
         windowed = runner(plan, SolutionCache())
 
         def draws_within(reach_of):
@@ -681,7 +634,7 @@ def test_a_study_without_a_cache_solves_into_a_fresh_one(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(exp_mod, "solve_population", counting)
-    runner, plan = _worker_plans()[0]
+    runner, plan = _study_plans()[0]
     first = runner(plan)
     per_call = len(solves)
     second = runner(plan)
