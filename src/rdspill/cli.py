@@ -10,6 +10,7 @@ data, 4 estimation failure. All errors go to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -106,21 +107,29 @@ def _check_out_dir(directory: str, created: bool = False) -> None:
 
 
 def _save(contents: dict) -> None:
-    """Write each path's text, or call its writer(fh), in order. An OSError
-    becomes a ConfigError, after the files this call opened are removed, so
-    a failed write leaves no partial output."""
-    opened = []
+    """Write each path's text, or call its writer(fh), into a new file beside
+    it; once all are written, move each over its path in order. An OSError
+    becomes a ConfigError after the new files are removed: a failed write
+    leaves the previous run's files as they were, and a failed move removes
+    the paths this call moved, so no partial output is left."""
+    fresh, moved = [], []
     try:
         for path, content in contents.items():
-            with open(path, "w", encoding="utf-8") as fh:
-                opened.append(path)
+            head, name = os.path.split(path)
+            temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            with open(temporary, "x", encoding="utf-8") as fh:
+                fresh.append(temporary)
                 if callable(content):
                     content(fh)
                 else:
                     fh.write(content)
+        for temporary, path in zip(fresh, contents):
+            os.replace(temporary, path)
+            moved.append(path)
     except OSError as err:
-        for done in opened:
-            os.remove(done)
+        for leftover in fresh + moved:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
         raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
 
 
@@ -133,12 +142,17 @@ def _parse_rescale(text: str) -> tuple[float, float, float]:
         raise ConfigError(
             f"--rescale expects 'min,cutoff,max', got {text!r}")
     try:
-        lo, cut, hi = (float(p) for p in parts)
+        bounds = [float(p) for p in parts]
     except ValueError:
-        raise ConfigError(f"--rescale values must be numbers, got {text!r}") from None
+        bounds = [np.nan]
+    if not np.isfinite(bounds).all():
+        raise ConfigError(f"--rescale values must be finite numbers, got {text!r}")
+    lo, cut, hi = bounds
     if not lo < cut < hi:
         raise ConfigError(
             f"--rescale needs min < cutoff < max, got {lo}, {cut}, {hi}")
+    if not np.isfinite(hi - lo):  # the scale would overflow to inf
+        raise ConfigError(f"--rescale needs a finite max - min, got {lo}, {cut}, {hi}")
     return lo, cut, hi
 
 
@@ -154,7 +168,8 @@ def _load_sample(args) -> tuple[Sample, dict | None]:
     lo, cut, hi = _parse_rescale(args.rescale)
     z, y = parse_sample_csv(args.data, require_unit_range=False)
     scale = max(hi - cut, cut - lo)
-    z = (z - cut) / scale
+    with np.errstate(over="ignore"):  # a z pushed past +-inf is out of range
+        z = (z - cut) / scale
     bad = np.nonzero((z < -1.0) | (z > 1.0))[0]
     if bad.size:
         raise DataError(

@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, filterfalse, repeat
 
 import numpy as np
 
@@ -109,71 +109,68 @@ def draw_sample(sol: PopulationSolution, model: ModelSpec, n: int, seed: int,
 
 
 def parse_sample_csv(path, require_unit_range: bool = True):
-    """Read `z,y` CSV data into raw arrays, reporting the first malformed
+    r"""Read `z,y` CSV data into raw arrays, reporting the first malformed
     cell by row and column.
 
     Every cell reads as Python float() reads it, bit for bit. Blank lines
     are skipped and not counted: row 1 is the header, row 2 the first data
-    row. A byte that is not UTF-8 fails its cell, or the header, as any
-    other text that is not a number does.
+    row. Lines end at `\n`, `\r\n` or a lone `\r`, as in text mode. A byte
+    that is not UTF-8 fails its cell, or the header, as any other text that
+    is not a number does.
 
-    After a first line of exactly `z,y`, the file is read from its bytes by
-    whole-array steps, a piece of about CHUNK_BYTES at a time, for as long
-    as each piece holds only `\n`-ended pairs of plain or e-notation
-    decimals (`-0.125`, `5.`, `.5`, `1e-05`); see _decimal_fields. From the
-    first piece that holds anything else, or a cell the fast parse cannot
-    settle (one float() refuses, a non-finite value or, under the range
-    check, a z outside [-1, 1]), the reference parse reads the rest: text
-    in chunks of about CHUNK_BYTES, each converted in one call with Python
-    float semantics, and a chunk that fails a check rescanned row by row
-    for the exact message. Blank lines, CRLF line ends, spaces, underscores,
-    a leading '+', 'nan' and 'inf' all hand over that way. A file that
-    cannot seek, such as a pipe, takes the reference parse throughout.
+    The file is read in pieces of about CHUNK_BYTES, each ending a line
+    (_newline_chunks). After the header, a piece that holds only `\n`-ended
+    pairs of plain or e-notation decimals (`-0.125`, `5.`, `.5`, `1e-05`)
+    is read from its bytes by whole-array steps; see _decimal_fields. Any
+    other piece, or one holding a cell the fast parse cannot settle (one
+    float() refuses, a non-finite value or, under the range check, a z
+    outside [-1, 1]), goes alone to the reference parse: its text is
+    converted in one call with Python float semantics, and rescanned row
+    by row for the exact message if it fails a check. The next piece tries
+    the fast parse again. Blank lines, CRLF line ends, spaces, underscores,
+    a leading '+', 'nan' and 'inf' all take the reference parse this way.
 
     require_unit_range=False skips the per-row z in [-1, 1] check; the CLI
     uses this to ingest raw data it is about to rescale.
     """
+    blocks, row = [], 1
     try:
         with open(path, "rb") as fh:
-            blocks, row = [], 1
-            if LONGDOUBLE_EXACT and fh.seekable():
-                blocks, row = _parse_fast(fh, require_unit_range)
-            with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape") as text:
-                blocks += _parse_text(path, text, row, require_unit_range)
+            for piece in _newline_chunks(fh):
+                values = _decimal_fields(piece) if row > 1 and LONGDOUBLE_EXACT else None
+                if values is None or (require_unit_range and np.abs(values[0::2]).max() > 1.0):
+                    # text mode's line ends (\n, \r\n, a lone \r) and no others
+                    lines = list(filterfalse(str.isspace, io.TextIOWrapper(
+                        io.BytesIO(piece), encoding="utf-8", errors="surrogateescape")))
+                    if row == 1 and lines:
+                        header = lines.pop(0).rstrip("\n")
+                        if [h.strip() for h in header.split(",")] != ["z", "y"]:
+                            raise DataError(f"{path}: expected header 'z,y', got {header!r}")
+                        row = 2
+                    if not lines:
+                        continue
+                    values = _parse_rows(path, lines, row, require_unit_range)
+                blocks.append(values.reshape(-1, 2))
+                row += values.size // 2
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    if row == 1:
+        raise DataError(f"{path}: empty file")
     if not blocks:
         raise DataError(f"{path}: no data rows")
     return (np.concatenate([b[:, 0] for b in blocks]),
             np.concatenate([b[:, 1] for b in blocks]))
 
 
-def _parse_fast(fh, require_unit_range: bool):
-    """Read the decimal rows at the start of binary file fh. Returns their
-    (n, 2) blocks and the row the reference parse goes on from (1 for the
-    header), with fh at that row's first byte."""
-    header = fh.readline()
-    if header != b"z,y\n":
-        fh.seek(0)
-        return [], 1
-    blocks, row, offset = [], 2, len(header)
-    for chunk in _newline_chunks(fh):
-        values = _decimal_fields(chunk)
-        if values is None or (require_unit_range and np.abs(values[0::2]).max() > 1.0):
-            break
-        blocks.append(values.reshape(-1, 2))
-        row += values.size // 2
-        offset += len(chunk)
-    fh.seek(offset)
-    return blocks, row
-
-
 def _newline_chunks(fh):
-    """The rest of a binary file in pieces of about CHUNK_BYTES, each cut
-    after a newline; the last piece gets one if the file lacks it."""
+    r"""Binary file fh in pieces that each end a line: the first line alone
+    (when shorter than CHUNK_BYTES), then about CHUNK_BYTES at a time, cut
+    after a read's last `\n` or, in a read without one, after its last `\r`
+    but the read's last byte, so a `\r\n` is never split. The last piece
+    gets a `\n` if the file lacks one."""
     tail = b""
-    for data in iter(lambda: fh.read(CHUNK_BYTES), b""):
-        cut = data.rfind(b"\n") + 1
+    for data in chain([fh.readline(CHUNK_BYTES)], iter(lambda: fh.read(CHUNK_BYTES), b"")):
+        cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1
         if cut:
             yield tail + data[:cut]
             tail = data[cut:]
@@ -199,6 +196,8 @@ def _decimal_fields(chunk: bytes):
     longer or larger ones go to float(). The sign is applied last, so `-0`
     stays -0.0.
     """
+    if b"\r" in chunk:
+        return None  # a CRLF piece, declined before a pass over its bytes
     odd = chunk.translate(None, b"0123456789.,\n-")
     if odd.translate(None, b"eE+"):
         return None
@@ -266,26 +265,6 @@ def _decimal_fields(chunk: bytes):
         except ValueError:
             return None
     return values if np.isfinite(values).all() else None
-
-
-def _parse_text(path, fh, row: int, require_unit_range: bool) -> list:
-    """The reference parse of text file fh from its current line, which is
-    row `row` (1 for the header): one (n, 2) block per chunk, rescanned row
-    by row on failure."""
-    blocks = []
-    for chunk in iter(lambda: fh.readlines(CHUNK_BYTES), []):
-        lines = [ln for ln in chunk if not ln.isspace()]
-        if row == 1 and lines:
-            header = lines.pop(0).rstrip("\n")
-            if [h.strip() for h in header.split(",")] != ["z", "y"]:
-                raise DataError(f"{path}: expected header 'z,y', got {header!r}")
-            row = 2
-        if lines:
-            blocks.append(_parse_rows(path, lines, row, require_unit_range))
-            row += len(lines)
-    if row == 1:
-        raise DataError(f"{path}: empty file")
-    return blocks
 
 
 def _parse_rows(path, lines: list, first_row: int, require_unit_range: bool) -> np.ndarray:

@@ -5,6 +5,7 @@ bit-identical to what the library produces on the same inputs, and reruns
 with the same config and seed must be byte-identical on disk.
 """
 import copy
+import errno
 import importlib
 import json
 import os
@@ -335,6 +336,23 @@ class TestUnwritableOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
                                                                "s.estimands.json"]
 
+    def test_a_failed_rerun_keeps_the_previous_files(self, tmp_path, capsys, monkeypatch):
+        # a full disk while the CSV is written: the first run's two files
+        # stay byte for byte, and no temporary file is left beside them
+        cfg = write_config(tmp_path, base_config())
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]
+        assert run_cli(argv, capsys)[0] == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        def full_disk(self, fh):
+            fh.write("z,y\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Sample, "to_csv", full_disk)
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1 and out == "" and _one_error_line(err), err
+        assert "s.csv" in err and os.strerror(errno.ENOSPC) in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTinyRadius:
@@ -582,6 +600,29 @@ class TestRescale:
             for a, b in zip(z, y):
                 fh.write("%.17g,%.17g\n" % (a, b))
         return str(path)
+
+    @pytest.mark.parametrize("text", ["-inf,0,inf", "-1e308,1.2e308,1.5e308"])
+    def test_non_finite_bounds_exit_1(self, tmp_path, capsys, text):
+        # an infinite bound, or a span max - min that overflows, would make
+        # the scale inf, map every z to +-0 and fail later, in the fit
+        data = self.write_raw(tmp_path, [40.0, 60.0], [1.0, 2.0])
+        rc, out, err = run_cli(["estimate", "--config",
+                                write_config(tmp_path, base_config()),
+                                "--data", data, "--out", str(tmp_path / "o.json"),
+                                "--rescale=" + text], capsys)
+        assert rc == 1 and out == "" and _one_error_line(err), err
+        assert "--rescale" in err and "finite" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_map_exits_3_without_a_warning(self, tmp_path, capsys):
+        # 0.5 / 1e-320 overflows to inf: out of range, with no numpy warning
+        data = self.write_raw(tmp_path, [0.5, -0.5], [1.0, 2.0])
+        rc, out, err = run_cli(["estimate", "--config",
+                                write_config(tmp_path, base_config()),
+                                "--data", data, "--out", str(tmp_path / "o.json"),
+                                "--rescale=-1e-320,0,1e-320"], capsys)
+        assert rc == 3 and out == "" and _one_error_line(err), err
+        assert "row 2, column z" in err
 
     def test_affine_map_matches_manual_rescale(self, tmp_path, capsys):
         rng = np.random.default_rng(12)

@@ -343,20 +343,24 @@ class TestCsv:
         assert y.tolist() == [1000.0, -0.0, 0.002]
 
     def test_parse_memory_stays_bounded(self, tmp_path):
-        # peak Python and numpy allocations for a 2e5-row file; holding the
-        # whole file as strings took about 35 MB
+        # peak Python and numpy allocations for a 2e5-row file with each
+        # line end; holding the whole file as strings took about 35 MB. A
+        # file with lone-\r line ends holds no \n, so it must be cut at \r
         rng = np.random.default_rng(5)
         p = tmp_path / "big.csv"
         Sample(z=rng.uniform(-1.0, 1.0, 200_000),
                y=rng.normal(0.0, 3.0, 200_000)).to_csv(p)
-        tracemalloc.start()
-        try:
-            z, _ = parse_sample_csv(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert z.size == 200_000
-        assert peak < 20e6, f"peak {peak / 1e6:.1f} MB"
+        lf = p.read_bytes()
+        for newline in (b"\n", b"\r\n", b"\r"):
+            p.write_bytes(lf.replace(b"\n", newline))
+            tracemalloc.start()
+            try:
+                z, _ = parse_sample_csv(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert z.size == 200_000
+            assert peak < 20e6, f"{newline!r}: peak {peak / 1e6:.1f} MB"
 
     def test_non_utf8_byte_fails_its_cell(self, tmp_path):
         p = tmp_path / "latin1.csv"
@@ -379,20 +383,23 @@ class TestCsv:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_reads_as_a_file_does(self, tmp_path):
-        # a pipe cannot seek back to the piece the fast parse declines, so
-        # it takes the reference parse from its first byte
-        content = b"z,y\n0.5,1.0\n-0.25,1e-05\n0.125,2\r\n"
+        # a pipe is read in the same pieces as a file: the fast parse reads
+        # every piece but the last, whose CRLF line end sends it alone to
+        # the reference parse
+        content = ("z,y\n" + (GOOD_LINE + "\n") * 5_000 + "0.125,2\r\n").encode("utf-8")
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(content,))
         writer.start()
         try:
-            z, y = parse_sample_csv(fifo)
+            piped = _probed(fifo)
         finally:
             writer.join()
         p = tmp_path / "file.csv"
         p.write_bytes(content)
-        assert (z.tobytes(), y.tobytes()) == tuple(c.tobytes() for c in parse_sample_csv(p))
+        assert piped == _probed(p)
+        [(first, last)] = piped[1]
+        assert 2 < first and last == 5_002
 
 
 def _outcome(path, **kwargs):
@@ -409,27 +416,42 @@ def _outcomes(path, monkeypatch, **kwargs):
     fast = _outcome(path, **kwargs)
     with monkeypatch.context() as patch:
         patch.setattr(sampling, "LONGDOUBLE_EXACT", False)
-        patch.setattr(sampling, "_parse_fast", None)  # never reached when off
+        patch.setattr(sampling, "_decimal_fields", None)  # never reached when off
         reference = _outcome(path, **kwargs)
     return fast, reference
 
 
-def _handover_row(path, require_unit_range=False):
-    """The row the reference parse goes on from after the fast parse (1 for
-    the header), or None where the fast parse reads the whole file."""
-    with open(path, "rb") as fh:
-        _, row = sampling._parse_fast(fh, require_unit_range)
-        return row if fh.read() or row == 1 else None
+def _probed(path, **kwargs):
+    """The outcome, and the data rows of each piece the reference parse
+    read, as (first, last) pairs in file order: [] where the fast parse
+    read every data row."""
+    spans = []
+    parse_rows = sampling._parse_rows
+
+    def probe(path, lines, first_row, require_unit_range):
+        spans.append((first_row, first_row + len(lines) - 1))
+        return parse_rows(path, lines, first_row, require_unit_range)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "_parse_rows", probe)
+        return _outcome(path, **kwargs), spans
 
 
 def _parsed_bits(texts: list, tmp: Path) -> np.ndarray:
     """The bits the fast parse gives `texts`, read as y cells."""
     path = tmp / "cells.csv"
     path.write_text("z,y\n" + "".join(f"0,{t}\n" for t in texts))
-    with open(path, "rb") as fh:
-        blocks, _ = sampling._parse_fast(fh, True)
-        assert fh.read() == b"", "the fast parse declined"
-    return np.concatenate([b[:, 1] for b in blocks]).view(np.uint64)
+    (_, y), spans = _probed(path)
+    assert spans == [], "the fast parse declined"
+    return np.frombuffer(y, np.uint64)
+
+
+def _layout(content: bytes, spans: list, tag: str):
+    """A test_file_layout case, with the id it has always had: the content,
+    then a tag that only names the case (the row where a parser that gave
+    the rest of the file to the reference parse at its first decline made
+    that switch)."""
+    return pytest.param(content, spans, id=f"{content.decode('latin-1')}-{tag}")
 
 
 def _float_bits(texts: list) -> np.ndarray:
@@ -451,6 +473,29 @@ SPELLINGS = [
     ("1234567890123456789", True), ("-12345678901234567890", True),
     ("99999999999999999999", True), ("0." + "3" * 28, True),
     ("-0." + "0" * 27 + "1", True), ("0." + "0" * 40, True),
+    ("0.5\x0c", False), ("\x851", False), ("1\u20282", False),
+]
+
+# (content, the rows parse_sample_csv gives or its DataError message after
+# the path): only \n, \r\n and a lone \r end a line, as in text mode. The
+# other line breaks of str.splitlines (\x0c, \x1c-\x1e, \x85, \u2028,
+# \u2029) are whitespace inside a line.
+LINE_ENDS = [
+    ("z,y\n0.5\x0c,1\n-0.5,2\n", [(0.5, 1.0), (-0.5, 2.0)]),
+    ("z,y\n0.5,\x0c1\x0c\n", [(0.5, 1.0)]),
+    ("z,y\n0.5,1\x852\n", "row 2, column y: not a number: '1\\x852'"),
+    ("z,y\n0.5,\x85\n", "row 2, column y: not a number: '\\x85'"),
+    ("z,y\n\x85-0.5,2\x85\n", [(-0.5, 2.0)]),
+    ("z,y\n0.5,1\u20282\n", "row 2, column y: not a number: '1\\u20282'"),
+    ("z,y\n0.5,\u2028\n", "row 2, column y: not a number: '\\u2028'"),
+    ("z,y\n\u2028\n0.5,1\n\u2029\n\x0c\n\x1c\x1d\x1e\n\x85\n-0.5,2\n",
+     [(0.5, 1.0), (-0.5, 2.0)]),
+    ("z,y\x1c\n0.5,1\n", [(0.5, 1.0)]),
+    ("z,y\r0.5,1.0\r-0.25,2\r", [(0.5, 1.0), (-0.25, 2.0)]),
+    ("z,y\r0.5,1.0\r\r-0.25,2", [(0.5, 1.0), (-0.25, 2.0)]),
+    ("z,y\r0.5,1.0\r0.5,x\r", "row 3, column y: not a number: 'x'"),
+    ("z,y\n0.5\r,1\n", "row 2: expected 2 fields, got 1"),
+    ("z,y\n0.5,1\r\n\r-0.5,2\n", [(0.5, 1.0), (-0.5, 2.0)]),
 ]
 
 
@@ -463,7 +508,7 @@ class TestFastParse:
         p.write_bytes(f"z,y\n0.5,{text}\n-0.5,1.0\n".encode("utf-8"))
         fast, reference = _outcomes(p, monkeypatch)
         assert fast == reference
-        assert (_handover_row(p) is None) == fast_reads
+        assert (_probed(p)[1] == []) == fast_reads
 
     @pytest.mark.parametrize("text, fast_reads", SPELLINGS)
     def test_spelling_as_z_past_the_first_chunk(self, tmp_path, monkeypatch, text,
@@ -476,46 +521,78 @@ class TestFastParse:
             fast, reference = _outcomes(p, monkeypatch,
                                         require_unit_range=require_unit_range)
             assert fast == reference
-        # a late decline hands over at its own piece, not at the first row
-        row = _handover_row(p)
-        assert row is None if fast_reads else 2 < row <= 5_002
+        # a late decline sends only its own piece to the reference parse
+        spans = _probed(p, require_unit_range=False)[1]
+        if fast_reads:
+            assert spans == []
+        else:
+            [(first, last)] = spans
+            assert 2 < first <= 5_002 <= last
 
-    # (content, the row the reference parse goes on from, None where the
-    # fast parse reads the whole file)
-    @pytest.mark.parametrize("content, handover", [
-        (b"z,y\n0.5,1.0\n-0.25,3", None),  # no final newline
-        (b"z,y\n", None),  # no data rows, as the reference parse reports
-        (b"z,y\n\n0.5,1.0\n\n\n-0.5,2.0\n\n", 2),
-        (b"z,y\n\n\n", 2),
-        (b"\nz,y\n0.5,1.0\n", 1),
-        (b"z,y\n0.5,1.0\n   \n", 2),
-        (b"z,y\r\n0.5,1.0\r\n-0.5,2.0\r\n", 1),
-        (b"z,y\r0.5,1.0\r", 1),
-        (b" z , y\n0.5,1.0\n", 1),
-        ("\ufeffz,y\n0.5,1.0\n".encode("utf-8"), 1),
-        (b"z,y", 1),
-        (b"", 1),
-        (b"z,y\n0.5,1.0,2.0\n", 2),
-        (b"z,y\n0.5\n", 2),
-        (b"z,y\n0.5,1.0\n0.2,\xff\n", 2),
-        (b"z,y\n1.5,1.0\n", 2),
+    # (content, the data rows of each piece the reference parse read, as
+    # (first, last) pairs); a piece holding the header always goes to the
+    # reference parse
+    @pytest.mark.parametrize("content, spans", [
+        _layout(b"z,y\n0.5,1.0\n-0.25,3", [], "None"),  # no final newline
+        _layout(b"z,y\n", [], "None"),  # no data rows
+        _layout(b"z,y\n\n0.5,1.0\n\n\n-0.5,2.0\n\n", [(2, 3)], "2"),
+        _layout(b"z,y\n\n\n", [], "2"),
+        _layout(b"\nz,y\n0.5,1.0\n", [(2, 2)], "1"),
+        _layout(b"z,y\n0.5,1.0\n   \n", [(2, 2)], "2"),
+        _layout(b"z,y\r\n0.5,1.0\r\n-0.5,2.0\r\n", [(2, 3)], "1"),
+        _layout(b"z,y\r0.5,1.0\r", [(2, 2)], "1"),
+        _layout(b" z , y\n0.5,1.0\n", [], "1"),
+        _layout("\ufeffz,y\n0.5,1.0\n".encode("utf-8"), [], "1"),
+        _layout(b"z,y", [], "1"),
+        _layout(b"", [], "1"),
+        _layout(b"z,y\n0.5,1.0,2.0\n", [(2, 2)], "2"),
+        _layout(b"z,y\n0.5\n", [(2, 2)], "2"),
+        _layout(b"z,y\n0.5,1.0\n0.2,\xff\n", [(2, 3)], "2"),
+        _layout(b"z,y\n1.5,1.0\n", [(2, 2)], "2"),
     ])
-    def test_file_layout(self, tmp_path, monkeypatch, content, handover):
+    def test_file_layout(self, tmp_path, monkeypatch, content, spans):
         p = tmp_path / "layout.csv"
         p.write_bytes(content)
         fast, reference = _outcomes(p, monkeypatch)
         assert fast == reference
-        assert _handover_row(p, require_unit_range=True) == handover
+        assert _probed(p)[1] == spans
 
     @pytest.mark.parametrize("late", ["", "   ", "0.5;1.0", "0.5,1.0\r"])
     def test_a_late_piece_hands_over_with_its_rows_kept(self, tmp_path, monkeypatch,
                                                         late):
-        lines = [GOOD_LINE] * 5_000 + [late] + ["-0.25,2.5"] * 10
+        # only the piece holding the late line goes to the reference parse,
+        # which keeps counting rows; the pieces after it are read fast
+        lines = [GOOD_LINE] * 5_000 + [late] + ["-0.25,2.5"] * 10_000
         p = tmp_path / "late.csv"
         p.write_bytes(("z,y\n" + "\n".join(lines) + "\n").encode("utf-8"))
-        assert 2 < _handover_row(p) <= 5_002
+        [(first, last)] = _probed(p)[1]
+        assert 2 < first <= 5_002 <= last < 15_000
         fast, reference = _outcomes(p, monkeypatch)
         assert fast == reference
+
+    def test_an_early_blank_line_sends_one_piece_to_the_reference_parse(
+            self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(23)
+        p = tmp_path / "blank.csv"
+        Sample(z=rng.uniform(-1.0, 1.0, 200_000),
+               y=rng.normal(0.0, 3.0, 200_000)).to_csv(p)
+        lines = p.read_bytes().split(b"\n")
+        p.write_bytes(b"\n".join(lines[:20] + [b""] + lines[20:]))
+        outcome, spans = _probed(p)
+        [(first, last)] = spans
+        assert first == 2 and last < 200_001
+        assert outcome == _outcomes(p, monkeypatch)[1]
+
+    @pytest.mark.parametrize("content, expected", LINE_ENDS)
+    def test_only_lf_crlf_and_a_lone_cr_end_a_line(self, tmp_path, monkeypatch, content,
+                                                   expected):
+        p = tmp_path / "ends.csv"
+        p.write_bytes(content.encode("utf-8"))
+        if isinstance(expected, str):
+            expected = f"{p}: {expected}"
+        else:
+            expected = tuple(column.tobytes() for column in np.array(expected).T)
+        assert _outcomes(p, monkeypatch) == (expected, expected)
 
     def test_numpy_integer_reader_traps(self):
         # why _decimal_fields counts each field's digits and caps m below
@@ -567,7 +644,7 @@ class TestFastParse:
         rng = np.random.default_rng(22)
         p = tmp_path / "sample.csv"
         Sample(z=rng.uniform(-1.0, 1.0, 30_000), y=rng.normal(0.0, 1e-4, 30_000)).to_csv(p)
-        assert _handover_row(p) is None
+        assert _probed(p)[1] == []
         fast, reference = _outcomes(p, monkeypatch)
         assert fast == reference
 
