@@ -142,16 +142,13 @@ def _parse_rescale(text: str) -> tuple[float, float, float]:
         raise ConfigError(
             f"--rescale expects 'min,cutoff,max', got {text!r}")
     try:
-        bounds = [float(p) for p in parts]
+        lo, cut, hi = (float(p) for p in parts)
     except ValueError:
-        bounds = [np.nan]
-    if not np.isfinite(bounds).all():
-        raise ConfigError(f"--rescale values must be finite numbers, got {text!r}")
-    lo, cut, hi = bounds
+        raise ConfigError(f"--rescale values must be numbers, got {text!r}") from None
     if not lo < cut < hi:
         raise ConfigError(
             f"--rescale needs min < cutoff < max, got {lo}, {cut}, {hi}")
-    if not np.isfinite(hi - lo):  # the scale would overflow to inf
+    if not np.isfinite(hi - lo):  # an infinite bound, or a span that overflows
         raise ConfigError(f"--rescale needs a finite max - min, got {lo}, {cut}, {hi}")
     return lo, cut, hi
 
