@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -108,24 +109,29 @@ def _check_out_dir(directory: str, created: bool = False) -> None:
 
 def _save(contents: dict) -> None:
     """Write each path's text, or call its writer(fh), into a new file beside
-    it; once all are written, move each over its path in order. An OSError
-    becomes a ConfigError after the new files are removed: a failed write
-    leaves the previous run's files as they were, and a failed move removes
-    the paths this call moved, so no partial output is left."""
+    the file the path resolves to (through any symlinks), with that file's
+    permission bits when it exists; once all are written, move each over its
+    resolved path in order. An OSError becomes a ConfigError after the new
+    files are removed: a failed write leaves the previous run's files as they
+    were, and a failed move removes the files this call moved, so no partial
+    output is left."""
     fresh, moved = [], []
+    targets = [os.path.realpath(path) for path in contents]
     try:
-        for path, content in contents.items():
-            head, name = os.path.split(path)
+        for (path, content), target in zip(contents.items(), targets):
+            head, name = os.path.split(target)
             temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
             with open(temporary, "x", encoding="utf-8") as fh:
                 fresh.append(temporary)
+                with contextlib.suppress(FileNotFoundError):
+                    os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
                 if callable(content):
                     content(fh)
                 else:
                     fh.write(content)
-        for temporary, path in zip(fresh, contents):
-            os.replace(temporary, path)
-            moved.append(path)
+        for temporary, path, target in zip(fresh, contents, targets):
+            os.replace(temporary, target)
+            moved.append(target)
     except OSError as err:
         for leftover in fresh + moved:
             with contextlib.suppress(OSError):

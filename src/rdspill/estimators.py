@@ -2,10 +2,10 @@
 six-regressor local spillover regression with its derived quantities.
 
 Every local regression runs through one per-side fit (_fit_sides): weighted
-least squares by an orthogonalizing solver (numpy lstsq), never by normal
-equations, of Y on (1, Z) or on the six spillover regressors. A side whose
-spillover columns are all zero takes the (1, Z) fit, so with vanishing
-spillover terms the spillover fit is the local linear fit, bit for bit.
+least squares of Y on (1, Z) or on the six spillover regressors by one SVD
+solve (numpy lstsq, never normal equations), whose singular values also give
+the side's condition number. A side with all-zero spillover columns takes
+the (1, Z) fit, so the spillover fit nests the local linear one bit for bit.
 
 Every estimator first selects the rows it can use and only then
 canonicalizes them (sorts by Z, ties by Y). Local linear, Nadaraya-Watson and
@@ -120,39 +120,6 @@ def _canonical_order(sample: Sample, half_width: float,
     return zs, y[order]
 
 
-def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray, side: str,
-         with_cond: bool = False, ill_posed_check: bool = False):
-    """Weighted least squares via lstsq on the sqrt-weighted design.
-
-    Returns (beta, cond). The condition number cond costs a second SVD, so
-    it is computed only with with_cond or ill_posed_check, and is None
-    otherwise; with ill_posed_check, a value above ILL_POSED_CONDITION
-    raises. A design holding inf or NaN raises before any SVD, which need
-    not converge on one."""
-    sw = np.sqrt(w)
-    Xw = X * sw[:, None]
-    yw = y * sw
-    if not np.isfinite(Xw).all():
-        raise IllPosedError(
-            f"weighted design on the {side} side holds inf or NaN; a radius "
-            f"too small to move Z in floating point makes the treated share "
-            f"0/0", condition_number=math.inf)
-    cond = float(np.linalg.cond(Xw)) if with_cond or ill_posed_check else None
-    if ill_posed_check and (not np.isfinite(cond) or cond > ILL_POSED_CONDITION):
-        raise IllPosedError(
-            f"spillover design on the {side} side has condition number "
-            f"{cond:.3e}; this typically signals a near-zero direct "
-            f"effect, which makes the neighbor-mean contrast collinear "
-            f"with the running variable", condition_number=cond)
-    beta, _, rank, _ = np.linalg.lstsq(Xw, yw, rcond=None)
-    if rank < X.shape[1]:
-        raise NumericError(
-            f"singular weighted design on the {side} side "
-            f"(rank {rank} < {X.shape[1]}, condition number "
-            f"{np.linalg.cond(Xw):.3e})")
-    return beta, cond
-
-
 def _side_split(z: np.ndarray, y: np.ndarray, w: np.ndarray, *extra):
     """The positively weighted rows of (z, y, w, *extra), as a plus and a
     minus tuple; ties at 0 are treated."""
@@ -172,25 +139,48 @@ def _require_linear_support(z_side: np.ndarray, side: str) -> None:
 
 
 def _fit_sides(z, y, w, mu_delta=None, nu_delta=None) -> dict:
-    """Per-side WLS on (1, Z), or on the six spillover regressors when
-    mu_delta and nu_delta are given; {side: (beta, cond, n)}, cond None
-    without them. A side whose spillover columns are all zero takes the
-    (1, Z) fit, zero-padded to six coefficients."""
+    """Per-side weighted least squares, one lstsq on the sqrt-weighted
+    design, of Y on (1, Z), or on the six spillover regressors when mu_delta
+    and nu_delta are given; {side: (beta, cond, n)}, cond the ratio of the
+    design's extreme singular values (inf if the least is zero). A side whose
+    spillover columns are all zero takes the (1, Z) fit, zero-padded to six
+    coefficients. A design holding inf or NaN raises before the SVD, which
+    need not converge on one; a six-regressor design above
+    ILL_POSED_CONDITION raises before the rank test."""
     extra = () if mu_delta is None else (mu_delta, nu_delta)
     out = {}
     for side, (zs, ys, ws, *cols) in zip(("plus", "minus"), _side_split(z, y, w, *extra)):
-        if cols and (np.any(cols[0]) or np.any(cols[1])):
+        six = bool(cols) and bool(np.any(cols[0]) or np.any(cols[1]))
+        if six:
             if zs.size < 6:
                 raise InsufficientSupportError(
                     side, f"need >= 6 positively weighted observations on the "
                           f"{side} side, got {zs.size}")
-            beta, cond = _wls(_spillover_design(zs, *cols), ys, ws, side, ill_posed_check=True)
+            X = _spillover_design(zs, *cols)
         else:
             _require_linear_support(zs, side)
-            beta, cond = _wls(np.column_stack([np.ones_like(zs), zs]), ys, ws,
-                              side, with_cond=bool(cols))
-            if cols:
-                beta = np.concatenate([beta, np.zeros(4)])
+            X = np.column_stack([np.ones_like(zs), zs])
+        sw = np.sqrt(ws)
+        Xw = X * sw[:, None]
+        if not np.isfinite(Xw).all():
+            raise IllPosedError(
+                f"weighted design on the {side} side holds inf or NaN; a radius "
+                f"too small to move Z in floating point makes the treated share "
+                f"0/0", condition_number=math.inf)
+        beta, _, rank, s = np.linalg.lstsq(Xw, ys * sw, rcond=None)
+        cond = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
+        if six and cond > ILL_POSED_CONDITION:
+            raise IllPosedError(
+                f"spillover design on the {side} side has condition number "
+                f"{cond:.3e}; this typically signals a near-zero direct "
+                f"effect, which makes the neighbor-mean contrast collinear "
+                f"with the running variable", condition_number=cond)
+        if rank < X.shape[1]:
+            raise NumericError(
+                f"singular weighted design on the {side} side "
+                f"(rank {rank} < {X.shape[1]}, condition number {cond:.3e})")
+        if cols and not six:
+            beta = np.concatenate([beta, np.zeros(4)])
         out[side] = (beta, cond, int(zs.size))
     return out
 

@@ -67,7 +67,7 @@ def nu_exact(regime: TreatmentRegime, r: float, z):
     else:
         lo = np.maximum(arr - r, -1.0)
         hi = np.minimum(arr + r, 1.0)
-        with np.errstate(invalid="ignore"):  # 0/0 where r does not move z; _wls refuses the NaN
+        with np.errstate(invalid="ignore"):  # 0/0 where r does not move z; _fit_sides refuses the NaN
             out = (np.clip(hi, 0.0, None) - np.clip(lo, 0.0, None)) / (hi - lo)
     if np.ndim(z) == 0:
         return float(out)

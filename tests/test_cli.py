@@ -354,6 +354,32 @@ class TestUnwritableOutput:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+class TestExistingOutput:
+    def test_a_symlinked_output_stays_a_link_to_the_new_bytes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        fresh = tmp_path / "fresh.csv"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(fresh)], capsys)[0] == 0
+        real = tmp_path / "real.csv"
+        real.write_text("z,y\n0.5,1.0\n", encoding="utf-8")
+        link = tmp_path / "s.csv"
+        link.symlink_to(real)
+        rc, out, err = run_cli(["simulate", "--config", cfg, "--out", str(link)], capsys)
+        assert rc == 0, err
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "fresh.csv", "fresh.estimands.json", "real.csv", "s.csv",
+            "s.estimands.json"]
+
+    def test_a_rerun_keeps_the_output_mode(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]
+        assert run_cli(argv, capsys)[0] == 0
+        os.chmod(tmp_path / "s.csv", 0o600)
+        assert run_cli(argv, capsys)[0] == 0
+        assert (tmp_path / "s.csv").stat().st_mode & 0o7777 == 0o600
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTinyRadius:
     # r = 1e-300 does not move Z in floating point, so the spillover design

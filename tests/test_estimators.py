@@ -168,12 +168,16 @@ class TestLocalLinear:
         assert calls == []
 
     def test_rank_deficient_design_names_its_condition_number(self):
-        z = np.linspace(0.1, 0.5, 9)
-        X = np.column_stack([np.ones_like(z), np.ones_like(z)])
+        # three distinct treated Z pass the support check, but two of them
+        # sit one ulp apart, so lstsq finds rank 1
+        zp = np.array([0.3, 0.3, np.nextafter(0.3, 1.0)])
+        z = np.concatenate([[-0.4, -0.3, -0.2], zp])
         w = np.full_like(z, 0.25)
         with pytest.raises(NumericError, match="rank 1 < 2") as exc:
-            est_mod._wls(X, 1.0 + z, w, "plus")
-        assert f"condition number {np.linalg.cond(X * 0.5):.3e}" in str(exc.value)
+            est_mod._fit_sides(z, 1.0 + z, w)
+        Xw = np.column_stack([np.ones_like(zp), zp]) * 0.5
+        s = np.linalg.lstsq(Xw, (1.0 + zp) * 0.5, rcond=None)[3]
+        assert f"condition number {s[0] / s[-1]:.3e}" in str(exc.value)
 
     def test_exact_on_piecewise_linear_data(self):
         cfg = EstimatorConfig(kernel="triangular", h=0.8)
@@ -468,28 +472,35 @@ class TestSpilloverRegression:
         assert plus.tau_d_hat == avg.tau_d_hat
 
     def test_one_condition_number_per_side(self, quiet_sample, monkeypatch):
-        cond_calls = []
-        cond = np.linalg.cond
+        # the condition number comes from the solve's own singular values,
+        # so each side costs one SVD and no np.linalg.cond
+        lstsq_calls = []
+        lstsq = np.linalg.lstsq
 
-        def counting_cond(*args, **kwargs):
-            cond_calls.append(1)
-            return cond(*args, **kwargs)
+        def counting_lstsq(*args, **kwargs):
+            lstsq_calls.append(1)
+            return lstsq(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cond", counting_cond)
+        def no_cond(*args, **kwargs):
+            raise AssertionError("took a second SVD for the condition number")
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(np.linalg, "cond", no_cond)
         est = local_spillover_regression(quiet_sample, EstimatorConfig(kernel="triangular", h=0.2, r=0.05))
         assert est.beta_plus[2:] != (0.0,) * 4  # the full six-regressor fit ran
-        assert len(cond_calls) == 2
+        assert len(lstsq_calls) == 2
 
     def test_condition_numbers_are_those_of_the_fitted_designs(self, quiet_sample,
                                                                monkeypatch):
-        # each side reports the condition number of the very matrix lstsq
-        # solves, bit for bit, on the full fit and on the nested fallback
+        # each side reports s[0]/s[-1] of the very solve lstsq ran, bit for
+        # bit, on the full fit and on the nested fallback
         lstsq = np.linalg.lstsq
-        designs = []
+        designs, solves = [], []
 
         def recording_lstsq(a, b, rcond=None):
             designs.append(a.copy())
-            return lstsq(a, b, rcond=rcond)
+            solves.append(lstsq(a, b, rcond=rcond))
+            return solves[-1]
 
         monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
@@ -502,9 +513,14 @@ class TestSpilloverRegression:
         nested = local_spillover_regression(nested_sample,
                                             EstimatorConfig(kernel="triangular", h=0.3, r=0.05))
         assert [d.shape[1] for d in designs] == [6, 6, 2, 2]
-        for fit, (plus, minus) in ((est, designs[:2]), (nested, designs[2:])):
-            assert fit.condition_numbers == {"plus": float(np.linalg.cond(plus)),
-                                             "minus": float(np.linalg.cond(minus))}
+        for fit, sides in ((est, (0, 1)), (nested, (2, 3))):
+            cond = {}
+            for side, i in zip(("plus", "minus"), sides):
+                s = solves[i][3]
+                cond[side] = float(s[0] / s[-1])
+                assert cond[side] == pytest.approx(float(np.linalg.cond(designs[i])),
+                                                   rel=1e-12, abs=0.0)
+            assert fit.condition_numbers == cond
 
     def test_non_finite_design_is_ill_posed_before_any_svd(self, quiet_sample,
                                                            monkeypatch):
@@ -604,6 +620,20 @@ class TestSpilloverRegression:
         monkeypatch.setattr(
             est_mod, "_mu_values",
             lambda pool, targets, r, exclude=None: 2.0 * np.asarray(targets, dtype=float))
+        with pytest.raises(IllPosedError) as exc:
+            local_spillover_regression(sample, cfg)
+        assert exc.value.condition_number > 1e10
+
+    def test_ill_conditioned_before_rank_test(self, monkeypatch):
+        # equal, non-zero mu and nu contrasts make the six-regressor design
+        # rank deficient: the conditioning guard must name it, not the rank test
+        sample = linear_sample(n=500, seed=63, noise=0.1)
+        cfg = EstimatorConfig(kernel="triangular", h=0.3, r=0.05)
+        monkeypatch.setattr(
+            est_mod, "_mu_values",
+            lambda pool, targets, r, exclude=None: np.asarray(targets, dtype=float) ** 2)
+        monkeypatch.setattr(est_mod, "nu_exact",
+                            lambda regime, r, z: np.asarray(z, dtype=float) ** 2)
         with pytest.raises(IllPosedError) as exc:
             local_spillover_regression(sample, cfg)
         assert exc.value.condition_number > 1e10
