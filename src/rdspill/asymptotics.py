@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigError, DomainError, NumericError
 from .kernels import kernel_values, one_sided_moment
 from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
@@ -106,9 +105,6 @@ class LambdaTable:
                                           hi_in[inside], self.i0, -1.0, 0.0)
         average = total / (hi - lo)
         return float(average[0]) if scalar else average
-
-    def to_csv(self, path_or_buf) -> None:
-        write_csv(path_or_buf, "a,lambda", self.a_grid, self.values)
 
 
 def build_lambda_table(delta0: float, A: float | None = None,

@@ -172,11 +172,12 @@ def _load_sample(args) -> tuple[Sample, dict | None]:
     z, y = parse_sample_csv(args.data, require_unit_range=False)
     scale = max(hi - cut, cut - lo)
     with np.errstate(over="ignore"):  # a z pushed past +-inf is out of range
-        z = (z - cut) / scale
-    bad = np.nonzero((z < -1.0) | (z > 1.0))[0]
-    if bad.size:
+        z -= cut
+        z /= scale
+    if not (z.min() >= -1.0 and z.max() <= 1.0):
+        bad = np.flatnonzero((z < -1.0) | (z > 1.0))[0]
         raise DataError(
-            f"{args.data}: row {int(bad[0]) + 2}, column z: value outside the "
+            f"{args.data}: row {int(bad) + 2}, column z: value outside the "
             f"range declared by --rescale")
     info = {"min": lo, "cutoff": cut, "max": hi, "scale": scale}
     return Sample(z=z, y=y, meta={"source": args.data, "n": int(z.size),

@@ -106,12 +106,21 @@ def _canonical_order(sample: Sample, half_width: float,
     """Rows with |Z| <= half_width (|Z| < half_width when strict), sorted by
     Z with ties broken by Y.
 
-    One argsort of Z serves when the sorted Z has no equal neighbours: a
-    Sample holds no NaN, so distinct Z admit one sorting permutation, the
-    one lexsort finds. Ties (-0.0 == 0.0 among them) take the lexsort."""
-    dist = np.abs(sample.z)
-    rows = np.flatnonzero(dist < half_width if strict else dist <= half_width)
+    The window test takes two comparisons of Z, which negation leaves exact,
+    so no float array as long as the sample is built. One argsort of Z
+    serves when the sorted Z has no equal neighbours: a Sample holds no NaN,
+    so distinct Z admit one sorting permutation, the one lexsort finds. Ties
+    (-0.0 == 0.0 among them) take the lexsort."""
+    if strict:
+        keep = sample.z < half_width
+        keep &= sample.z > -half_width
+    else:
+        keep = sample.z <= half_width
+        keep &= sample.z >= -half_width
+    rows = np.flatnonzero(keep)
+    del keep
     z, y = sample.z[rows], sample.y[rows]
+    del rows
     order = np.argsort(z)
     zs = z[order]
     if np.any(zs[1:] == zs[:-1]):
@@ -121,12 +130,16 @@ def _canonical_order(sample: Sample, half_width: float,
 
 
 def _side_split(z: np.ndarray, y: np.ndarray, w: np.ndarray, *extra):
-    """The positively weighted rows of (z, y, w, *extra), as a plus and a
-    minus tuple; ties at 0 are treated."""
+    """The positively weighted rows of (z, y, w, *extra), as views, a plus
+    and a minus tuple; ties at 0 are treated. z is sorted, as every caller's
+    window is, and each kernel's weight does not rise with |Z|, so the
+    positive weights form one run."""
     keep = w > 0.0
-    cols = [a[keep] for a in (z, y, w, *extra)]
-    plus = cols[0] >= 0.0
-    return tuple(a[plus] for a in cols), tuple(a[~plus] for a in cols)
+    count = np.count_nonzero(keep)
+    first = int(np.argmax(keep)) if count else 0
+    cols = [a[first:first + count] for a in (z, y, w, *extra)]
+    split = int(np.searchsorted(cols[0], 0.0, side="left"))
+    return tuple(a[split:] for a in cols), tuple(a[:split] for a in cols)
 
 
 def _require_linear_support(z_side: np.ndarray, side: str) -> None:
@@ -148,46 +161,53 @@ def _fit_sides(z, y, w, mu_delta=None, nu_delta=None) -> dict:
     need not converge on one; a six-regressor design above
     ILL_POSED_CONDITION raises before the rank test."""
     extra = () if mu_delta is None else (mu_delta, nu_delta)
-    out = {}
-    for side, (zs, ys, ws, *cols) in zip(("plus", "minus"), _side_split(z, y, w, *extra)):
-        six = bool(cols) and bool(np.any(cols[0]) or np.any(cols[1]))
-        if six:
-            if zs.size < 6:
-                raise InsufficientSupportError(
-                    side, f"need >= 6 positively weighted observations on the "
-                          f"{side} side, got {zs.size}")
-            X = _spillover_design(zs, *cols)
-        else:
-            _require_linear_support(zs, side)
-            X = np.column_stack([np.ones_like(zs), zs])
-        sw = np.sqrt(ws)
-        Xw = X * sw[:, None]
-        if not np.isfinite(Xw).all():
-            raise IllPosedError(
-                f"weighted design on the {side} side holds inf or NaN; a radius "
-                f"too small to move Z in floating point makes the treated share "
-                f"0/0", condition_number=math.inf)
-        beta, _, rank, s = np.linalg.lstsq(Xw, ys * sw, rcond=None)
-        cond = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
-        if six and cond > ILL_POSED_CONDITION:
-            raise IllPosedError(
-                f"spillover design on the {side} side has condition number "
-                f"{cond:.3e}; this typically signals a near-zero direct "
-                f"effect, which makes the neighbor-mean contrast collinear "
-                f"with the running variable", condition_number=cond)
-        if rank < X.shape[1]:
-            raise NumericError(
-                f"singular weighted design on the {side} side "
-                f"(rank {rank} < {X.shape[1]}, condition number {cond:.3e})")
-        if cols and not six:
-            beta = np.concatenate([beta, np.zeros(4)])
-        out[side] = (beta, cond, int(zs.size))
-    return out
+    # one side's design at a time: each dies with its _fit_side call
+    return {side: _fit_side(side, *cols)
+            for side, cols in zip(("plus", "minus"), _side_split(z, y, w, *extra))}
+
+
+def _fit_side(side: str, zs, ys, ws, *cols) -> tuple:
+    six = bool(cols) and bool(np.any(cols[0]) or np.any(cols[1]))
+    if six:
+        if zs.size < 6:
+            raise InsufficientSupportError(
+                side, f"need >= 6 positively weighted observations on the "
+                      f"{side} side, got {zs.size}")
+        X = _spillover_design(zs, *cols)
+    else:
+        _require_linear_support(zs, side)
+        X = _spillover_design(zs)
+    sw = np.sqrt(ws)
+    X *= sw[:, None]
+    sw *= ys  # the weighted outcome
+    if not (np.isfinite(X.min()) and np.isfinite(X.max())):  # NaN propagates to both
+        raise IllPosedError(
+            f"weighted design on the {side} side holds inf or NaN; a radius "
+            f"too small to move Z in floating point makes the treated share "
+            f"0/0", condition_number=math.inf)
+    beta, _, rank, s = np.linalg.lstsq(X, sw, rcond=None)
+    cond = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
+    if six and cond > ILL_POSED_CONDITION:
+        raise IllPosedError(
+            f"spillover design on the {side} side has condition number "
+            f"{cond:.3e}; this typically signals a near-zero direct "
+            f"effect, which makes the neighbor-mean contrast collinear "
+            f"with the running variable", condition_number=cond)
+    if rank < X.shape[1]:
+        raise NumericError(
+            f"singular weighted design on the {side} side "
+            f"(rank {rank} < {X.shape[1]}, condition number {cond:.3e})")
+    if cols and not six:
+        beta = np.concatenate([beta, np.zeros(4)])
+    return beta, cond, int(zs.size)
 
 
 def local_linear_rdd(sample: Sample, cfg: EstimatorConfig) -> RddEstimate:
     """Per-side weighted linear fit of Y on (1, Z); tau from the intercepts."""
-    z, y = _canonical_order(sample, cfg.h)
+    return _local_linear(*_canonical_order(sample, cfg.h), cfg)
+
+
+def _local_linear(z: np.ndarray, y: np.ndarray, cfg: EstimatorConfig) -> RddEstimate:
     fits = _fit_sides(z, y, kernel_values(cfg.kernel, z / cfg.h))
     (bp, _, n_p), (bm, _, n_m) = fits["plus"], fits["minus"]
     return RddEstimate(
@@ -211,64 +231,89 @@ def nadaraya_watson_rdd(sample: Sample, cfg: EstimatorConfig) -> float:
 
 
 def donut_rdd(sample: Sample, cfg: EstimatorConfig) -> RddEstimate:
-    """Local linear fit restricted to h_donut <= |Z|; intercepts extrapolate to 0."""
-    dist = np.abs(sample.z)
-    keep = (dist >= cfg.h_donut) & (dist <= cfg.h)
-    inner = Sample(z=sample.z[keep], y=sample.y[keep], meta=dict(sample.meta))
-    return local_linear_rdd(inner, cfg)
+    """Local linear fit restricted to h_donut <= |Z|; intercepts extrapolate to 0.
+
+    The ring is cut from the canonical |Z| <= h window, whose order it keeps."""
+    z, y = _canonical_order(sample, cfg.h)
+    ring = (z <= -cfg.h_donut) | (z >= cfg.h_donut)
+    return _local_linear(z[ring], y[ring], cfg)
 
 
 # ------------------------------------------------------------- neighbor mean --
 
 
 class _NeighborPool:
-    """Outcome pool in canonical order supporting O(log n) window sums.
+    """A window's rows in canonical order, less any held out, with prefix
+    sums of Y for O(1) window sums.
 
-    z and y must already be sorted by Z with ties broken by Y; exclude
-    positions index into that order.
+    z and y must be sorted by Z with ties broken by Y; positions index into
+    that order. held (a bool per row, or None) marks rows outside the pool:
+    they enter the prefix sums as +0.0 and leave every count, so each window
+    sum has the bits of a pool built from the other rows alone, except that
+    a sum of -0.0 can read +0.0.
     """
 
-    def __init__(self, z: np.ndarray, y: np.ndarray):
-        self.z = z
-        self.y = y
-        self.cum = np.concatenate([[0.0], np.cumsum(y)])
+    def __init__(self, z: np.ndarray, y: np.ndarray, held: np.ndarray | None = None):
+        self.z, self.y, self.held = z, y, held
         self.split = int(np.searchsorted(z, 0.0, side="left"))  # first treated
+        self.cum = np.zeros(z.size + 1)
+        np.cumsum(y if held is None else np.where(held, 0.0, y), out=self.cum[1:])
+        if held is not None:
+            self.n_kept = np.zeros(z.size + 1, np.intp)  # pool rows before each position
+            np.cumsum(~held, out=self.n_kept[1:])
 
-    def window_means(self, targets: np.ndarray, r: float,
-                     exclude_pos: np.ndarray | None = None):
-        """Per-target treated/untreated neighbor means over |Z_j - t| < r."""
-        a = np.searchsorted(self.z, targets - r, side="right")
-        b = np.searchsorted(self.z, targets + r, side="left")
-        at = np.maximum(a, self.split)
-        bu = np.minimum(b, self.split)
-        t_cnt = np.maximum(b - at, 0).astype(float)
-        u_cnt = np.maximum(bu - a, 0).astype(float)
-        t_sum = np.where(b > at, self.cum[b] - self.cum[np.minimum(at, b)], 0.0)
-        u_sum = np.where(bu > a, self.cum[np.maximum(bu, a)] - self.cum[a], 0.0)
+    def mu(self, targets: np.ndarray, r: float, exclude_pos: np.ndarray | None = None,
+           bounds=None, counts: np.ndarray | None = None) -> np.ndarray:
+        """Share-weighted neighbor means of Y at targets; each target's
+        exclude_pos entry is left out of its window. bounds, when given, is
+        _window_bounds(self.z, targets, r); counts, when given, a (2, n) int
+        array that receives each target's treated and untreated neighbor
+        counts."""
+        a, b = _window_bounds(self.z, targets, r) if bounds is None else bounds
+        own = (None, None)  # per side, the targets whose own row is in their window
         if exclude_pos is not None:
-            inside = (exclude_pos >= a) & (exclude_pos < b)
+            hit = (exclude_pos >= a) & (exclude_pos < b)
+            if self.held is not None:
+                hit &= ~self.held[exclude_pos]
             treated = exclude_pos >= self.split
-            hit_t = inside & treated
-            hit_u = inside & ~treated
-            t_sum[hit_t] -= self.y[exclude_pos[hit_t]]
-            t_cnt[hit_t] -= 1.0
-            u_sum[hit_u] -= self.y[exclude_pos[hit_u]]
-            u_cnt[hit_u] -= 1.0
-        t_mean = np.divide(t_sum, t_cnt, out=np.zeros_like(t_sum), where=t_cnt > 0)
-        u_mean = np.divide(u_sum, u_cnt, out=np.zeros_like(u_sum), where=u_cnt > 0)
-        return t_mean, u_mean, t_cnt.astype(int), u_cnt.astype(int)
+            own = (hit & treated, hit & ~treated)
+        means = []
+        # treated neighbors lie in [split, ...), untreated ones in [..., split)
+        for side, (clip, mine) in enumerate(zip((np.maximum, np.minimum), own)):
+            lo, hi = clip(a, self.split), clip(b, self.split)
+            total = self.cum[hi]
+            total -= self.cum[lo]
+            count = hi - lo if self.held is None else self.n_kept[hi] - self.n_kept[lo]
+            del lo, hi
+            if mine is not None:
+                total[mine] -= self.y[exclude_pos[mine]]
+                count[mine] -= 1
+            empty = count == 0
+            np.divide(total, count, out=total, where=~empty)
+            total[empty] = 0.0  # an empty side contributes zero
+            means.append(total)
+            if counts is not None:
+                counts[side] = count
+        t_mean, u_mean = means
+        wp = _share_weight_plus(targets, r)
+        t_mean *= wp
+        np.subtract(1.0, wp, out=wp)
+        u_mean *= wp
+        t_mean += u_mean  # w_plus * t_mean + (1 - w_plus) * u_mean
+        return t_mean
+
+
+def _window_bounds(z: np.ndarray, targets: np.ndarray, r: float):
+    """Positions [a, b) in the sorted z of each target's strict window
+    |Z_j - t| < r."""
+    a = np.searchsorted(z, targets - r, side="right")
+    # a > b only where r does not move t in floating point: an empty window
+    return a, np.maximum(a, np.searchsorted(z, targets + r, side="left"))
 
 
 def _share_weight_plus(z, r: float):
     """w_plus(z) = |[z-r, z+r] n [0, inf)| / (2r), clipped to [0, 1]."""
     return np.clip((np.asarray(z, dtype=float) + r) / (2.0 * r), 0.0, 1.0)
-
-
-def _mu_values(pool: _NeighborPool, targets: np.ndarray, r: float,
-               exclude_pos: np.ndarray | None = None) -> np.ndarray:
-    t_mean, u_mean, _, _ = pool.window_means(targets, r, exclude_pos)
-    wp = _share_weight_plus(targets, r)
-    return wp * t_mean + (1.0 - wp) * u_mean
 
 
 def mu_hat(sample: Sample, r: float, z: float) -> dict:
@@ -285,41 +330,49 @@ def mu_hat(sample: Sample, r: float, z: float) -> dict:
     hit = np.searchsorted(pool.z, z, side="left")
     if hit < pool.z.size and pool.z[hit] == z:
         exclude = np.array([hit])
-    targets = np.array([float(z)])
-    t_mean, u_mean, t_cnt, u_cnt = pool.window_means(targets, r, exclude)
-    wp = float(_share_weight_plus(z, r))
+    counts = np.empty((2, 1), np.intp)
+    value = pool.mu(np.array([float(z)]), r, exclude, counts=counts)
     return {
-        "value": float(wp * t_mean[0] + (1.0 - wp) * u_mean[0]),
-        "n_plus_neighbors": int(t_cnt[0]),
-        "n_minus_neighbors": int(u_cnt[0]),
+        "value": float(value[0]),
+        "n_plus_neighbors": int(counts[0, 0]),
+        "n_minus_neighbors": int(counts[1, 0]),
     }
 
 
 # --------------------------------------------------- spillover regression --
 
 
-def _spillover_design(z: np.ndarray, mu_delta: np.ndarray, nu_delta: np.ndarray) -> np.ndarray:
-    return np.column_stack([
-        np.ones_like(z), z,
-        mu_delta, z * mu_delta,
-        nu_delta, z * nu_delta,
-    ])
+_ZERO = np.zeros(1)  # the target of the neighbor mean at the cutoff
+_ZERO.flags.writeable = False
 
 
-def _kernel_rows(pool: _NeighborPool, h: float, kernel: str):
-    """z, y, kernel weights and own pool positions of the pool's rows with
-    |Z| <= h."""
-    a = int(np.searchsorted(pool.z, -h, side="left"))
-    b = int(np.searchsorted(pool.z, h, side="right"))
-    z = pool.z[a:b]
-    return z, pool.y[a:b], kernel_values(kernel, z / h), np.arange(a, b)
+def _spillover_design(z: np.ndarray, mu_delta: np.ndarray | None = None,
+                      nu_delta: np.ndarray | None = None) -> np.ndarray:
+    """(1, Z, mu_delta, Z*mu_delta, nu_delta, Z*nu_delta), or (1, Z) alone."""
+    X = np.empty((z.size, 2 if mu_delta is None else 6))
+    X[:, 0] = 1.0
+    X[:, 1] = z
+    if mu_delta is not None:
+        for j, col in ((2, mu_delta), (4, nu_delta)):
+            X[:, j] = col
+            np.multiply(z, col, out=X[:, j + 1])
+    return X
+
+
+def _kernel_range(z: np.ndarray, h: float) -> tuple[int, int]:
+    """Positions [a, b) of the sorted z's rows with |Z| <= h. No row outside
+    has a positive kernel weight: |z| > h rounds |z / h| above 1."""
+    return (int(np.searchsorted(z, -h, side="left")),
+            int(np.searchsorted(z, h, side="right")))
 
 
 def _spillover_regressors(z: np.ndarray, pool: _NeighborPool, r: float,
-                          exclude_pos: np.ndarray | None):
-    mu = np.broadcast_to(np.asarray(_mu_values(pool, z, r, exclude_pos),
-                                    dtype=float), z.shape)
-    mu0 = float(_mu_values(pool, np.array([0.0]), r, None)[0])
+                          exclude_pos: np.ndarray | None, bounds=(None, None)):
+    """mu_delta, nu_delta at z and the neighbor mean at 0; bounds holds the
+    pool's window bounds for z and for 0 when already known."""
+    mu = np.broadcast_to(np.asarray(pool.mu(z, r, exclude_pos, bounds[0]), dtype=float),
+                         z.shape)
+    mu0 = float(pool.mu(_ZERO, r, None, bounds[1])[0])
     nu0 = nu_exact(CUTOFF, r, 0.0)
     nu_delta = np.broadcast_to(
         np.asarray(nu_exact(CUTOFF, r, z), dtype=float) - nu0, z.shape)
@@ -341,10 +394,13 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
         raise CollinearityError(
             f"2r/h = {c:.3f} >= 2: the treated-share contrast is a linear "
             f"function of Z on the whole fit window and collinear with it")
-    pool = _NeighborPool(*_canonical_order(sample, cfg.h + cfg.r, strict=True))
-    z, y, w, own = _kernel_rows(pool, cfg.h, cfg.kernel)
-    mu_delta, nu_delta, mu0 = _spillover_regressors(z, pool, cfg.r, own)
-    fits = _fit_sides(z, y, w, mu_delta, nu_delta)
+    z, y = _canonical_order(sample, cfg.h + cfg.r, strict=True)
+    a, b = _kernel_range(z, cfg.h)
+    mu_delta, nu_delta, mu0 = _spillover_regressors(z[a:b], _NeighborPool(z, y), cfg.r,
+                                                    np.arange(a, b))
+    # the fit holds the |Z| <= h rows alone: the pool and the rest of the window go
+    z, y = z[a:b].copy(), y[a:b].copy()
+    fits = _fit_sides(z, y, kernel_values(cfg.kernel, z / cfg.h), mu_delta, nu_delta)
     bp, cond_p, n_p = fits["plus"]
     bm, cond_m, n_m = fits["minus"]
     tau_d_hat = float(bp[0] - bm[0])
@@ -369,6 +425,24 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
     )
 
 
+def _fold_errors(z, y, held, a: int, b: int, w, r: float, bounds) -> dict:
+    """{side: kernel-weighted squared prediction error} of the spillover fit
+    at radius r on the window's rows not held, predicting the held rows in
+    [a, b), the |Z| <= h rows, whose kernel weights are w."""
+    mu_delta, nu_delta, _ = _spillover_regressors(z[a:b], _NeighborPool(z, y, held), r,
+                                                  np.arange(a, b), bounds)
+    test = held[a:b]
+    train = ~test
+    z, y = z[a:b], y[a:b]
+    fits = _fit_sides(z[train], y[train], w[train], mu_delta[train], nu_delta[train])
+    errors = {}
+    held_sides = _side_split(z[test], y[test], w[test], mu_delta[test], nu_delta[test])
+    for side, (zs, ys, ws, mu_d, nu_d) in zip(("plus", "minus"), held_sides):
+        resid = ys - _spillover_design(zs, mu_d, nu_d) @ fits[side][0]
+        errors[side] = float(np.sum(ws * resid**2))
+    return errors
+
+
 def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
                      folds: int, seed: int) -> dict:
     """K-fold selection of the neighborhood radius, per side.
@@ -379,6 +453,10 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
     kernel-weighted squared prediction error is accumulated over the held-out
     part, separately for each side of the cutoff. A candidate where any fold
     fails to fit is infeasible.
+
+    Every fold shares the window |Z| < h + max(candidates): each candidate's
+    neighbor bounds are found once over it, and a fold's pool is the window
+    with the fold's rows held out of the prefix sums, never a copy.
     """
     candidates = [float(r) for r in candidates]
     if not candidates:
@@ -398,28 +476,22 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
     # Fold ids index the canonical order of the whole sample, where the rows
     # left of the window (Z <= -reach) come first.
     n_left = int(np.count_nonzero(sample.z <= -reach))
-    fold_id = substream(seed, 101).permutation(n)[n_left:n_left + z.size] % folds
-    w = kernel_values(cfg.kernel, z / cfg.h)
+    fold_id = (substream(seed, 101).permutation(n)[n_left:n_left + z.size]
+               % folds).astype(np.min_scalar_type(folds - 1))
+    a, b = _kernel_range(z, cfg.h)
+    w = kernel_values(cfg.kernel, z[a:b] / cfg.h)
 
-    mse = [{"plus": 0.0, "minus": 0.0} for _ in candidates]  # None: infeasible
-    for k in range(folds):
-        test = fold_id == k
-        pool = _NeighborPool(z[~test], y[~test])
-        z_fit, y_fit, w_fit, own = _kernel_rows(pool, cfg.h, cfg.kernel)
-        held = dict(zip(("plus", "minus"), _side_split(z[test], y[test], w[test])))
-        for i, r in enumerate(candidates):
-            if mse[i] is None:
-                continue
-            try:
-                mu_delta, nu_delta, _ = _spillover_regressors(z_fit, pool, r, own)
-                fits = _fit_sides(z_fit, y_fit, w_fit, mu_delta, nu_delta)
-            except EstimationError:
-                mse[i] = None
-                continue
-            for side, (zs, ys, ws) in held.items():
-                mu_d, nu_d, _ = _spillover_regressors(zs, pool, r, None)
-                resid = ys - _spillover_design(zs, mu_d, nu_d) @ fits[side][0]
-                mse[i][side] += float(np.sum(ws * resid**2))
+    mse = []  # per candidate; None: infeasible
+    for r in candidates:
+        bounds = (_window_bounds(z, z[a:b], r), _window_bounds(z, _ZERO, r))
+        total = {"plus": 0.0, "minus": 0.0}
+        try:
+            for k in range(folds):
+                for side, err in _fold_errors(z, y, fold_id == k, a, b, w, r, bounds).items():
+                    total[side] += err
+        except EstimationError:
+            total = None
+        mse.append(total)
 
     cv_table = [{"r": r, "feasible": m is not None,
                  "mse_plus": None if m is None else m["plus"],

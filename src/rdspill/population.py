@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigError, DomainError
 from .funcspace import ModelSpec, eval_func
 from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
@@ -57,20 +56,26 @@ def nu_exact(regime: TreatmentRegime, r: float, z):
         raise ConfigError("neighborhood radius must be positive")
     if r >= 2.0:
         raise ConfigError(f"r={r} degenerate: the neighborhood always covers all of [-1, 1]")
-    arr = np.asarray(z, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0 + 1e-12):  # NaN fails too
+    arr = np.atleast_1d(np.asarray(z, dtype=float))
+    bound = 1.0 + 1e-12  # min and max, not abs: no temporary as long as z; NaN fails too
+    if arr.size and not (arr.min() >= -bound and arr.max() <= bound):
         raise DomainError("nu_exact evaluated outside [-1, 1]")
     if regime.kind == "all-treated":
         out = np.ones_like(arr)
     elif regime.kind == "none-treated":
         out = np.zeros_like(arr)
     else:
-        lo = np.maximum(arr - r, -1.0)
-        hi = np.minimum(arr + r, 1.0)
+        lo = arr - r
+        np.maximum(lo, -1.0, out=lo)
+        hi = arr + r
+        np.minimum(hi, 1.0, out=hi)
+        out = np.clip(hi, 0.0, None)
+        out -= np.clip(lo, 0.0, None)
+        hi -= lo
         with np.errstate(invalid="ignore"):  # 0/0 where r does not move z; _fit_sides refuses the NaN
-            out = (np.clip(hi, 0.0, None) - np.clip(lo, 0.0, None)) / (hi - lo)
+            out /= hi
     if np.ndim(z) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
@@ -80,16 +85,14 @@ class PopulationSolution:
     r: float
     regime: TreatmentRegime
     y: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
     solver_report: dict
     model: ModelSpec
     jump_left: float   # Y(0-) - Y(0)
     jump_right: float  # Y(0+) - Y(0)
 
     def __post_init__(self):
-        for name in ("grid", "y", "mu", "nu"):
-            getattr(self, name).flags.writeable = False
+        self.grid.flags.writeable = False
+        self.y.flags.writeable = False
 
     @property
     def i0(self) -> int:
@@ -135,9 +138,6 @@ class PopulationSolution:
             out[mask] = (1 - t) * (y[i0] + self.jump_right) + t * y[i0 + 1]
         return out
 
-    def to_csv(self, path_or_buf) -> None:
-        write_csv(path_or_buf, "z,y,mu,nu", self.grid, self.y, self.mu, self.nu)
-
 
 def _jumps(model: ModelSpec, regime: TreatmentRegime) -> tuple[float, float]:
     """Jump of the right-hand side (hence of Y) at the cutoff.
@@ -168,7 +168,7 @@ def _model_rhs(model: ModelSpec, regime: TreatmentRegime, grid: np.ndarray, r: f
         m_vals = np.asarray(eval_func(model.m_minus, grid))
     nu_vals = np.asarray(nu_exact(regime, r, grid))
     gamma_vals = np.asarray(model.gamma_at(grid))
-    return m_vals + gamma_vals * nu_vals, nu_vals
+    return m_vals + gamma_vals * nu_vals
 
 
 def check_grid_n(grid_n: int) -> None:
@@ -195,7 +195,7 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
             f"grid too coarse: r={r} needs more than 4 grid spacings ({4 * dz:.6g}); increase grid_n"
         )
     i0 = grid_n // 2
-    rhs, nu_vals = _model_rhs(model, regime, grid, r)
+    rhs = _model_rhs(model, regime, grid, r)
     jump_left, jump_right = _jumps(model, regime)
 
     def windows(x):
@@ -208,9 +208,8 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
                                        jump_left, jump_right)
     zc = coarse_grid(grid, r)
     y, report = two_grid_solve(b, grid, zc, windows, window_matrix(zc, *windows(zc)[:2]))
-    mu = window_integrals(y, grid, lo, hi, i0, jump_left, jump_right) / (hi - lo)
-    return PopulationSolution(grid=grid, r=float(r), regime=regime, y=y, mu=mu,
-                              nu=nu_vals, solver_report=report, model=model,
+    return PopulationSolution(grid=grid, r=float(r), regime=regime, y=y,
+                              solver_report=report, model=model,
                               jump_left=jump_left, jump_right=jump_right)
 
 

@@ -121,7 +121,7 @@ def dense_population():
     def solve(model, r, regime, grid_n):
         grid = np.linspace(-1.0, 1.0, grid_n)
         lo, hi = np.maximum(grid - r, -1.0), np.minimum(grid + r, 1.0)
-        rhs, _ = _model_rhs(model, regime, grid, r)
+        rhs = _model_rhs(model, regime, grid, r)
         jump_left, jump_right = _jumps(model, regime)
         W, wl0, wr0 = _window_matrix_loop(grid, lo, hi, grid_n // 2)
         scale = np.asarray(eval_func(model.delta, grid)) / (hi - lo)

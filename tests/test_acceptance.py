@@ -506,8 +506,8 @@ def test_check_11_cli_pipelines_are_byte_identical(tmp_path, capsys):
 
 def test_check_12_nesting_identity(monkeypatch):
     monkeypatch.setattr(
-        est_mod, "_mu_values",
-        lambda pool, targets, r, exclude=None: np.full(np.shape(targets), 0.5))
+        est_mod._NeighborPool, "mu",
+        lambda pool, targets, r, exclude=None, bounds=None: np.full(np.shape(targets), 0.5))
     monkeypatch.setattr(est_mod, "nu_exact", lambda regime, r, z: 0.5)
     cfg = EstimatorConfig(kernel="triangular", h=0.3, r=0.05)
     checked = 0

@@ -231,13 +231,6 @@ class TestBuildLambdaTable:
         left = lambda_point(tab04, -1e-12)
         assert left == pytest.approx(tab04.values[tab04.i0] - 1.0, abs=1e-9)
 
-    def test_csv_roundtrip(self, tab04, tmp_path):
-        path = tmp_path / "lambda.csv"
-        tab04.to_csv(path)
-        arr = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert arr.shape == (len(tab04.a_grid), 2)
-        np.testing.assert_allclose(arr[:, 1], tab04.values, rtol=1e-12)
-
 
 class TestIntervalAverage:
     def test_matches_fine_riemann(self, tab04):

@@ -507,8 +507,8 @@ class TestSpilloverRegression:
         est = local_spillover_regression(quiet_sample, cfg)
         nested_sample = linear_sample(n=500, seed=61, noise=0.25)
         monkeypatch.setattr(
-            est_mod, "_mu_values",
-            lambda pool, targets, r, exclude=None: np.full(np.shape(targets), 0.5))
+            est_mod._NeighborPool, "mu",
+            lambda pool, targets, r, exclude=None, bounds=None: np.full(np.shape(targets), 0.5))
         monkeypatch.setattr(est_mod, "nu_exact", lambda regime, r, z: 0.5)
         nested = local_spillover_regression(nested_sample,
                                             EstimatorConfig(kernel="triangular", h=0.3, r=0.05))
@@ -604,8 +604,8 @@ class TestSpilloverRegression:
         sample = linear_sample(n=500, seed=61, noise=0.25)
         cfg = EstimatorConfig(kernel="triangular", h=0.3, r=0.05)
         monkeypatch.setattr(
-            est_mod, "_mu_values",
-            lambda pool, targets, r, exclude=None: np.full(np.shape(targets), 0.5))
+            est_mod._NeighborPool, "mu",
+            lambda pool, targets, r, exclude=None, bounds=None: np.full(np.shape(targets), 0.5))
         monkeypatch.setattr(est_mod, "nu_exact", lambda regime, r, z: 0.5)
         sp = local_spillover_regression(sample, cfg)
         ll = local_linear_rdd(sample, cfg)
@@ -618,8 +618,8 @@ class TestSpilloverRegression:
         sample = linear_sample(n=500, seed=63, noise=0.1)
         cfg = EstimatorConfig(kernel="triangular", h=0.3, r=0.05)
         monkeypatch.setattr(
-            est_mod, "_mu_values",
-            lambda pool, targets, r, exclude=None: 2.0 * np.asarray(targets, dtype=float))
+            est_mod._NeighborPool, "mu",
+            lambda pool, targets, r, exclude=None, bounds=None: 2.0 * np.asarray(targets, dtype=float))
         with pytest.raises(IllPosedError) as exc:
             local_spillover_regression(sample, cfg)
         assert exc.value.condition_number > 1e10
@@ -630,8 +630,8 @@ class TestSpilloverRegression:
         sample = linear_sample(n=500, seed=63, noise=0.1)
         cfg = EstimatorConfig(kernel="triangular", h=0.3, r=0.05)
         monkeypatch.setattr(
-            est_mod, "_mu_values",
-            lambda pool, targets, r, exclude=None: np.asarray(targets, dtype=float) ** 2)
+            est_mod._NeighborPool, "mu",
+            lambda pool, targets, r, exclude=None, bounds=None: np.asarray(targets, dtype=float) ** 2)
         monkeypatch.setattr(est_mod, "nu_exact",
                             lambda regime, r, z: np.asarray(z, dtype=float) ** 2)
         with pytest.raises(IllPosedError) as exc:

@@ -1,0 +1,119 @@
+"""Metamorphic relations: a transformation of the data whose effect on each
+estimate is known, so two runs check each other with no target value.
+
+Each relation states its tolerance: bit for bit where the relation is exact
+in floating point (a permutation, every row twice for a ratio of sums), and
+otherwise 1e-12 relative, because the transformed fit reaches its answer by
+a different rounding path.
+"""
+import numpy as np
+import pytest
+
+from rdspill.estimators import (
+    EstimatorConfig,
+    cross_validate_r,
+    donut_rdd,
+    local_linear_rdd,
+    local_spillover_regression,
+    nadaraya_watson_rdd,
+)
+from rdspill.experiments import benchmark_model
+from rdspill.population import CUTOFF, solve_population
+from rdspill.sampling import Sample, draw_sample
+
+RTOL = 1e-12
+# the benchmark's analyze estimator, with a donut hole for donut_rdd
+CFG = EstimatorConfig(kernel="triangular", h=0.15, r=0.075, h_donut=0.02)
+HALVED = EstimatorConfig(kernel="triangular", h=0.075, r=0.0375, h_donut=0.01)
+
+
+@pytest.fixture(scope="module")
+def sample():
+    model = benchmark_model(0.1)
+    sol = solve_population(model, 0.075, CUTOFF, 4001)
+    return draw_sample(sol, model, 50_000, seed=1)
+
+
+def close(a, b, rtol=RTOL):
+    return a == pytest.approx(b, rel=rtol, abs=0.0)
+
+
+class TestReflection:
+    """Z -> -Z swaps the sides: tau changes sign, and so does the treated
+    share's contrast, while the neighbor mean keeps its value."""
+
+    @pytest.mark.parametrize("fit", [local_linear_rdd, donut_rdd])
+    def test_local_fits(self, sample, fit):
+        est = fit(sample, CFG)
+        mirrored = fit(Sample(z=-sample.z, y=sample.y), CFG)
+        assert close(mirrored.tau_hat, -est.tau_hat)
+
+    def test_nadaraya_watson(self, sample):
+        tau = nadaraya_watson_rdd(sample, CFG)
+        assert close(nadaraya_watson_rdd(Sample(z=-sample.z, y=sample.y), CFG), -tau)
+
+    def test_spillover(self, sample):
+        est = local_spillover_regression(sample, CFG)
+        mirrored = local_spillover_regression(Sample(z=-sample.z, y=sample.y), CFG)
+        assert close(mirrored.tau_d_hat, -est.tau_d_hat)
+        assert close(mirrored.gamma_hat, -est.gamma_hat)
+        assert close(mirrored.delta_hat, est.delta_hat)
+
+
+class TestEveryRowTwice:
+    @staticmethod
+    def doubled(sample):
+        return Sample(z=np.concatenate([sample.z, sample.z]),
+                      y=np.concatenate([sample.y, sample.y]))
+
+    def test_nadaraya_watson_keeps_its_bits(self, sample):
+        # each side's two sums double exactly, so their ratio keeps its bits
+        assert nadaraya_watson_rdd(self.doubled(sample), CFG) == nadaraya_watson_rdd(sample, CFG)
+
+    def test_local_linear(self, sample):
+        # the same weighted normal equations, solved by an SVD of a design
+        # with twice the rows: equal to rounding, not bit for bit
+        est = local_linear_rdd(sample, CFG)
+        twice = local_linear_rdd(self.doubled(sample), CFG)
+        for got, want in zip(twice.beta_plus + twice.beta_minus,
+                             est.beta_plus + est.beta_minus):
+            assert close(got, want)
+        assert (twice.n_plus, twice.n_minus) == (2 * est.n_plus, 2 * est.n_minus)
+
+
+class TestHalvedRunningVariable:
+    """Z -> Z/2 with h and r halved keeps every kernel weight and neighbor
+    set; only the Z coefficients double."""
+
+    def test_local_linear(self, sample):
+        est = local_linear_rdd(sample, CFG)
+        half = local_linear_rdd(Sample(z=sample.z / 2.0, y=sample.y), HALVED)
+        assert close(half.tau_hat, est.tau_hat)
+        for got, want in ((half.beta_plus, est.beta_plus), (half.beta_minus, est.beta_minus)):
+            assert close(got[0], want[0])
+            assert close(got[1], 2.0 * want[1])
+
+    def test_spillover(self, sample):
+        est = local_spillover_regression(sample, CFG)
+        half = local_spillover_regression(Sample(z=sample.z / 2.0, y=sample.y), HALVED)
+        assert close(half.tau_d_hat, est.tau_d_hat)
+        assert close(half.delta_hat, est.delta_hat)
+        assert close(half.gamma_hat, est.gamma_hat)
+        assert close(half.mu_hat_at_0, est.mu_hat_at_0)
+
+
+def test_local_linear_follows_an_affine_outcome_map(sample):
+    est = local_linear_rdd(sample, CFG)
+    mapped = local_linear_rdd(Sample(z=sample.z, y=3.0 + 2.5 * sample.y), CFG)
+    assert close(mapped.tau_hat, 2.5 * est.tau_hat)
+    for got, want in ((mapped.beta_plus, est.beta_plus), (mapped.beta_minus, est.beta_minus)):
+        assert close(got[0], 3.0 + 2.5 * want[0])
+        assert close(got[1], 2.5 * want[1])
+
+
+def test_cross_validation_table_ignores_row_order(sample):
+    # folds partition the canonical order, so the input order cannot matter
+    perm = np.random.default_rng(23).permutation(sample.n)
+    shuffled = Sample(z=sample.z[perm], y=sample.y[perm])
+    args = ([0.04, 0.075, 0.12], 5, 1)
+    assert cross_validate_r(shuffled, CFG, *args) == cross_validate_r(sample, CFG, *args)

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -48,13 +47,6 @@ def interp_reference(sol, z):
         t = (z[mask] - sol.grid[i0]) / dz
         out[mask] = (1 - t) * (sol.y[i0] + sol.jump_right) + t * sol.y[i0 + 1]
     return out
-
-
-def csv_string(sol):
-    """The solution's CSV as text, written through a buffer."""
-    buf = io.StringIO()
-    sol.to_csv(buf)
-    return buf.getvalue()
 
 
 class TestNuExact:
@@ -227,15 +219,6 @@ class TestSolvePopulation:
         with pytest.raises(ValueError):
             bench_sol.y[0] = 99.0
 
-    def test_csv_roundtrip(self, bench_sol, tmp_path):
-        path = tmp_path / "sol.csv"
-        bench_sol.to_csv(path)
-        text = path.read_text()
-        assert text.splitlines()[0] == "z,y,mu,nu"
-        assert text == csv_string(bench_sol)
-        arr = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(arr[:, 1], bench_sol.y, rtol=1e-12)
-
     def test_one_sided_gamma_fixed_point(self):
         model = ModelSpec(
             m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
@@ -300,13 +283,14 @@ class TestStructureLemmas:
         interior = (np.abs(z[:-1]) > r + 2 * dz) & (np.abs(z[:-1] + 1) > r + 2 * dz) \
             & (np.abs(z[:-1] - 1) > r + 2 * dz)
         slope = lambda v: np.abs(np.diff(v) / dz)[interior]
-        assert np.max(slope(sol.nu)) <= 1 / (2 * r) + 1e-9
+        mu, nu = mu_at(sol, sol.grid), nu_exact(CUTOFF, r, sol.grid)
+        assert np.max(slope(nu)) <= 1 / (2 * r) + 1e-9
         osc = np.max(sol.y) - np.min(sol.y)
-        assert np.max(slope(sol.mu)) <= osc / (2 * r) + 1e-9
+        assert np.max(slope(mu)) <= osc / (2 * r) + 1e-9
         bound = max(lipschitz_constant(benchmark_model.m_plus),
                     lipschitz_constant(benchmark_model.m_minus)) \
-            + benchmark_model.delta_bar * np.max(slope(sol.mu)) \
-            + 0.5 * np.max(slope(sol.nu))
+            + benchmark_model.delta_bar * np.max(slope(mu)) \
+            + 0.5 * np.max(slope(nu))
         assert np.max(slope(sol.y)) <= bound * 1.01 + 1e-9
 
 
@@ -315,12 +299,6 @@ class TestMuAt:
         sol = solve_population(benchmark_model, 0.15, CUTOFF)
         for z in (-0.9, -0.1, 0.0, 0.07, 0.95):
             assert mu_at(sol, z) == pytest.approx(_brute_mu(sol, z), abs=1e-6)
-
-    def test_matches_stored_mu_on_grid(self, benchmark_model):
-        sol = solve_population(benchmark_model, 0.15, CUTOFF, grid_n=1001)
-        idx = [3, 250, 500, 750, 997]
-        vals = mu_at(sol, sol.grid[idx])
-        np.testing.assert_allclose(vals, sol.mu[idx], atol=1e-12)
 
     def test_domain(self, benchmark_model):
         sol = solve_population(benchmark_model, 0.15, CUTOFF, grid_n=1001)

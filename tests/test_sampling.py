@@ -362,6 +362,16 @@ class TestCsv:
             assert z.size == 200_000
             assert peak < 20e6, f"{newline!r}: peak {peak / 1e6:.1f} MB"
 
+    def test_rows_past_the_size_estimate_are_kept(self, tmp_path):
+        # the long lines of the first piece size the arrays for a fraction
+        # of the short lines that follow, so the arrays grow, more than once
+        z0, y0 = (float(cell) for cell in GOOD_LINE.split(","))
+        p = tmp_path / "short_tail.csv"
+        p.write_text("z,y\n" + (GOOD_LINE + "\n") * 3_000 + "0.5,1\n" * 60_000)
+        z, y = parse_sample_csv(p)
+        assert z.tolist() == [z0] * 3_000 + [0.5] * 60_000
+        assert y.tolist() == [y0] * 3_000 + [1.0] * 60_000
+
     def test_non_utf8_byte_fails_its_cell(self, tmp_path):
         p = tmp_path / "latin1.csv"
         p.write_bytes(b"z,y\n0.5,1.0\n\n  \n0.2,1.\xe95\n0.1,1.0\n")
@@ -664,3 +674,47 @@ class TestSampleType:
         s = draw_sample(noiseless_sol, noiseless_benchmark, 5, seed=1)
         with pytest.raises(ValueError):
             s.z[0] = 0.0
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes of Python and numpy allocations while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAnalyzeMemory:
+    """The analyze path holds its n rows once: the parse writes them
+    straight into their arrays, and no later step builds a temporary as
+    long as the sample. The file is that of test_parse_memory_stays_bounded;
+    its data are 16 bytes per row, 3.2 MB."""
+
+    ROWS = 200_000
+    CFG = EstimatorConfig(kernel="triangular", h=0.15, r=0.075)  # the benchmark's
+
+    @pytest.fixture(scope="class")
+    def big_csv(self, tmp_path_factory):
+        rng = np.random.default_rng(5)
+        p = tmp_path_factory.mktemp("analyze") / "big.csv"
+        Sample(z=rng.uniform(-1.0, 1.0, self.ROWS),
+               y=rng.normal(0.0, 3.0, self.ROWS)).to_csv(p)
+        return p
+
+    def test_parse_holds_its_rows_about_once(self, big_csv):
+        peak = _traced_peak(parse_sample_csv, big_csv)
+        assert peak <= 1.25 * 16 * self.ROWS + 0.5e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_sample_allocates_nothing_per_row(self, big_csv):
+        z, y = parse_sample_csv(big_csv)
+        assert _traced_peak(Sample, z, y) < 0.1e6
+
+    @pytest.mark.parametrize("fit, bound", [(local_linear_rdd, 1.75e6),
+                                            (local_spillover_regression, 4.5e6)],
+                             ids=["local_linear", "spillover"])
+    def test_fit_peak_scales_with_its_window(self, big_csv, fit, bound):
+        sample = Sample(*parse_sample_csv(big_csv))
+        peak = _traced_peak(fit, sample, self.CFG)
+        assert peak <= bound, f"peak {peak / 1e6:.2f} MB"
