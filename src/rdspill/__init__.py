@@ -47,7 +47,6 @@ from .estimators import (
     donut_rdd,
     local_linear_rdd,
     local_spillover_regression,
-    mu_hat,
     nadaraya_watson_rdd,
     to_record,
 )
@@ -69,7 +68,6 @@ from .funcspace import (
     ModelSpec,
     constant,
     eval_func,
-    lipschitz_constant,
     polynomial,
     sinusoid_sum,
 )
@@ -85,6 +83,6 @@ from .population import (
     solve_population,
     true_estimands,
 )
-from .sampling import Sample, draw_sample, load_sample_csv, parse_sample_csv, substream
+from .sampling import Sample, draw_sample, parse_sample_csv, substream
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -167,7 +167,7 @@ def _load_sample(args) -> tuple[Sample, dict | None]:
     """
     if args.rescale is None:
         z, y = parse_sample_csv(args.data)
-        return Sample(z=z, y=y, meta={"source": args.data, "n": int(z.size)}), None
+        return Sample(z=z, y=y), None
     lo, cut, hi = _parse_rescale(args.rescale)
     z, y = parse_sample_csv(args.data, require_unit_range=False)
     scale = max(hi - cut, cut - lo)
@@ -179,9 +179,7 @@ def _load_sample(args) -> tuple[Sample, dict | None]:
         raise DataError(
             f"{args.data}: row {int(bad) + 2}, column z: value outside the "
             f"range declared by --rescale")
-    info = {"min": lo, "cutoff": cut, "max": hi, "scale": scale}
-    return Sample(z=z, y=y, meta={"source": args.data, "n": int(z.size),
-                                  "rescale": info}), info
+    return Sample(z=z, y=y), {"min": lo, "cutoff": cut, "max": hi, "scale": scale}
 
 
 # ----------------------------------------------------------- subcommands --
@@ -218,7 +216,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
     _check_out_dir(os.path.dirname(args.out))
     sol = solve_population(model, r, CUTOFF, grid_n)
-    sample = draw_sample(sol, model, n, seed)
+    sample = draw_sample(sol, n, seed)
     estimands = true_estimands(model, r, grid_n)
     sidecar = {
         "n": n,

@@ -11,11 +11,11 @@ Every estimator first selects the rows it can use and only then
 canonicalizes them (sorts by Z, ties by Y). Local linear, Nadaraya-Watson and
 donut fits keep the kernel window |Z| <= h; the spillover regression keeps
 |Z| < h + r, the weighted rows plus every row in their strict neighbor
-windows; radius cross-validation keeps |Z| < h + max(candidates); the
-neighbor mean at z keeps |Z| < |z| + r. A row outside its estimator's window
-never enters a sort, a sum or a fit, so it has no influence on the estimate,
-bit for bit, and because the kept rows are canonicalized, estimates are
-bit-for-bit invariant under permutations of the input.
+windows; radius cross-validation keeps |Z| < h + max(candidates). A row
+outside its estimator's window never enters a sort, a sum, a fit or a fold
+draw, so it has no influence on the estimate, bit for bit, and because the
+kept rows are canonicalized, estimates are bit-for-bit invariant under
+permutations of the input.
 
 The neighbor-mean estimator follows the sample-analog definition: strict
 window |Z_j - z| < r, self-exclusion of the evaluation point's own row, and
@@ -263,12 +263,10 @@ class _NeighborPool:
             np.cumsum(~held, out=self.n_kept[1:])
 
     def mu(self, targets: np.ndarray, r: float, exclude_pos: np.ndarray | None = None,
-           bounds=None, counts: np.ndarray | None = None) -> np.ndarray:
+           bounds=None) -> np.ndarray:
         """Share-weighted neighbor means of Y at targets; each target's
         exclude_pos entry is left out of its window. bounds, when given, is
-        _window_bounds(self.z, targets, r); counts, when given, a (2, n) int
-        array that receives each target's treated and untreated neighbor
-        counts."""
+        _window_bounds(self.z, targets, r)."""
         a, b = _window_bounds(self.z, targets, r) if bounds is None else bounds
         own = (None, None)  # per side, the targets whose own row is in their window
         if exclude_pos is not None:
@@ -279,7 +277,7 @@ class _NeighborPool:
             own = (hit & treated, hit & ~treated)
         means = []
         # treated neighbors lie in [split, ...), untreated ones in [..., split)
-        for side, (clip, mine) in enumerate(zip((np.maximum, np.minimum), own)):
+        for clip, mine in zip((np.maximum, np.minimum), own):
             lo, hi = clip(a, self.split), clip(b, self.split)
             total = self.cum[hi]
             total -= self.cum[lo]
@@ -292,8 +290,6 @@ class _NeighborPool:
             np.divide(total, count, out=total, where=~empty)
             total[empty] = 0.0  # an empty side contributes zero
             means.append(total)
-            if counts is not None:
-                counts[side] = count
         t_mean, u_mean = means
         wp = _share_weight_plus(targets, r)
         t_mean *= wp
@@ -314,29 +310,6 @@ def _window_bounds(z: np.ndarray, targets: np.ndarray, r: float):
 def _share_weight_plus(z, r: float):
     """w_plus(z) = |[z-r, z+r] n [0, inf)| / (2r), clipped to [0, 1]."""
     return np.clip((np.asarray(z, dtype=float) + r) / (2.0 * r), 0.0, 1.0)
-
-
-def mu_hat(sample: Sample, r: float, z: float) -> dict:
-    """Share-weighted neighbor mean of Y around z.
-
-    When z coincides with an observed running-variable value, the first such
-    observation is excluded as the evaluation point's own row (with
-    continuously distributed Z, exact coincidence identifies it uniquely).
-    """
-    if not r > 0.0:
-        raise ConfigError(f"neighborhood radius must be positive, got {r}")
-    pool = _NeighborPool(*_canonical_order(sample, abs(z) + r, strict=True))
-    exclude = None
-    hit = np.searchsorted(pool.z, z, side="left")
-    if hit < pool.z.size and pool.z[hit] == z:
-        exclude = np.array([hit])
-    counts = np.empty((2, 1), np.intp)
-    value = pool.mu(np.array([float(z)]), r, exclude, counts=counts)
-    return {
-        "value": float(value[0]),
-        "n_plus_neighbors": int(counts[0, 0]),
-        "n_minus_neighbors": int(counts[1, 0]),
-    }
 
 
 # --------------------------------------------------- spillover regression --
@@ -448,15 +421,16 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
     """K-fold selection of the neighborhood radius, per side.
 
     Folds are a random seed-determined partition of the canonically ordered
-    sample. For each candidate radius the spillover regression is fit on the
-    training part (its neighbor pool is the training data only) and
-    kernel-weighted squared prediction error is accumulated over the held-out
-    part, separately for each side of the cutoff. A candidate where any fold
-    fails to fit is infeasible.
+    window |Z| < h + max(candidates), the only rows any fold reads. For each
+    candidate radius the spillover regression is fit on the training part
+    (its neighbor pool is the training data only) and kernel-weighted squared
+    prediction error is accumulated over the held-out part, separately for
+    each side of the cutoff. A candidate where any fold fails to fit is
+    infeasible.
 
-    Every fold shares the window |Z| < h + max(candidates): each candidate's
-    neighbor bounds are found once over it, and a fold's pool is the window
-    with the fold's rows held out of the prefix sums, never a copy.
+    Each candidate's neighbor bounds are found once over the window, and a
+    fold's pool is the window with the fold's rows held out of the prefix
+    sums, never a copy.
     """
     candidates = [float(r) for r in candidates]
     if not candidates:
@@ -471,12 +445,8 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
     n = sample.n
     if folds > n:
         raise CrossValidationError(f"{folds} folds exceed the {n} observations")
-    reach = cfg.h + max(candidates)
-    z, y = _canonical_order(sample, reach, strict=True)
-    # Fold ids index the canonical order of the whole sample, where the rows
-    # left of the window (Z <= -reach) come first.
-    n_left = int(np.count_nonzero(sample.z <= -reach))
-    fold_id = (substream(seed, 101).permutation(n)[n_left:n_left + z.size]
+    z, y = _canonical_order(sample, cfg.h + max(candidates), strict=True)
+    fold_id = (substream(seed, 101).permutation(z.size)
                % folds).astype(np.min_scalar_type(folds - 1))
     a, b = _kernel_range(z, cfg.h)
     w = kernel_values(cfg.kernel, z[a:b] / cfg.h)

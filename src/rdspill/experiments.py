@@ -339,7 +339,7 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
         try:
             sol = cache.get_or_solve(model, r, plan.grid_n)
             rows, fit, reach = setup(model, rule, sol, h, r, cache)
-            values = [fit(draw_sample(sol, model, n, int(s), reach=reach))
+            values = [fit(draw_sample(sol, n, int(s), reach=reach))
                       for s in _rep_seeds(plan.seed, study, cell_index,
                                           plan.replications)]
         except RdspillError as err:

@@ -1,9 +1,9 @@
-"""Parametric structural functions on [-1, 1] with certified Lipschitz bounds.
+"""Parametric structural functions on [-1, 1].
 
 Model ingredients (the two outcome branches, the endogenous and exogenous
 spillover coefficients, the noise scale) are restricted to closed families so
-that Lipschitz constants are exact closed forms and configs round-trip without
-loss. Everything is immutable after construction.
+that configs round-trip without loss. Everything is immutable after
+construction.
 """
 from __future__ import annotations
 
@@ -114,19 +114,6 @@ def eval_func(spec: FuncSpec, z):
     return out
 
 
-def lipschitz_constant(spec: FuncSpec) -> float:
-    """A certified (not necessarily tight) Lipschitz bound on [-1, 1].
-
-    polynomial: sum_k k*|a_k| bounds |f'| on [-1, 1]; sinusoid-sum: sum |A_j w_j|.
-    """
-    if spec.family == "constant":
-        return 0.0
-    if spec.family == "polynomial":
-        return float(sum(k * abs(a) for k, a in enumerate(spec.coefficients)))
-    _, amps, freqs = spec._sinusoid_parts()
-    return float(np.sum(np.abs(amps * freqs)))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Full structural model: outcome branches, spillover coefficients, noise.
@@ -167,7 +154,7 @@ class ModelSpec:
         if np.min(svals) < 0.0:
             raise ConfigError("noise_sd must be nonnegative on [-1, 1]")
         object.__setattr__(self, "delta_bar", sup_abs)
-        # every draw and cache lookup compares models by this hash
+        # every cache lookup compares models by this hash
         blob = json.dumps(self.to_config(), sort_keys=True, separators=(",", ":"))
         object.__setattr__(self, "_content_hash",
                            hashlib.sha256(blob.encode()).hexdigest()[:16])

@@ -17,17 +17,20 @@ import numbers
 import operator
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 
 import numpy as np
 
-from .csvio import write_csv
 from .errors import ConfigError, DataError
-from .funcspace import ModelSpec, eval_func
+from .funcspace import eval_func
 from .population import PopulationSolution
 
 CHUNK_BYTES = 1 << 16  # bytes read and converted at a time by parse_sample_csv
+# Rows formatted per write by Sample.to_csv: large enough that the per-call
+# cost vanishes, small enough that one block's Python floats stay well under
+# a megabyte.
+ROWS_PER_WRITE = 1024
 
 # The fast parse needs a long double with a 64-bit significand or wider
 # and a binary exponent of its own: x87 extended (x86-64 Linux, 63
@@ -46,7 +49,6 @@ _TO_COMMA = bytes.maketrans(b"\neE", b",,,")  # with '.', '+' and '-' deleted
 class Sample:
     z: np.ndarray
     y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.z.shape != self.y.shape or self.z.ndim != 1:
@@ -61,8 +63,18 @@ class Sample:
     def n(self) -> int:
         return self.z.size
 
-    def to_csv(self, path_or_buf) -> None:
-        write_csv(path_or_buf, "z,y", self.z, self.y)
+    def to_csv(self, fh) -> None:
+        """Write the rows as `z,y` CSV to the text buffer fh.
+
+        The bytes are those of np.savetxt(..., delimiter=",", comments="",
+        fmt="%.17g"): '%.17g' formats a float64 and its Python float alike,
+        so each block of ROWS_PER_WRITE rows is one % over one format string.
+        """
+        fh.write("z,y\n")
+        for start in range(0, self.n, ROWS_PER_WRITE):
+            block = np.column_stack((self.z[start:start + ROWS_PER_WRITE],
+                                     self.y[start:start + ROWS_PER_WRITE]))
+            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -76,39 +88,29 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def draw_sample(sol: PopulationSolution, model: ModelSpec, n: int, seed: int,
+def draw_sample(sol: PopulationSolution, n: int, seed: int,
                 reach: float | None = None) -> Sample:
-    """n i.i.d. observations (Z_i, Y_i) from the solved population.
+    """n i.i.d. observations (Z_i, Y_i) from the solved population, with
+    the noise scale of the model it was solved for.
 
     With reach < 1, only the window |Z| <= reach of an n-row draw is drawn,
     by binomial thinning: Z is uniform on [-1, 1], so the window holds
     K ~ Binomial(n, reach) rows, uniform on [-reach, reach). The rows have
     the law of the full draw's window, not its bits, and the cost scales
     with the window. With reach None or >= 1 all n rows are drawn, the same
-    rows either way. meta["n"] stays the drawn n.
+    rows either way.
     """
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
     if reach is not None and not (isinstance(reach, numbers.Real) and 0.0 <= reach < math.inf):
         raise ConfigError(f"reach must be None or a finite number >= 0, got {reach!r}")
-    if model.content_hash() != sol.model.content_hash():
-        raise ConfigError("model does not match the one the population was solved for")
     rng = substream(seed)
     p = 1.0 if reach is None else min(reach, 1.0)
     k = n if p == 1.0 else int(rng.binomial(n, p))
     z = rng.uniform(-p, p, size=k)
     noise = rng.standard_normal(k)
-    sigma = np.asarray(eval_func(model.noise_sd, z))
-    y = sol.interp(z) + sigma * noise
-    meta = {
-        "seed": int(seed),
-        "n": int(n),
-        "reach": None if reach is None else float(reach),
-        "model_hash": model.content_hash(),
-        "r": float(sol.r),
-        "grid_n": int(len(sol.grid)),
-    }
-    return Sample(z=z, y=y, meta=meta)
+    sigma = np.asarray(eval_func(sol.model.noise_sd, z))
+    return Sample(z=z, y=sol.interp(z) + sigma * noise)
 
 
 def parse_sample_csv(path, require_unit_range: bool = True):
@@ -325,9 +327,3 @@ def _parse_rows_one_by_one(path, lines: list, first_row: int,
             raise DataError(f"{path}: row {row_idx}, column z: {row[0]} outside [-1, 1]")
         rows.append(row)
     return np.array(rows, dtype=float)
-
-
-def load_sample_csv(path) -> Sample:
-    """Read a `z,y` CSV file into a Sample."""
-    z, y = parse_sample_csv(path)
-    return Sample(z=z, y=y, meta={"source": str(path), "n": int(z.size)})

@@ -85,6 +85,25 @@ def window_matrix_loop():
     return _window_matrix_loop
 
 
+def _lipschitz_constant(spec):
+    """A certified (not necessarily tight) Lipschitz bound of a FuncSpec on
+    [-1, 1], the oracle bound of the Lipschitz checks.
+
+    polynomial: sum_k k*|a_k| bounds |f'| on [-1, 1]; sinusoid-sum: sum |A_j w_j|.
+    """
+    if spec.family == "constant":
+        return 0.0
+    if spec.family == "polynomial":
+        return float(sum(k * abs(a) for k, a in enumerate(spec.coefficients)))
+    _, amps, freqs = spec._sinusoid_parts()
+    return float(np.sum(np.abs(amps * freqs)))
+
+
+@pytest.fixture(scope="session")
+def lipschitz_constant():
+    return _lipschitz_constant
+
+
 @pytest.fixture(scope="session")
 def benchmark_model():
     """Linear baselines with constant spillover coefficients.

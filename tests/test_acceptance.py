@@ -35,7 +35,6 @@ from rdspill.funcspace import (
     ModelSpec,
     constant,
     eval_func,
-    lipschitz_constant,
     polynomial,
     sinusoid_sum,
 )
@@ -155,7 +154,7 @@ def test_check_02_contraction():
 # ---------------------------------------------------------------- check 3 --
 
 
-def test_check_03_lipschitz_and_oddness():
+def test_check_03_lipschitz_and_oddness(lipschitz_constant):
     grid = np.linspace(-1.0, 1.0, 4001)
     dz = grid[1] - grid[0]
     r = 0.15

@@ -64,7 +64,7 @@ def run_cli(argv, capsys):
 def bench_sample():
     model = ModelSpec.from_config(BENCH)
     sol = solve_population(model, 0.1, CUTOFF, 2001)
-    return draw_sample(sol, model, 2500, 7)
+    return draw_sample(sol, 2500, 7)
 
 
 class TestConfigErrors:

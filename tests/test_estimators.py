@@ -25,7 +25,6 @@ from rdspill.estimators import (
     donut_rdd,
     local_linear_rdd,
     local_spillover_regression,
-    mu_hat,
     nadaraya_watson_rdd,
     to_record,
 )
@@ -61,8 +60,8 @@ def quiet_solution(quiet_model):
 
 
 @pytest.fixture(scope="module")
-def quiet_sample(quiet_solution, quiet_model):
-    return draw_sample(quiet_solution, quiet_model, 20000, seed=11)
+def quiet_sample(quiet_solution):
+    return draw_sample(quiet_solution, 20000, seed=11)
 
 
 # ----------------------------------------------------------------- config --
@@ -348,55 +347,78 @@ class TestDonut:
 # ---------------------------------------------------------- neighbor mean --
 
 
+def mu_hat(sample: Sample, r: float, z: float) -> float:
+    """_NeighborPool.mu at z over the sample's strict window |Z| < |z| + r,
+    with the first row at Z == z, if any, excluded as z's own row."""
+    pool = est_mod._NeighborPool(*est_mod._canonical_order(sample, abs(z) + r, strict=True))
+    hit = np.searchsorted(pool.z, z)
+    own = np.array([hit]) if hit < pool.z.size and pool.z[hit] == z else None
+    return float(pool.mu(np.array([z]), r, own)[0])
+
+
+def brute_force_mu_hat(z: np.ndarray, y: np.ndarray, r: float, t: float) -> float:
+    """The neighbor mean at t from its definition, one row at a time: the
+    strict window |Z_j - t| < r less the first row at Z == t, each side's
+    mean (0 for an empty side), weighted by w_plus = clip((t + r)/(2r), 0, 1)."""
+    own = next((j for j, zj in enumerate(z) if zj == t), None)
+    sides = {True: [], False: []}
+    for j, (zj, yj) in enumerate(zip(z, y)):
+        if j != own and abs(zj - t) < r:
+            sides[zj >= 0.0].append(yj)
+    t_mean, u_mean = (sum(v) / len(v) if v else 0.0 for v in (sides[True], sides[False]))
+    w_plus = min(max((t + r) / (2.0 * r), 0.0), 1.0)
+    return w_plus * t_mean + (1.0 - w_plus) * u_mean
+
+
 class TestMuHat:
     def test_hand_computed_two_sided(self):
         z = np.array([-0.4, -0.1, 0.2, 0.3])
         y = np.array([4.0, 2.0, 6.0, 10.0])
         got = mu_hat(Sample(z=z, y=y), r=0.35, z=0.0)
-        assert got["value"] == pytest.approx(5.0, abs=1e-14)
-        assert got["n_plus_neighbors"] == 2
-        assert got["n_minus_neighbors"] == 1
+        assert got == pytest.approx(5.0, abs=1e-14)
 
     def test_window_is_strict_and_self_is_excluded(self):
         z = np.array([-0.5, 0.0, 0.5])
         y = np.array([1.0, 2.0, 3.0])
-        got = mu_hat(Sample(z=z, y=y), r=0.5, z=0.0)
-        assert got == {"value": 0.0, "n_plus_neighbors": 0, "n_minus_neighbors": 0}
+        assert mu_hat(Sample(z=z, y=y), r=0.5, z=0.0) == 0.0
 
     def test_self_exclusion_removes_one_match(self):
         z = np.array([0.1, 0.1])
         y = np.array([1.0, 9.0])
-        got = mu_hat(Sample(z=z, y=y), r=0.05, z=0.1)
-        assert got["value"] == pytest.approx(9.0)
-        assert got["n_plus_neighbors"] == 1
+        assert mu_hat(Sample(z=z, y=y), r=0.05, z=0.1) == pytest.approx(9.0)
 
     def test_own_outlier_does_not_contaminate(self):
         z = np.array([-0.01, 0.0, 0.01])
         y = np.array([2.0, 1e6, 4.0])
-        got = mu_hat(Sample(z=z, y=y), r=0.05, z=0.0)
-        assert got["value"] == pytest.approx(3.0, abs=1e-10)
+        assert mu_hat(Sample(z=z, y=y), r=0.05, z=0.0) == pytest.approx(3.0, abs=1e-10)
 
     def test_empty_side_contributes_zero(self):
         z = np.array([-0.04, -0.03, -0.02])
         y = np.array([3.0, 5.0, 7.0])
         got = mu_hat(Sample(z=z, y=y), r=0.05, z=-0.02)
         w_plus = (-0.02 + 0.05) / 0.1
-        assert got["n_plus_neighbors"] == 0
-        assert got["value"] == pytest.approx((1 - w_plus) * 4.0, abs=1e-12)
+        assert got == pytest.approx((1 - w_plus) * 4.0, abs=1e-12)
 
     def test_deep_interior_weight_is_one_sided(self):
         z = np.array([0.3, 0.31, 0.32])
         y = np.array([1.0, 100.0, 3.0])
-        got = mu_hat(Sample(z=z, y=y), r=0.05, z=0.31)
-        assert got["value"] == pytest.approx(2.0, abs=1e-12)
+        assert mu_hat(Sample(z=z, y=y), r=0.05, z=0.31) == pytest.approx(2.0, abs=1e-12)
 
+    # the radius reaches the neighbor mean through EstimatorConfig (the
+    # spillover fit) or a cross-validation candidate, each checked
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ConfigError):
-            mu_hat(linear_sample(20), r=0.0, z=0.0)
+            EstimatorConfig(kernel="triangular", h=0.2, r=0.0)
+        with pytest.raises(ConfigError):
+            cross_validate_r(linear_sample(20), EstimatorConfig(kernel="triangular", h=0.2),
+                             [0.0], folds=2, seed=1)
 
     def test_rejects_nan_radius(self):
         with pytest.raises(ConfigError, match="positive"):
-            mu_hat(linear_sample(20), r=float("nan"), z=0.0)
+            EstimatorConfig(kernel="triangular", h=0.2, r=float("nan"))
+        with pytest.raises(ConfigError, match="outside"):
+            cross_validate_r(linear_sample(20), EstimatorConfig(kernel="triangular", h=0.2),
+                             [float("nan")], folds=2, seed=1)
 
     @given(st.floats(-1.0, 1.0), st.floats(0.01, 1.0))
     def test_share_weights_complement(self, z, r):
@@ -417,8 +439,10 @@ class TestMuHat:
         z = rng.uniform(-0.2, 0.2, 30)
         y = rng.normal(0.0, 3.0, 30)
         got = mu_hat(Sample(z=z, y=y), r=0.25, z=0.01)
-        if got["n_plus_neighbors"] and got["n_minus_neighbors"]:
-            assert y.min() - 1e-12 <= got["value"] <= y.max() + 1e-12
+        near = np.abs(z - 0.01) < 0.25
+        if np.any(near & (z >= 0.0)) and np.any(near & (z < 0.0)):
+            assert y.min() - 1e-12 <= got <= y.max() + 1e-12
+        assert got == pytest.approx(brute_force_mu_hat(z, y, 0.25, 0.01), rel=1e-12, abs=1e-12)
 
     def test_points_outside_the_window_have_zero_influence_bitwise(self):
         z = np.array([-0.03, -0.01, 0.02, 0.04])
@@ -713,16 +737,17 @@ class TestCrossValidation:
         assert a == b
 
     def test_matches_fold_by_fold_reference(self, quiet_sample):
-        # Folds partition the canonical order of the whole sample; each
-        # fold's error is the kernel-weighted squared error of a spillover
-        # fit on the training rows, predicting held-out rows from neighbor
-        # means over the training rows, here one public call at a time.
+        # Folds partition the canonical order of the window |Z| < h +
+        # max(candidates); each fold's error is the kernel-weighted squared
+        # error of a spillover fit on the window's training rows, predicting
+        # held-out rows from brute-force neighbor means over those rows.
         sample = Sample(z=quiet_sample.z[:3000], y=quiet_sample.y[:3000])
         cfg = EstimatorConfig(kernel="triangular", h=0.2)
-        folds, seed = 3, 12
-        out = cross_validate_r(sample, cfg, [0.03, 0.05], folds=folds, seed=seed)
-        order = np.lexsort((sample.y, sample.z))
-        z, y = sample.z[order], sample.y[order]
+        folds, seed, candidates = 3, 12, [0.03, 0.05]
+        out = cross_validate_r(sample, cfg, candidates, folds=folds, seed=seed)
+        window = np.abs(sample.z) < cfg.h + max(candidates)
+        order = np.lexsort((sample.y[window], sample.z[window]))
+        z, y = sample.z[window][order], sample.y[window][order]
         fold_id = substream(seed, 101).permutation(z.size) % folds
         for row in out["cv_table"]:
             r = row["r"]
@@ -736,7 +761,7 @@ class TestCrossValidation:
                     w = float(kernel_values(cfg.kernel, zt / cfg.h))
                     if w == 0.0:
                         continue
-                    md = mu_hat(train, r, zt)["value"] - est.mu_hat_at_0
+                    md = brute_force_mu_hat(train.z, train.y, r, zt) - est.mu_hat_at_0
                     nd = nu_exact(CUTOFF, r, zt) - nu0
                     side = "plus" if zt >= 0.0 else "minus"
                     beta = est.beta_plus if side == "plus" else est.beta_minus
@@ -746,13 +771,22 @@ class TestCrossValidation:
             assert row["mse_plus"] == pytest.approx(mse["plus"], rel=1e-9)
             assert row["mse_minus"] == pytest.approx(mse["minus"], rel=1e-9)
 
-    def test_prefers_true_radius(self, quiet_solution, quiet_model):
+    def test_far_points_have_zero_influence_bitwise(self, quiet_sample):
+        # rows outside |Z| < h + max(candidates) enter no fold and no fit
+        sample = Sample(z=quiet_sample.z[:4000], y=quiet_sample.y[:4000])
+        cfg = EstimatorConfig(kernel="triangular", h=0.2)
+        poisoned = Sample(z=np.concatenate([sample.z, [-0.9, 0.9, 0.9]]),
+                          y=np.concatenate([sample.y, [1e9, 1e9, 1e9]]))
+        base = cross_validate_r(sample, cfg, [0.03, 0.05], folds=3, seed=12)
+        assert cross_validate_r(poisoned, cfg, [0.03, 0.05], folds=3, seed=12) == base
+
+    def test_prefers_true_radius(self, quiet_solution):
         cfg = EstimatorConfig(kernel="triangular", h=0.2)
         candidates = [0.02, 0.05, 0.15]
         hits = 0
         reps = 10
         for i in range(reps):
-            sample = draw_sample(quiet_solution, quiet_model, 4000, seed=500 + i)
+            sample = draw_sample(quiet_solution, 4000, seed=500 + i)
             out = cross_validate_r(sample, cfg, candidates, folds=2, seed=i)
             hits += int(out["r_plus"] == 0.05) + int(out["r_minus"] == 0.05)
         assert hits >= int(0.6 * 2 * reps)

@@ -514,7 +514,7 @@ def test_failure_row_is_the_earliest_failing_seed(monkeypatch):
             want_seeds.append(int(seed))
             try:
                 _failing_local_linear(
-                    draw_sample(sol, plan.model, n, int(seed), reach=h), cfg)
+                    draw_sample(sol, n, int(seed), reach=h), cfg)
             except IllPosedError as err:
                 want_failures.append((rule.label, n, str(err)))
                 failed_late = failed_late or k > 0
@@ -524,9 +524,9 @@ def test_failure_row_is_the_earliest_failing_seed(monkeypatch):
 
     drawn = []
 
-    def counting(sol, model, n, seed, reach=None):
+    def counting(sol, n, seed, reach=None):
         drawn.append(seed)
-        return draw_sample(sol, model, n, seed, reach=reach)
+        return draw_sample(sol, n, seed, reach=reach)
 
     monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
     monkeypatch.setattr(exp_mod, "draw_sample", counting)
@@ -553,8 +553,8 @@ def test_setup_and_replication_failures(monkeypatch):
 def _draws_with(monkeypatch, reach_of):
     """Make the studies draw with reach_of(reach, sol) in place of the reach
     their fits ask for."""
-    def draw(sol, model, n, seed, reach=None):
-        return draw_sample(sol, model, n, seed, reach=reach_of(reach, sol))
+    def draw(sol, n, seed, reach=None):
+        return draw_sample(sol, n, seed, reach=reach_of(reach, sol))
 
     monkeypatch.setattr(exp_mod, "draw_sample", draw)
 
@@ -607,10 +607,10 @@ class TestWindowedDraws:
         windowed = runner(plan, SolutionCache())
 
         def draws_within(reach_of):
-            def draw(sol, model, n, seed, reach=None):
-                sample = draw_sample(sol, model, n, seed, reach=reach)
+            def draw(sol, n, seed, reach=None):
+                sample = draw_sample(sol, n, seed, reach=reach)
                 keep = np.abs(sample.z) <= reach_of(reach, sol)
-                return Sample(z=sample.z[keep], y=sample.y[keep], meta=sample.meta)
+                return Sample(z=sample.z[keep], y=sample.y[keep])
 
             monkeypatch.setattr(exp_mod, "draw_sample", draw)
 

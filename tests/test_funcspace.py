@@ -14,7 +14,6 @@ from rdspill.funcspace import (
     ModelSpec,
     constant,
     eval_func,
-    lipschitz_constant,
     polynomial,
     sinusoid_sum,
 )
@@ -90,7 +89,7 @@ class TestFuncSpec:
 
 
 class TestLipschitz:
-    def test_closed_forms(self):
+    def test_closed_forms(self, lipschitz_constant):
         assert lipschitz_constant(constant(9.0)) == 0.0
         assert lipschitz_constant(polynomial([2.0, 3.0, -1.0])) == pytest.approx(5.0)
         assert lipschitz_constant(sinusoid_sum([0.5, 2.0, 0.25, 8.0])) == pytest.approx(3.0)
@@ -102,7 +101,7 @@ class TestLipschitz:
         z2=st.floats(-1, 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_polynomial_bound_holds(self, coeffs, z1, z2):
+    def test_polynomial_bound_holds(self, lipschitz_constant, coeffs, z1, z2):
         f = polynomial(coeffs)
         C = lipschitz_constant(f)
         gap = abs(eval_func(f, z1) - eval_func(f, z2))
@@ -115,7 +114,7 @@ class TestLipschitz:
         z2=st.floats(-1, 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_sinusoid_bound_holds(self, pairs, z1, z2):
+    def test_sinusoid_bound_holds(self, lipschitz_constant, pairs, z1, z2):
         coeffs = [v for pair in pairs for v in pair]
         f = sinusoid_sum(coeffs)
         C = lipschitz_constant(f)
@@ -124,7 +123,7 @@ class TestLipschitz:
 
 
 class TestModelSpec:
-    def test_benchmark_fields(self, benchmark_model):
+    def test_benchmark_fields(self, benchmark_model, lipschitz_constant):
         m = benchmark_model
         assert m.delta_bar == pytest.approx(0.4)
         assert max(lipschitz_constant(m.m_plus),

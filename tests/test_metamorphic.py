@@ -31,7 +31,7 @@ HALVED = EstimatorConfig(kernel="triangular", h=0.075, r=0.0375, h_donut=0.01)
 def sample():
     model = benchmark_model(0.1)
     sol = solve_population(model, 0.075, CUTOFF, 4001)
-    return draw_sample(sol, model, 50_000, seed=1)
+    return draw_sample(sol, 50_000, seed=1)
 
 
 def close(a, b, rtol=RTOL):

@@ -5,8 +5,7 @@ import pytest
 
 from rdspill.asymptotics import build_lambda_table
 from rdspill.errors import ConfigError, DomainError
-from rdspill.funcspace import (ModelSpec, constant, eval_func, lipschitz_constant,
-                               polynomial, sinusoid_sum)
+from rdspill.funcspace import ModelSpec, constant, eval_func, polynomial, sinusoid_sum
 from rdspill.population import (
     ALL_TREATED,
     CUTOFF,
@@ -273,7 +272,7 @@ class TestStructureLemmas:
             assert np.max(np.abs(mapped)) <= \
                 benchmark_model.delta_bar * np.max(np.abs(diff)) + 1e-12
 
-    def test_interior_slope_bounds(self, benchmark_model):
+    def test_interior_slope_bounds(self, benchmark_model, lipschitz_constant):
         # away from the cutoff and the boundary: nu has slope at most 1/(2r),
         # mu at most osc(y)/(2r), and y at most C + delta*slope(mu) by the
         # product rule (all coefficients constant here)

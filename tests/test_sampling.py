@@ -1,4 +1,5 @@
 import decimal
+import io
 import math
 import os
 import tempfile
@@ -24,7 +25,6 @@ from rdspill.population import CUTOFF, solve_population
 from rdspill.sampling import (
     Sample,
     draw_sample,
-    load_sample_csv,
     parse_sample_csv,
     substream,
 )
@@ -34,48 +34,52 @@ from rdspill.sampling import (
 GOOD_LINE = "-0.12345678901234567,1.2345678901234567"
 
 
+def _write_csv(sample: Sample, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        sample.to_csv(fh)
+
+
 @pytest.fixture(scope="module")
 def noiseless_sol(noiseless_benchmark):
     return solve_population(noiseless_benchmark, 0.1, CUTOFF, grid_n=1001)
 
 
 @pytest.fixture(scope="module")
-def unit_noise_setup():
+def unit_noise_sol():
     model = ModelSpec(
         m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
         delta=constant(0.4), gamma=constant(0.5), noise_sd=constant(1.0),
     )
-    sol = solve_population(model, 0.1, CUTOFF, grid_n=1001)
-    return model, sol
+    return solve_population(model, 0.1, CUTOFF, grid_n=1001)
 
 
 class TestDrawSample:
-    def test_deterministic(self, noiseless_benchmark, noiseless_sol):
-        a = draw_sample(noiseless_sol, noiseless_benchmark, 500, seed=42)
-        b = draw_sample(noiseless_sol, noiseless_benchmark, 500, seed=42)
+    def test_deterministic(self, noiseless_sol):
+        a = draw_sample(noiseless_sol, 500, seed=42)
+        b = draw_sample(noiseless_sol, 500, seed=42)
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.y, b.y)
 
-    def test_seed_changes_draw(self, noiseless_benchmark, noiseless_sol):
-        a = draw_sample(noiseless_sol, noiseless_benchmark, 500, seed=42)
-        b = draw_sample(noiseless_sol, noiseless_benchmark, 500, seed=43)
+    def test_seed_changes_draw(self, noiseless_sol):
+        a = draw_sample(noiseless_sol, 500, seed=42)
+        b = draw_sample(noiseless_sol, 500, seed=43)
         assert not np.array_equal(a.z, b.z)
 
-    def test_zero_noise_is_exact_interp(self, noiseless_benchmark, noiseless_sol):
-        s = draw_sample(noiseless_sol, noiseless_benchmark, 2000, seed=7)
+    def test_zero_noise_is_exact_interp(self, noiseless_sol):
+        s = draw_sample(noiseless_sol, 2000, seed=7)
         assert np.array_equal(s.y, noiseless_sol.interp(s.z))
 
-    def test_clt_bound(self, unit_noise_setup):
-        model, sol = unit_noise_setup
+    def test_clt_bound(self, unit_noise_sol):
+        sol = unit_noise_sol
         n = 1_000_000
-        s = draw_sample(sol, model, n, seed=11)
+        s = draw_sample(sol, n, seed=11)
         resid = s.y - sol.interp(s.z)
         assert abs(float(np.mean(resid))) < 4 / np.sqrt(n)
 
-    def test_binned_residual_means(self, unit_noise_setup):
-        model, sol = unit_noise_setup
+    def test_binned_residual_means(self, unit_noise_sol):
+        sol = unit_noise_sol
         n = 200_000
-        s = draw_sample(sol, model, n, seed=3)
+        s = draw_sample(sol, n, seed=3)
         resid = s.y - sol.interp(s.z)
         bins = np.linspace(-1, 1, 21)
         idx = np.digitize(s.z, bins) - 1
@@ -85,26 +89,16 @@ class TestDrawSample:
             assert count > 0
             assert abs(float(np.mean(resid[sel]))) < 4 / np.sqrt(count)
 
-    def test_z_uniform_marginal(self, noiseless_benchmark, noiseless_sol):
-        s = draw_sample(noiseless_sol, noiseless_benchmark, 100_000, seed=5)
+    def test_z_uniform_marginal(self, noiseless_sol):
+        s = draw_sample(noiseless_sol, 100_000, seed=5)
         assert s.z.min() >= -1 and s.z.max() <= 1
         # each decile holds close to a tenth of the mass
         counts, _ = np.histogram(s.z, bins=np.linspace(-1, 1, 11))
         assert np.all(np.abs(counts / s.n - 0.1) < 0.01)
 
-    def test_meta_fields(self, noiseless_benchmark, noiseless_sol):
-        s = draw_sample(noiseless_sol, noiseless_benchmark, 10, seed=9)
-        assert s.meta["seed"] == 9
-        assert s.meta["n"] == 10 == s.n
-        assert s.meta["model_hash"] == noiseless_benchmark.content_hash()
-        assert s.meta["r"] == 0.1
-        assert s.meta["grid_n"] == 1001
-
-    def test_validation(self, noiseless_benchmark, noiseless_sol, benchmark_model):
+    def test_validation(self, noiseless_sol):
         with pytest.raises(ConfigError):
-            draw_sample(noiseless_sol, noiseless_benchmark, 0, seed=1)
-        with pytest.raises(ConfigError):
-            draw_sample(noiseless_sol, benchmark_model, 10, seed=1)
+            draw_sample(noiseless_sol, 0, seed=1)
 
     def test_interp_error_drops_with_grid(self, noiseless_benchmark):
         fine = solve_population(noiseless_benchmark, 0.17, CUTOFF, grid_n=8001)
@@ -128,13 +122,13 @@ WINDOW_H, WINDOW_R = 0.1, 0.05
 
 
 @pytest.fixture(scope="module", params=sorted(NOISE_SPECS))
-def noisy_setup(request):
+def noisy_sol(request):
     model = ModelSpec(
         m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
         delta=constant(0.4), gamma=constant(0.5),
         noise_sd=NOISE_SPECS[request.param],
     )
-    return model, solve_population(model, WINDOW_R, CUTOFF, grid_n=1001)
+    return solve_population(model, WINDOW_R, CUTOFF, grid_n=1001)
 
 
 def _fit_outcome(fit, sample, cfg):
@@ -163,16 +157,15 @@ def _variance_se(mu2: float, mu4: float, m: int) -> float:
 class TestWindowedDraw:
     @pytest.mark.parametrize("n", [1, 4001, 20001])
     @pytest.mark.parametrize("reach", [1e-3, WINDOW_H, WINDOW_H + WINDOW_R, 1.0])
-    def test_rows_equal_the_full_draw_in_window(self, noisy_setup, n, reach):
+    def test_rows_equal_the_full_draw_in_window(self, noisy_sol, n, reach):
         """Equal in law below reach 1, where the window is drawn by binomial
         thinning; equal bit for bit at reach 1, where the full draw runs."""
-        model, sol = noisy_setup
+        sol = noisy_sol
         seeds = range(12 if reach >= 1.0 else 200)
-        full = [draw_sample(sol, model, n, seed=seed) for seed in seeds[:20]]
-        windowed = [draw_sample(sol, model, n, seed=seed, reach=reach) for seed in seeds]
+        full = [draw_sample(sol, n, seed=seed) for seed in seeds[:20]]
+        windowed = [draw_sample(sol, n, seed=seed, reach=reach) for seed in seeds]
         for f, w in zip(full, windowed):
-            assert w.meta == dict(f.meta, reach=reach)
-            assert f.meta["reach"] is None and f.meta["n"] == n
+            assert f.n == n
             if reach >= 1.0:
                 assert w.z.tobytes() == f.z.tobytes()
                 assert w.y.tobytes() == f.y.tobytes()
@@ -194,7 +187,7 @@ class TestWindowedDraw:
             # the two-sample KS critical value at level 0.001
             assert _ks_statistic(z, in_window) <= 1.95 * math.sqrt(
                 (z.size + in_window.size) / (z.size * in_window.size))
-        noise = (y - sol.interp(z)) / np.asarray(model.noise_sd(z))
+        noise = (y - sol.interp(z)) / np.asarray(sol.model.noise_sd(z))
         if noise.size >= 20:
             assert abs(noise.mean()) <= 4.0 / math.sqrt(noise.size)
             assert abs(noise.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (noise.size - 1))
@@ -204,13 +197,13 @@ class TestWindowedDraw:
         (nadaraya_watson_rdd, EstimatorConfig(kernel="triangular", h=1e-3)),
         (local_spillover_regression, EstimatorConfig(kernel="triangular", h=1e-3, r=5e-4)),
     ], ids=["local_linear", "nadaraya_watson", "spillover"])
-    def test_empty_window_fails_as_the_full_draw_does(self, noisy_setup, fit, cfg):
+    def test_empty_window_fails_as_the_full_draw_does(self, noisy_sol, fit, cfg):
         # reach 0 makes K ~ Binomial(n, 0) = 0 certain; this full draw has no
         # row in the fit's window, and the fit reads no row outside it
-        model, sol = noisy_setup
-        full = draw_sample(sol, model, 101, seed=4)
+        sol = noisy_sol
+        full = draw_sample(sol, 101, seed=4)
         assert np.count_nonzero(np.abs(full.z) <= cfg.h + (cfg.r or 0.0)) == 0
-        empty = draw_sample(sol, model, 101, seed=4, reach=0.0)
+        empty = draw_sample(sol, 101, seed=4, reach=0.0)
         assert empty.n == 0
         outcome = _fit_outcome(fit, empty, cfg)
         assert isinstance(outcome, tuple)  # the fit raised
@@ -218,18 +211,17 @@ class TestWindowedDraw:
 
     @pytest.mark.parametrize("reach", [-1e-9, float("nan"), float("inf"), "0.1",
                                        [0.1]])
-    def test_bad_reach_is_refused_before_drawing(self, noiseless_benchmark,
-                                                 noiseless_sol, reach, monkeypatch):
+    def test_bad_reach_is_refused_before_drawing(self, noiseless_sol, reach,
+                                                 monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew before checking the reach")
 
         monkeypatch.setattr(sampling, "substream", no_draw)
         with pytest.raises(ConfigError, match="reach"):
-            draw_sample(noiseless_sol, noiseless_benchmark, 10, seed=1, reach=reach)
+            draw_sample(noiseless_sol, 10, seed=1, reach=reach)
 
-    def test_zero_reach_is_valid(self, noiseless_benchmark, noiseless_sol):
-        s = draw_sample(noiseless_sol, noiseless_benchmark, 10, seed=1, reach=0.0)
-        assert s.n == 0 and s.meta["n"] == 10
+    def test_zero_reach_is_valid(self, noiseless_sol):
+        assert draw_sample(noiseless_sol, 10, seed=1, reach=0.0).n == 0
 
 
 class TestSubstreams:
@@ -248,51 +240,50 @@ class TestSubstreams:
 
 
 class TestCsv:
-    def test_roundtrip(self, noiseless_benchmark, noiseless_sol, tmp_path):
-        s = draw_sample(noiseless_sol, noiseless_benchmark, 50, seed=21)
+    def test_roundtrip(self, noiseless_sol, tmp_path):
+        s = draw_sample(noiseless_sol, 50, seed=21)
         path = tmp_path / "sample.csv"
-        s.to_csv(path)
-        loaded = load_sample_csv(path)
-        np.testing.assert_array_equal(loaded.z, s.z)
-        np.testing.assert_array_equal(loaded.y, s.y)
-        assert loaded.meta["n"] == 50
+        _write_csv(s, path)
+        z, y = parse_sample_csv(path)
+        np.testing.assert_array_equal(z, s.z)
+        np.testing.assert_array_equal(y, s.y)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("x,y\n0.0,1.0\n")
         with pytest.raises(DataError, match="header"):
-            load_sample_csv(p)
+            parse_sample_csv(p)
 
     def test_malformed_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("z,y\n0.0,1.0\n0.5,oops\n")
         with pytest.raises(DataError, match="row 3, column y"):
-            load_sample_csv(p)
+            parse_sample_csv(p)
 
     def test_out_of_range_z(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("z,y\n1.5,1.0\n")
         with pytest.raises(DataError, match="row 2, column z"):
-            load_sample_csv(p)
+            parse_sample_csv(p)
 
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("z,y\n0.1,2.0,3.0\n")
         with pytest.raises(DataError, match="row 2"):
-            load_sample_csv(p)
+            parse_sample_csv(p)
 
     def test_empty_and_headless(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.raises(DataError):
-            load_sample_csv(p)
+            parse_sample_csv(p)
         p.write_text("z,y\n")
         with pytest.raises(DataError, match="no data rows"):
-            load_sample_csv(p)
+            parse_sample_csv(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            load_sample_csv(tmp_path / "nope.csv")
+            parse_sample_csv(tmp_path / "nope.csv")
 
     @pytest.mark.parametrize("bad, message", [
         ("0.5,oops", "row 100000, column y: not a number: 'oops'"),
@@ -308,7 +299,7 @@ class TestCsv:
         p = tmp_path / "late.csv"
         p.write_text(before + bad + "\n" + (GOOD_LINE + "\n") * 10)
         with pytest.raises(DataError, match=message):
-            load_sample_csv(p)
+            parse_sample_csv(p)
 
     def test_out_of_range_z_is_kept_without_the_range_check(self, tmp_path):
         p = tmp_path / "raw.csv"
@@ -328,7 +319,7 @@ class TestCsv:
         p = tmp_path / "blank.csv"
         p.write_bytes(newline.join(lines).encode("utf-8"))
         with pytest.raises(DataError, match="row 100000, column y"):
-            load_sample_csv(p)
+            parse_sample_csv(p)
         p.write_bytes(newline.join(lines[:-1]).encode("utf-8"))
         z, y = parse_sample_csv(p)
         assert z.size == 99_998
@@ -348,8 +339,8 @@ class TestCsv:
         # file with lone-\r line ends holds no \n, so it must be cut at \r
         rng = np.random.default_rng(5)
         p = tmp_path / "big.csv"
-        Sample(z=rng.uniform(-1.0, 1.0, 200_000),
-               y=rng.normal(0.0, 3.0, 200_000)).to_csv(p)
+        _write_csv(Sample(z=rng.uniform(-1.0, 1.0, 200_000),
+                          y=rng.normal(0.0, 3.0, 200_000)), p)
         lf = p.read_bytes()
         for newline in (b"\n", b"\r\n", b"\r"):
             p.write_bytes(lf.replace(b"\n", newline))
@@ -410,6 +401,65 @@ class TestCsv:
         assert piped == _probed(p)
         [(first, last)] = piped[1]
         assert 2 < first and last == 5_002
+
+
+Z_EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.0, -1.0]
+Y_EDGES = Z_EDGES + [1e300, np.nan, np.inf]
+
+
+def _edge_sample(n_rows: int) -> Sample:
+    rng = np.random.default_rng(n_rows)
+    z, y = rng.uniform(-1.0, 1.0, n_rows), rng.normal(0.0, 1e3, n_rows)
+    z[:len(Z_EDGES)] = Z_EDGES[:n_rows]
+    y[:len(Y_EDGES)] = Y_EDGES[:n_rows]
+    return Sample(z=z, y=y)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+class TestToCsv:
+    """The writer: the bytes of np.savetxt, lossless %.17g, bounded memory."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, sampling.ROWS_PER_WRITE - 1,
+                                        sampling.ROWS_PER_WRITE,
+                                        sampling.ROWS_PER_WRITE + 1, 20_000])
+    def test_bytes_equal_savetxt(self, tmp_path, n_rows):
+        sample = _edge_sample(n_rows)
+        expected = io.StringIO()
+        np.savetxt(expected, np.column_stack((sample.z, sample.y)), delimiter=",",
+                   header="z,y", comments="", fmt="%.17g")
+        buf = io.StringIO()
+        sample.to_csv(buf)
+        assert buf.getvalue() == expected.getvalue()
+        _write_csv(sample, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=40))
+    def test_sample_round_trip_is_bit_exact(self, rows):
+        z, y = (np.array(col, dtype=np.float64) for col in zip(*rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            _write_csv(Sample(z=z, y=y), path)
+            z_back, y_back = parse_sample_csv(path)
+        assert z_back.tobytes() == z.tobytes() and y_back.tobytes() == y.tobytes()
+
+    def test_peak_memory_is_one_block(self):
+        # one % over all 200 000 rows would peak near 28 MB, and a stacked
+        # copy of the table at 3.2 MB
+        sample = _edge_sample(200_000)
+        tracemalloc.start()
+        try:
+            sample.to_csv(_Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _outcome(path, **kwargs):
@@ -584,8 +634,8 @@ class TestFastParse:
             self, tmp_path, monkeypatch):
         rng = np.random.default_rng(23)
         p = tmp_path / "blank.csv"
-        Sample(z=rng.uniform(-1.0, 1.0, 200_000),
-               y=rng.normal(0.0, 3.0, 200_000)).to_csv(p)
+        _write_csv(Sample(z=rng.uniform(-1.0, 1.0, 200_000),
+                          y=rng.normal(0.0, 3.0, 200_000)), p)
         lines = p.read_bytes().split(b"\n")
         p.write_bytes(b"\n".join(lines[:20] + [b""] + lines[20:]))
         outcome, spans = _probed(p)
@@ -653,7 +703,8 @@ class TestFastParse:
     def test_the_fast_parse_turned_off_gives_the_same_bits(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(22)
         p = tmp_path / "sample.csv"
-        Sample(z=rng.uniform(-1.0, 1.0, 30_000), y=rng.normal(0.0, 1e-4, 30_000)).to_csv(p)
+        _write_csv(Sample(z=rng.uniform(-1.0, 1.0, 30_000),
+                          y=rng.normal(0.0, 1e-4, 30_000)), p)
         assert _probed(p)[1] == []
         fast, reference = _outcomes(p, monkeypatch)
         assert fast == reference
@@ -670,8 +721,8 @@ class TestSampleType:
         with pytest.raises(ConfigError):
             Sample(z=np.array([0.0, np.nan]), y=np.zeros(2))
 
-    def test_read_only(self, noiseless_benchmark, noiseless_sol):
-        s = draw_sample(noiseless_sol, noiseless_benchmark, 5, seed=1)
+    def test_read_only(self, noiseless_sol):
+        s = draw_sample(noiseless_sol, 5, seed=1)
         with pytest.raises(ValueError):
             s.z[0] = 0.0
 
@@ -699,8 +750,8 @@ class TestAnalyzeMemory:
     def big_csv(self, tmp_path_factory):
         rng = np.random.default_rng(5)
         p = tmp_path_factory.mktemp("analyze") / "big.csv"
-        Sample(z=rng.uniform(-1.0, 1.0, self.ROWS),
-               y=rng.normal(0.0, 3.0, self.ROWS)).to_csv(p)
+        _write_csv(Sample(z=rng.uniform(-1.0, 1.0, self.ROWS),
+                          y=rng.normal(0.0, 3.0, self.ROWS)), p)
         return p
 
     def test_parse_holds_its_rows_about_once(self, big_csv):
