@@ -28,6 +28,7 @@ from .errors import (
 )
 from .estimators import (
     EstimatorConfig,
+    _sort_rows,
     cross_validate_r,
     donut_rdd,
     local_linear_rdd,
@@ -159,27 +160,32 @@ def _parse_rescale(text: str) -> tuple[float, float, float]:
     return lo, cut, hi
 
 
-def _load_sample(args) -> tuple[Sample, dict | None]:
-    """Read --data, applying the --rescale affine map when given.
+def _load_sample(args, half_width: float) -> tuple[Sample, int, dict | None]:
+    """Read --data, applying the --rescale affine map when given: the rows
+    with |Z| <= half_width in canonical order, the file's row count, the map.
 
     The map is z -> (z - cutoff) / max(max - cutoff, cutoff - min): the
-    cutoff lands at 0 and the declared range fits inside [-1, 1].
+    cutoff lands at 0 and the declared range fits inside [-1, 1]. Every row
+    is checked; the window is sorted once the parse's arrays are gone.
     """
-    if args.rescale is None:
-        z, y = parse_sample_csv(args.data)
-        return Sample(z=z, y=y), None
-    lo, cut, hi = _parse_rescale(args.rescale)
-    z, y = parse_sample_csv(args.data, require_unit_range=False)
-    scale = max(hi - cut, cut - lo)
-    with np.errstate(over="ignore"):  # a z pushed past +-inf is out of range
-        z -= cut
-        z /= scale
-    if not (z.min() >= -1.0 and z.max() <= 1.0):
-        bad = np.flatnonzero((z < -1.0) | (z > 1.0))[0]
-        raise DataError(
-            f"{args.data}: row {int(bad) + 2}, column z: value outside the "
-            f"range declared by --rescale")
-    return Sample(z=z, y=y), {"min": lo, "cutoff": cut, "max": hi, "scale": scale}
+    info = None if args.rescale is None else _parse_rescale(args.rescale)
+    z, y = parse_sample_csv(args.data, require_unit_range=info is None)
+    if info is not None:
+        lo, cut, hi = info
+        scale = max(hi - cut, cut - lo)
+        with np.errstate(over="ignore"):  # a z pushed past +-inf is out of range
+            z -= cut
+            z /= scale
+        if not (z.min() >= -1.0 and z.max() <= 1.0):
+            bad = np.flatnonzero((z < -1.0) | (z > 1.0))[0]
+            raise DataError(
+                f"{args.data}: row {int(bad) + 2}, column z: value outside the "
+                f"range declared by --rescale")
+        info = {"min": lo, "cutoff": cut, "max": hi, "scale": scale}
+    n = z.size
+    keep = (z <= half_width) & (z >= -half_width)
+    z, y = z[keep], y[keep]  # the parse's n-row arrays go here
+    return Sample(*_sort_rows(z, y)), n, info
 
 
 # ----------------------------------------------------------- subcommands --
@@ -253,13 +259,13 @@ def cmd_estimate(args) -> int:
     pooling = read_section(doc.get("estimate", {}), "'estimate' section", {},
                            {"pooling": text}).get("pooling", "average")
     _check_out_dir(os.path.dirname(args.out))
-    sample, rescale_info = _load_sample(args)
+    sample, n, rescale_info = _load_sample(args, cfg.h if cfg.r is None else cfg.h + cfg.r)
     names = (ESTIMATOR_NAMES if args.estimator == "all"
              else (ESTIMATOR_ALIASES[args.estimator],))
     records = [_run_estimator(name, sample, cfg, pooling) for name in names]
     payload = {
         "data": args.data,
-        "n": sample.n,
+        "n": n,
         "records": records,
         "provenance": _provenance(doc, None, rescale_info),
     }
@@ -279,7 +285,7 @@ def cmd_crossval(args) -> int:
     effective = dict(doc, crossval=raw)
     if args.out:
         _check_out_dir(os.path.dirname(args.out))
-    sample, rescale_info = _load_sample(args)
+    sample, _, rescale_info = _load_sample(args, cfg.h + max(cv["candidates"], default=0.0))
     result = cross_validate_r(sample, cfg, cv["candidates"],
                               folds=cv["folds"], seed=cv["seed"])
     print("r,feasible,mse_plus,mse_minus")

@@ -15,12 +15,13 @@ windows; radius cross-validation keeps |Z| < h + max(candidates). A row
 outside its estimator's window never enters a sort, a sum, a fit or a fold
 draw, so it has no influence on the estimate, bit for bit, and because the
 kept rows are canonicalized, estimates are bit-for-bit invariant under
-permutations of the input.
+permutations of the input; a sample with strictly increasing Z serves slices.
 
 The neighbor-mean estimator follows the sample-analog definition: strict
 window |Z_j - z| < r, self-exclusion of the evaluation point's own row, and
 share weights w_plus(z) = |[z-r, z+r] n [0, inf)| / (2r) with
 w_plus + w_minus = 1. Empty neighbor sets contribute zero to their term.
+Targets are taken NEIGHBOR_BLOCK at a time.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from .sampling import Sample, substream
 
 ILL_POSED_CONDITION = 1e10
 POOLING_MODES = ("average", "plus", "minus")
+NEIGHBOR_BLOCK = 4096  # targets per block of _NeighborPool.mu; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -106,21 +108,30 @@ def _canonical_order(sample: Sample, half_width: float,
     """Rows with |Z| <= half_width (|Z| < half_width when strict), sorted by
     Z with ties broken by Y.
 
-    The window test takes two comparisons of Z, which negation leaves exact,
-    so no float array as long as the sample is built. One argsort of Z
-    serves when the sorted Z has no equal neighbours: a Sample holds no NaN,
-    so distinct Z admit one sorting permutation, the one lexsort finds. Ties
-    (-0.0 == 0.0 among them) take the lexsort."""
+    A sample with strictly increasing Z is its own canonical order, so the
+    window is a slice. Otherwise the window test takes two comparisons of Z,
+    which negation leaves exact: no float array as long as the sample."""
+    z = sample.z
+    if np.all(z[1:] > z[:-1]):  # no ties, so no -0.0 beside 0.0 either
+        lo = int(np.searchsorted(z, -half_width, side="right" if strict else "left"))
+        hi = int(np.searchsorted(z, half_width, side="left" if strict else "right"))
+        return z[lo:hi], sample.y[lo:hi]
     if strict:
-        keep = sample.z < half_width
-        keep &= sample.z > -half_width
+        keep = z < half_width
+        keep &= z > -half_width
     else:
-        keep = sample.z <= half_width
-        keep &= sample.z >= -half_width
+        keep = z <= half_width
+        keep &= z >= -half_width
     rows = np.flatnonzero(keep)
     del keep
-    z, y = sample.z[rows], sample.y[rows]
+    z, y = z[rows], sample.y[rows]
     del rows
+    return _sort_rows(z, y)
+
+
+def _sort_rows(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows sorted by Z, ties by Y: distinct Z (no NaN) admit one sorting
+    permutation, so one argsort serves unless Z ties (-0.0 == 0.0 among them)."""
     order = np.argsort(z)
     zs = z[order]
     if np.any(zs[1:] == zs[:-1]):
@@ -162,11 +173,14 @@ def _fit_sides(z, y, w, mu_delta=None, nu_delta=None) -> dict:
     ILL_POSED_CONDITION raises before the rank test."""
     extra = () if mu_delta is None else (mu_delta, nu_delta)
     # one side's design at a time: each dies with its _fit_side call
-    return {side: _fit_side(side, *cols)
+    return {side: _fit_side(side, slice(None), *cols)
             for side, cols in zip(("plus", "minus"), _side_split(z, y, w, *extra))}
 
 
-def _fit_side(side: str, zs, ys, ws, *cols) -> tuple:
+def _fit_side(side: str, rows, zs, ys, ws, *cols) -> tuple:
+    """The fit on the rows of a side that rows (a mask, or slice(None)) selects."""
+    zs = zs[rows]
+    cols = [col[rows] for col in cols]
     six = bool(cols) and bool(np.any(cols[0]) or np.any(cols[1]))
     if six:
         if zs.size < 6:
@@ -177,9 +191,9 @@ def _fit_side(side: str, zs, ys, ws, *cols) -> tuple:
     else:
         _require_linear_support(zs, side)
         X = _spillover_design(zs)
-    sw = np.sqrt(ws)
+    sw = np.sqrt(ws[rows])
     X *= sw[:, None]
-    sw *= ys  # the weighted outcome
+    sw *= ys[rows]  # the weighted outcome
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):  # NaN propagates to both
         raise IllPosedError(
             f"weighted design on the {side} side holds inf or NaN; a radius "
@@ -266,37 +280,42 @@ class _NeighborPool:
            bounds=None) -> np.ndarray:
         """Share-weighted neighbor means of Y at targets; each target's
         exclude_pos entry is left out of its window. bounds, when given, is
-        _window_bounds(self.z, targets, r)."""
-        a, b = _window_bounds(self.z, targets, r) if bounds is None else bounds
-        own = (None, None)  # per side, the targets whose own row is in their window
-        if exclude_pos is not None:
-            hit = (exclude_pos >= a) & (exclude_pos < b)
-            if self.held is not None:
-                hit &= ~self.held[exclude_pos]
-            treated = exclude_pos >= self.split
-            own = (hit & treated, hit & ~treated)
-        means = []
-        # treated neighbors lie in [split, ...), untreated ones in [..., split)
-        for clip, mine in zip((np.maximum, np.minimum), own):
-            lo, hi = clip(a, self.split), clip(b, self.split)
-            total = self.cum[hi]
-            total -= self.cum[lo]
-            count = hi - lo if self.held is None else self.n_kept[hi] - self.n_kept[lo]
-            del lo, hi
-            if mine is not None:
-                total[mine] -= self.y[exclude_pos[mine]]
-                count[mine] -= 1
-            empty = count == 0
-            np.divide(total, count, out=total, where=~empty)
-            total[empty] = 0.0  # an empty side contributes zero
-            means.append(total)
-        t_mean, u_mean = means
-        wp = _share_weight_plus(targets, r)
-        t_mean *= wp
-        np.subtract(1.0, wp, out=wp)
-        u_mean *= wp
-        t_mean += u_mean  # w_plus * t_mean + (1 - w_plus) * u_mean
-        return t_mean
+        _window_bounds(self.z, targets, r). Blocks of NEIGHBOR_BLOCK targets
+        keep the bits, as every step is per target."""
+        out = np.empty(targets.size)
+        for start in range(0, targets.size, NEIGHBOR_BLOCK):
+            block = slice(start, start + NEIGHBOR_BLOCK)
+            a, b = (_window_bounds(self.z, targets[block], r) if bounds is None
+                    else (bounds[0][block], bounds[1][block]))
+            ex = None if exclude_pos is None else exclude_pos[block]
+            own = (None, None)  # per side, the targets whose own row is in their window
+            if ex is not None:
+                hit = (ex >= a) & (ex < b)
+                if self.held is not None:
+                    hit &= ~self.held[ex]
+                treated = ex >= self.split
+                own = (hit & treated, hit & ~treated)
+            means = []
+            # treated neighbors lie in [split, ...), untreated ones in [..., split)
+            for clip, mine in zip((np.maximum, np.minimum), own):
+                lo, hi = clip(a, self.split), clip(b, self.split)
+                total = self.cum[hi]
+                total -= self.cum[lo]
+                count = hi - lo if self.held is None else self.n_kept[hi] - self.n_kept[lo]
+                if mine is not None:
+                    total[mine] -= self.y[ex[mine]]
+                    count[mine] -= 1
+                empty = count == 0
+                np.divide(total, count, out=total, where=~empty)
+                total[empty] = 0.0  # an empty side contributes zero
+                means.append(total)
+            t_mean, u_mean = means
+            wp = _share_weight_plus(targets[block], r)
+            t_mean *= wp
+            np.subtract(1.0, wp, out=wp)
+            u_mean *= wp
+            np.add(t_mean, u_mean, out=out[block])  # w_plus * t_mean + (1 - w_plus) * u_mean
+        return out
 
 
 def _window_bounds(z: np.ndarray, targets: np.ndarray, r: float):
@@ -339,17 +358,18 @@ def _kernel_range(z: np.ndarray, h: float) -> tuple[int, int]:
             int(np.searchsorted(z, h, side="right")))
 
 
-def _spillover_regressors(z: np.ndarray, pool: _NeighborPool, r: float,
-                          exclude_pos: np.ndarray | None, bounds=(None, None)):
-    """mu_delta, nu_delta at z and the neighbor mean at 0; bounds holds the
-    pool's window bounds for z and for 0 when already known."""
-    mu = np.broadcast_to(np.asarray(pool.mu(z, r, exclude_pos, bounds[0]), dtype=float),
-                         z.shape)
+def _mu_delta(z: np.ndarray, pool: _NeighborPool, r: float, exclude_pos, bounds):
+    """mu(z) - mu(0), the neighbor-mean contrast at z, and mu(0); bounds
+    holds the pool's window bounds for z and for 0, or (None, None)."""
     mu0 = float(pool.mu(_ZERO, r, None, bounds[1])[0])
-    nu0 = nu_exact(CUTOFF, r, 0.0)
-    nu_delta = np.broadcast_to(
-        np.asarray(nu_exact(CUTOFF, r, z), dtype=float) - nu0, z.shape)
-    return mu - mu0, nu_delta, mu0
+    mu = pool.mu(z, r, exclude_pos, bounds[0])
+    mu -= mu0
+    return mu, mu0
+
+
+def _nu_delta(z: np.ndarray, r: float) -> np.ndarray:
+    """nu(z) - nu(0), the treated-share contrast at z, in closed form."""
+    return np.broadcast_to(nu_exact(CUTOFF, r, z) - nu_exact(CUTOFF, r, 0.0), z.shape)
 
 
 def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
@@ -369,8 +389,8 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
             f"function of Z on the whole fit window and collinear with it")
     z, y = _canonical_order(sample, cfg.h + cfg.r, strict=True)
     a, b = _kernel_range(z, cfg.h)
-    mu_delta, nu_delta, mu0 = _spillover_regressors(z[a:b], _NeighborPool(z, y), cfg.r,
-                                                    np.arange(a, b))
+    mu_delta, mu0 = _mu_delta(z[a:b], _NeighborPool(z, y), cfg.r, np.arange(a, b), (None, None))
+    nu_delta = _nu_delta(z[a:b], cfg.r)
     # the fit holds the |Z| <= h rows alone: the pool and the rest of the window go
     z, y = z[a:b].copy(), y[a:b].copy()
     fits = _fit_sides(z, y, kernel_values(cfg.kernel, z / cfg.h), mu_delta, nu_delta)
@@ -398,20 +418,17 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
     )
 
 
-def _fold_errors(z, y, held, a: int, b: int, w, r: float, bounds) -> dict:
+def _fold_errors(z, y, held, a: int, b: int, w, r: float, bounds, nu_delta) -> dict:
     """{side: kernel-weighted squared prediction error} of the spillover fit
     at radius r on the window's rows not held, predicting the held rows in
-    [a, b), the |Z| <= h rows, whose kernel weights are w."""
-    mu_delta, nu_delta, _ = _spillover_regressors(z[a:b], _NeighborPool(z, y, held), r,
-                                                  np.arange(a, b), bounds)
-    test = held[a:b]
-    train = ~test
-    z, y = z[a:b], y[a:b]
-    fits = _fit_sides(z[train], y[train], w[train], mu_delta[train], nu_delta[train])
+    [a, b), the |Z| <= h rows, with kernel weights w and contrasts nu_delta."""
+    mu_delta, _ = _mu_delta(z[a:b], _NeighborPool(z, y, held), r, np.arange(a, b), bounds)
     errors = {}
-    held_sides = _side_split(z[test], y[test], w[test], mu_delta[test], nu_delta[test])
-    for side, (zs, ys, ws, mu_d, nu_d) in zip(("plus", "minus"), held_sides):
-        resid = ys - _spillover_design(zs, mu_d, nu_d) @ fits[side][0]
+    sides = _side_split(z[a:b], y[a:b], w, mu_delta, nu_delta, held[a:b])
+    for side, (*cols, test) in zip(("plus", "minus"), sides):
+        beta = _fit_side(side, ~test, *cols)[0]
+        zs, ys, ws, mu_d, nu_d = (col[test] for col in cols)
+        resid = ys - _spillover_design(zs, mu_d, nu_d) @ beta
         errors[side] = float(np.sum(ws * resid**2))
     return errors
 
@@ -428,9 +445,9 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
     each side of the cutoff. A candidate where any fold fails to fit is
     infeasible.
 
-    Each candidate's neighbor bounds are found once over the window, and a
-    fold's pool is the window with the fold's rows held out of the prefix
-    sums, never a copy.
+    Each candidate's neighbor bounds and treated-share contrasts are found
+    once over the window, and a fold's pool is the window with the fold's
+    rows held out of the prefix sums, never a copy.
     """
     candidates = [float(r) for r in candidates]
     if not candidates:
@@ -442,10 +459,10 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
             raise ConfigError(
                 f"candidate r={r} outside (0, h={cfg.h}); the fitted ratio "
                 f"2r/h must stay below 2")
-    n = sample.n
-    if folds > n:
-        raise CrossValidationError(f"{folds} folds exceed the {n} observations")
     z, y = _canonical_order(sample, cfg.h + max(candidates), strict=True)
+    if folds > z.size:
+        raise CrossValidationError(f"{folds} folds exceed the {z.size} observations "
+                                   f"within h + max(candidates) of the cutoff")
     fold_id = (substream(seed, 101).permutation(z.size)
                % folds).astype(np.min_scalar_type(folds - 1))
     a, b = _kernel_range(z, cfg.h)
@@ -453,11 +470,13 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
 
     mse = []  # per candidate; None: infeasible
     for r in candidates:
+        nu_delta = _nu_delta(z[a:b], r)
         bounds = (_window_bounds(z, z[a:b], r), _window_bounds(z, _ZERO, r))
         total = {"plus": 0.0, "minus": 0.0}
         try:
             for k in range(folds):
-                for side, err in _fold_errors(z, y, fold_id == k, a, b, w, r, bounds).items():
+                for side, err in _fold_errors(z, y, fold_id == k, a, b, w, r, bounds,
+                                              nu_delta).items():
                     total[side] += err
         except EstimationError:
             total = None

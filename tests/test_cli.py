@@ -4,15 +4,18 @@ The CLI is supposed to be a pure adapter: every number it writes must be
 bit-identical to what the library produces on the same inputs, and reruns
 with the same config and seed must be byte-identical on disk.
 """
+import contextlib
 import copy
 import errno
 import importlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +692,126 @@ class TestRescale:
                             "--data", data, "--out", str(tmp_path / "o.json"),
                             "--rescale=30,55,80"], capsys)
         assert rc == 0
+
+
+def write_rows(path, z, y) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("z,y\n" + "".join("%.17g,%.17g\n" % row for row in zip(z, y)))
+    return str(path)
+
+
+class TestWindowedInput:
+    """The CLI keeps only its command's window of the file: far rows, the row
+    order and an exact --rescale map move no bit of any output."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, bench_sample):
+        z, y = bench_sample.z, bench_sample.y
+        rng = np.random.default_rng(29)
+        far = np.concatenate([rng.uniform(0.9, 1.0, 40), -rng.uniform(0.9, 1.0, 40),
+                              [0.9, -0.9, 1.0, -1.0]])
+        mixed_z = np.concatenate([z, far])
+        mixed_y = np.concatenate([y, np.full(far.size, 1e9)])
+        order = rng.permutation(mixed_z.size)
+        return {"config": write_config(tmp_path, base_config()),
+                "plain": write_rows(tmp_path / "plain.csv", z, y),
+                "mixed": write_rows(tmp_path / "mixed.csv", mixed_z[order], mixed_y[order]),
+                "doubled": write_rows(tmp_path / "doubled.csv", 2.0 * z, y),
+                "n": (z.size, mixed_z.size)}
+
+    def estimate(self, tmp_path, capsys, files, data, *extra):
+        out = tmp_path / f"est-{data}.json"
+        rc, _, err = run_cli(["estimate", "--config", files["config"], "--data", files[data],
+                              "--out", str(out), "--estimator", "all", *extra], capsys)
+        assert rc == 0, err
+        return json.loads(out.read_text())
+
+    def crossval(self, tmp_path, capsys, files, data, *extra):
+        out = tmp_path / f"cv-{data}.json"
+        rc, stdout, err = run_cli(["crossval", "--config", files["config"], "--data",
+                                   files[data], "--out", str(out), *extra], capsys)
+        assert rc == 0, err
+        return out.read_text(), stdout
+
+    def test_estimate_ignores_far_rows_and_row_order(self, tmp_path, capsys, files):
+        plain = self.estimate(tmp_path, capsys, files, "plain")
+        mixed = self.estimate(tmp_path, capsys, files, "mixed")
+        assert mixed["records"] == plain["records"]
+        assert (plain["n"], mixed["n"]) == files["n"]  # every data row counts
+
+    def test_crossval_ignores_far_rows_and_row_order(self, tmp_path, capsys, files):
+        assert (self.crossval(tmp_path, capsys, files, "mixed")
+                == self.crossval(tmp_path, capsys, files, "plain"))
+
+    def test_exact_rescale_reproduces_the_unscaled_run(self, tmp_path, capsys, files):
+        # 2Z written, parsed and divided by the scale 2 is Z again, bit for bit
+        rescale = "--rescale=-2,0,2"
+        plain = self.estimate(tmp_path, capsys, files, "plain")
+        doubled = self.estimate(tmp_path, capsys, files, "doubled", rescale)
+        assert doubled["records"] == plain["records"]
+        plain_cv, plain_out = self.crossval(tmp_path, capsys, files, "plain")
+        doubled_cv, doubled_out = self.crossval(tmp_path, capsys, files, "doubled", rescale)
+        assert json.loads(doubled_cv)["crossval"] == json.loads(plain_cv)["crossval"]
+        assert doubled_out == plain_out
+
+
+class TestWindowMemory:
+    """tracemalloc bounds on the benchmark's analyze crossval at n = 2e5:
+    once the file is loaded, the CLI holds its window's 16 bytes per row and
+    little else, and cross-validation's temporaries scale with that window.
+    Both bounds fail where the CLI keeps all n rows and each estimator copies
+    and sorts its own window: there 59 bytes per window row are live, and
+    cross-validation peaks at 5.7 times the window's bytes."""
+
+    N = 200_000
+    H, CANDIDATES = 0.15, [0.04, 0.075, 0.12]
+    LOAD_SLACK = 64 * 1024  # bytes beyond the window's data; 35 kB measured
+    CV_PEAK_RATIO = 4.0  # cross_validate_r's peak over its window's bytes; 3.25 measured
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("window-memory")
+        sample = draw_sample(solve_population(ModelSpec.from_config(BENCH), 0.075, CUTOFF, 2001),
+                             self.N, 1)
+        data = tmp / "data.csv"
+        with open(data, "w", encoding="utf-8") as fh:
+            sample.to_csv(fh)
+        reach = self.H + max(self.CANDIDATES)
+        counts = (int(np.count_nonzero(np.abs(sample.z) <= reach)),
+                  int(np.count_nonzero(np.abs(sample.z) < reach)))
+        del sample
+        doc = {"model": BENCH, "estimator": {"kernel": "triangular", "h": self.H, "r": 0.075},
+               "crossval": {"candidates": self.CANDIDATES, "folds": 5, "seed": 1}}
+        config = write_config(tmp, doc)
+        seen = {}
+        real = cli.cross_validate_r
+
+        def measured(*args, **kwargs):
+            seen["live"] = tracemalloc.get_traced_memory()[0]  # since the start of main
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = real(*args, **kwargs)
+            seen["cv_peak"] = tracemalloc.get_traced_memory()[1] - base
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "cross_validate_r", measured)
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["crossval", "--config", config, "--data", str(data)])
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        return seen, counts
+
+    def test_loaded_sample_is_the_window(self, traced):
+        seen, (closed, _) = traced
+        assert seen["live"] <= 16 * closed + self.LOAD_SLACK, (seen, closed)
+
+    def test_crossval_peak_scales_with_the_window(self, traced):
+        seen, (_, strict) = traced
+        assert seen["cv_peak"] <= self.CV_PEAK_RATIO * 16 * strict, (seen, strict)
 
 
 class TestCrossval:

@@ -146,6 +146,49 @@ class TestCanonicalOrder:
         for a, b in zip(got, want):
             assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["closed", "open"])
+    @pytest.mark.parametrize("name", list(_ordering_cases()))
+    def test_strictly_increasing_sample_serves_slices_bitwise(self, name, strict):
+        # each case in canonical order with every repeated Z kept once: Z
+        # strictly increases, so each window is a slice of the sample with
+        # the bits of the sorting path (run on a reversed copy); edge-ties
+        # keeps one row on each window edge
+        sample, half_width = _ordering_cases()[name]
+        z, y = _lexsort_order(sample, 1.0)
+        first = np.concatenate([[True], z[1:] != z[:-1]])
+        distinct = Sample(z=z[first], y=y[first])
+        reversed_copy = Sample(z=distinct.z[::-1].copy(), y=distinct.y[::-1].copy())
+        got = est_mod._canonical_order(distinct, half_width, strict=strict)
+        want = est_mod._canonical_order(reversed_copy, half_width, strict=strict)
+        reference = _lexsort_order(distinct, half_width, strict=strict)
+        for a, b, c, whole in zip(got, want, reference, (distinct.z, distinct.y)):
+            assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+            assert a.view(np.int64).tolist() == c.view(np.int64).tolist()
+            assert a.size and np.shares_memory(a, whole)
+        if name == "edge-ties":
+            assert {-half_width, half_width} <= set(distinct.z.tolist())
+            assert (half_width in got[0].tolist()) != strict
+            assert (-half_width in got[0].tolist()) != strict
+
+    @pytest.mark.parametrize("name", ["repeated-z", "signed-zeros", "all-equal-z",
+                                      "edge-ties", "zero-pair"])
+    def test_sorted_sample_with_equal_z_takes_the_sort(self, name):
+        # sorted by Z, but equal neighbours (-0.0 == 0.0 among them): only
+        # the lexsort puts the tied rows in Y order
+        cases = dict(_ordering_cases(), **{"zero-pair": (
+            Sample(z=np.array([-0.5, -0.0, 0.0, 0.5]), y=np.array([0.0, 2.0, 1.0, 3.0])), 0.5)})
+        sample, half_width = cases[name]
+        by_z = np.argsort(sample.z, kind="stable")
+        sorted_by_z = Sample(z=sample.z[by_z], y=sample.y[by_z])
+        for strict in (False, True):
+            got = est_mod._canonical_order(sorted_by_z, half_width, strict=strict)
+            want = _lexsort_order(sorted_by_z, half_width, strict=strict)
+            for a, b, whole in zip(got, want, (sorted_by_z.z, sorted_by_z.y)):
+                assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
+                assert not np.shares_memory(a, whole)
+            if name == "zero-pair":  # the input order is not the canonical one
+                assert got[1].tolist() == ([1.0, 2.0] if strict else [0.0, 1.0, 2.0, 3.0])
+
 
 # ----------------------------------------------------------- local linear --
 
@@ -567,7 +610,8 @@ class TestSpilloverRegression:
         z, y = est_mod._canonical_order(quiet_sample, cfg.h + cfg.r, strict=True)
         pool = est_mod._NeighborPool(z, y)
         exclude = np.arange(z.size)
-        mu_delta, nu_delta, _ = est_mod._spillover_regressors(z, pool, cfg.r, exclude)
+        mu_delta, _ = est_mod._mu_delta(z, pool, cfg.r, exclude, (None, None))
+        nu_delta = est_mod._nu_delta(z, cfg.r)
         w = kernel_values(cfg.kernel, z / cfg.h)
         for side, beta in (("plus", est.beta_plus), ("minus", est.beta_minus)):
             mask = (w > 0) & ((z >= 0) if side == "plus" else (z < 0))
@@ -709,6 +753,19 @@ class TestCrossValidation:
         cfg = EstimatorConfig(kernel="triangular", h=0.5)
         with pytest.raises(CrossValidationError):
             cross_validate_r(sample, cfg, [0.1], folds=7, seed=1)
+
+    def test_folds_are_checked_against_the_window(self):
+        # the folds partition |Z| < h + max(candidates): three rows there and
+        # 100 far ones give the message of the three rows alone
+        rng = substream(79, 0)
+        near = Sample(z=np.array([-0.05, 0.01, 0.04]), y=np.array([1.0, 2.0, 3.0]))
+        full = Sample(z=np.concatenate([near.z, rng.uniform(0.5, 1.0, 100)]),
+                      y=np.concatenate([near.y, rng.standard_normal(100)]))
+        cfg = EstimatorConfig(kernel="triangular", h=0.2)
+        for sample in (full, near):
+            with pytest.raises(CrossValidationError,
+                               match="5 folds exceed the 3 observations"):
+                cross_validate_r(sample, cfg, [0.05], folds=5, seed=1)
 
     def test_all_infeasible_raises(self):
         sample = linear_sample(n=10, seed=73)
