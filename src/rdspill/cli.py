@@ -28,6 +28,8 @@ from .errors import (
 )
 from .estimators import (
     EstimatorConfig,
+    _check_crossval,
+    _check_spillover,
     _sort_rows,
     cross_validate_r,
     donut_rdd,
@@ -166,22 +168,23 @@ def _load_sample(args, half_width: float) -> tuple[Sample, int, dict | None]:
 
     The map is z -> (z - cutoff) / max(max - cutoff, cutoff - min): the
     cutoff lands at 0 and the declared range fits inside [-1, 1]. Every row
-    is checked; the window is sorted once the parse's arrays are gone.
+    is then checked, after the parse's own checks, and the first outside
+    [-1, 1] reported; the window is sorted once the parse's arrays are gone.
     """
     info = None if args.rescale is None else _parse_rescale(args.rescale)
-    z, y = parse_sample_csv(args.data, require_unit_range=info is None)
+    z, y = parse_sample_csv(args.data)
     if info is not None:
         lo, cut, hi = info
         scale = max(hi - cut, cut - lo)
         with np.errstate(over="ignore"):  # a z pushed past +-inf is out of range
             z -= cut
             z /= scale
-        if not (z.min() >= -1.0 and z.max() <= 1.0):
-            bad = np.flatnonzero((z < -1.0) | (z > 1.0))[0]
-            raise DataError(
-                f"{args.data}: row {int(bad) + 2}, column z: value outside the "
-                f"range declared by --rescale")
         info = {"min": lo, "cutoff": cut, "max": hi, "scale": scale}
+    if not (z.min() >= -1.0 and z.max() <= 1.0):
+        bad = int(np.flatnonzero((z < -1.0) | (z > 1.0))[0])
+        reason = (f"{z[bad]} outside [-1, 1]" if info is None
+                  else "value outside the range declared by --rescale")
+        raise DataError(f"{args.data}: row {bad + 2}, column z: {reason}")
     n = z.size
     keep = (z <= half_width) & (z >= -half_width)
     z, y = z[keep], y[keep]  # the parse's n-row arrays go here
@@ -258,10 +261,11 @@ def cmd_estimate(args) -> int:
     cfg = EstimatorConfig.from_config(_section(doc, "estimator"))
     pooling = read_section(doc.get("estimate", {}), "'estimate' section", {},
                            {"pooling": text}).get("pooling", "average")
-    _check_out_dir(os.path.dirname(args.out))
-    sample, n, rescale_info = _load_sample(args, cfg.h if cfg.r is None else cfg.h + cfg.r)
     names = (ESTIMATOR_NAMES if args.estimator == "all"
              else (ESTIMATOR_ALIASES[args.estimator],))
+    _check_spillover(cfg if "spillover" in names else None, pooling)
+    _check_out_dir(os.path.dirname(args.out))
+    sample, n, rescale_info = _load_sample(args, cfg.h if cfg.r is None else cfg.h + cfg.r)
     records = [_run_estimator(name, sample, cfg, pooling) for name in names]
     payload = {
         "data": args.data,
@@ -283,11 +287,11 @@ def cmd_crossval(args) -> int:
     if "seed" not in cv:
         raise ConfigError("no seed: set one in the 'crossval' section or pass --seed")
     effective = dict(doc, crossval=raw)
+    candidates = _check_crossval(cfg, cv["candidates"], cv["folds"])
     if args.out:
         _check_out_dir(os.path.dirname(args.out))
-    sample, _, rescale_info = _load_sample(args, cfg.h + max(cv["candidates"], default=0.0))
-    result = cross_validate_r(sample, cfg, cv["candidates"],
-                              folds=cv["folds"], seed=cv["seed"])
+    sample, _, rescale_info = _load_sample(args, cfg.h + max(candidates))
+    result = cross_validate_r(sample, cfg, candidates, folds=cv["folds"], seed=cv["seed"])
     print("r,feasible,mse_plus,mse_minus")
     for row in result["cv_table"]:
         feasible = "yes" if row["feasible"] else "no"

@@ -111,22 +111,22 @@ def _canonical_order(sample: Sample, half_width: float,
     A sample with strictly increasing Z is its own canonical order, so the
     window is a slice. Otherwise the window test takes two comparisons of Z,
     which negation leaves exact: no float array as long as the sample."""
-    z = sample.z
-    if np.all(z[1:] > z[:-1]):  # no ties, so no -0.0 beside 0.0 either
-        lo = int(np.searchsorted(z, -half_width, side="right" if strict else "left"))
-        hi = int(np.searchsorted(z, half_width, side="left" if strict else "right"))
-        return z[lo:hi], sample.y[lo:hi]
-    if strict:
-        keep = z < half_width
-        keep &= z > -half_width
-    else:
-        keep = z <= half_width
-        keep &= z >= -half_width
-    rows = np.flatnonzero(keep)
-    del keep
-    z, y = z[rows], sample.y[rows]
-    del rows
-    return _sort_rows(z, y)
+    z, y = sample.z, sample.y
+    if not np.all(z[1:] > z[:-1]):  # ties, and -0.0 beside 0.0, need the sort
+        below, above = (np.less, np.greater) if strict else (np.less_equal, np.greater_equal)
+        keep = below(z, half_width)
+        keep &= above(z, -half_width)
+        z, y = _sort_rows(z[keep], y[keep])
+    a, b = _window_range(z, half_width, strict)
+    return z[a:b], y[a:b]
+
+
+def _window_range(z: np.ndarray, half_width: float, strict: bool = False) -> tuple[int, int]:
+    """Positions [a, b) of the sorted z's rows with |Z| <= half_width (|Z| <
+    half_width when strict). With half_width h, no row outside has a
+    positive kernel weight: |z| > h rounds |z / h| above 1."""
+    return (int(np.searchsorted(z, -half_width, side="right" if strict else "left")),
+            int(np.searchsorted(z, half_width, side="left" if strict else "right")))
 
 
 def _sort_rows(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -351,13 +351,6 @@ def _spillover_design(z: np.ndarray, mu_delta: np.ndarray | None = None,
     return X
 
 
-def _kernel_range(z: np.ndarray, h: float) -> tuple[int, int]:
-    """Positions [a, b) of the sorted z's rows with |Z| <= h. No row outside
-    has a positive kernel weight: |z| > h rounds |z / h| above 1."""
-    return (int(np.searchsorted(z, -h, side="left")),
-            int(np.searchsorted(z, h, side="right")))
-
-
 def _mu_delta(z: np.ndarray, pool: _NeighborPool, r: float, exclude_pos, bounds):
     """mu(z) - mu(0), the neighbor-mean contrast at z, and mu(0); bounds
     holds the pool's window bounds for z and for 0, or (None, None)."""
@@ -372,23 +365,28 @@ def _nu_delta(z: np.ndarray, r: float) -> np.ndarray:
     return np.broadcast_to(nu_exact(CUTOFF, r, z) - nu_exact(CUTOFF, r, 0.0), z.shape)
 
 
+def _check_spillover(cfg: EstimatorConfig | None, pooling: str) -> None:
+    """Refuse an unknown pooling mode, or a cfg without a radius (None: no cfg test)."""
+    if cfg is not None and cfg.r is None:
+        raise ConfigError("spillover regression requires cfg.r")
+    if pooling not in POOLING_MODES:
+        raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
+
+
 def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
                                pooling: str = "average") -> SpilloverEstimate:
     """Six-regressor WLS per side: (1, Z, mu_delta, Z*mu_delta, nu_delta,
     Z*nu_delta), with the neighbor-mean contrast estimated and the treated
     share supplied in closed form.
     """
-    if cfg.r is None:
-        raise ConfigError("spillover regression requires cfg.r")
-    if pooling not in POOLING_MODES:
-        raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
+    _check_spillover(cfg, pooling)
     c = 2.0 * cfg.r / cfg.h
     if c >= 2.0:
         raise CollinearityError(
             f"2r/h = {c:.3f} >= 2: the treated-share contrast is a linear "
             f"function of Z on the whole fit window and collinear with it")
     z, y = _canonical_order(sample, cfg.h + cfg.r, strict=True)
-    a, b = _kernel_range(z, cfg.h)
+    a, b = _window_range(z, cfg.h)
     mu_delta, mu0 = _mu_delta(z[a:b], _NeighborPool(z, y), cfg.r, np.arange(a, b), (None, None))
     nu_delta = _nu_delta(z[a:b], cfg.r)
     # the fit holds the |Z| <= h rows alone: the pool and the rest of the window go
@@ -433,6 +431,21 @@ def _fold_errors(z, y, held, a: int, b: int, w, r: float, bounds, nu_delta) -> d
     return errors
 
 
+def _check_crossval(cfg: EstimatorConfig, candidates, folds: int) -> list[float]:
+    """The candidate radii as floats, once they and the fold count are valid."""
+    candidates = [float(r) for r in candidates]
+    if not candidates:
+        raise ConfigError("need at least one candidate radius")
+    if folds < 2:
+        raise ConfigError(f"cross-validation needs >= 2 folds, got {folds}")
+    for r in candidates:
+        if not 0.0 < r < cfg.h:
+            raise ConfigError(
+                f"candidate r={r} outside (0, h={cfg.h}); the fitted ratio "
+                f"2r/h must stay below 2")
+    return candidates
+
+
 def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
                      folds: int, seed: int) -> dict:
     """K-fold selection of the neighborhood radius, per side.
@@ -449,23 +462,14 @@ def cross_validate_r(sample: Sample, cfg: EstimatorConfig, candidates,
     once over the window, and a fold's pool is the window with the fold's
     rows held out of the prefix sums, never a copy.
     """
-    candidates = [float(r) for r in candidates]
-    if not candidates:
-        raise ConfigError("need at least one candidate radius")
-    if folds < 2:
-        raise ConfigError(f"cross-validation needs >= 2 folds, got {folds}")
-    for r in candidates:
-        if not 0.0 < r < cfg.h:
-            raise ConfigError(
-                f"candidate r={r} outside (0, h={cfg.h}); the fitted ratio "
-                f"2r/h must stay below 2")
+    candidates = _check_crossval(cfg, candidates, folds)
     z, y = _canonical_order(sample, cfg.h + max(candidates), strict=True)
     if folds > z.size:
         raise CrossValidationError(f"{folds} folds exceed the {z.size} observations "
                                    f"within h + max(candidates) of the cutoff")
     fold_id = (substream(seed, 101).permutation(z.size)
                % folds).astype(np.min_scalar_type(folds - 1))
-    a, b = _kernel_range(z, cfg.h)
+    a, b = _window_range(z, cfg.h)
     w = kernel_values(cfg.kernel, z[a:b] / cfg.h)
 
     mse = []  # per candidate; None: infeasible

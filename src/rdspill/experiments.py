@@ -110,13 +110,6 @@ class RegimeRule:
                                   {"n_power": real}))
 
 
-PHASE_REGIMES = (
-    RegimeRule("r>>h", "tau_d", 1.0, 0.1),
-    RegimeRule("r<<h", "tau_tot", 1.0, -0.1),
-    RegimeRule("r~h", "tau_star", 0.5, 0.0),
-)
-
-
 def hash_config(doc: dict) -> str:
     """First 16 hex digits of the SHA-256 of the canonical JSON of doc."""
     blob = json.dumps(doc, sort_keys=True).encode()

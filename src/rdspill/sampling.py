@@ -11,14 +11,14 @@ derived with SeedSequence spawn keys, so a replication's draws depend only on
 """
 from __future__ import annotations
 
-import io
+import contextlib
 import math
 import numbers
 import operator
 import os
 import stat
 from dataclasses import dataclass
-from itertools import chain, filterfalse, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -113,36 +113,34 @@ def draw_sample(sol: PopulationSolution, n: int, seed: int,
     return Sample(z=z, y=sol.interp(z) + sigma * noise)
 
 
-def parse_sample_csv(path, require_unit_range: bool = True):
+def parse_sample_csv(path):
     r"""Read `z,y` CSV data into raw arrays, reporting the first malformed
     cell by row and column.
 
-    Every cell reads as Python float() reads it, bit for bit. Blank lines
+    Every cell reads as Python float() reads it, bit for bit, and must be
+    finite; the range of the values is the caller's to check. Blank lines
     are skipped and not counted: row 1 is the header, row 2 the first data
     row. Lines end at `\n`, `\r\n` or a lone `\r`, as in text mode. A byte
     that is not UTF-8 fails its cell, or the header, as any other text that
     is not a number does.
 
     The file is read in pieces of about CHUNK_BYTES, each ending a line
-    (_newline_chunks). After the header, a piece that holds only `\n`-ended
-    pairs of plain or e-notation decimals (`-0.125`, `5.`, `.5`, `1e-05`)
-    is read from its bytes by whole-array steps; see _decimal_fields. Any
-    other piece, or one holding a cell the fast parse cannot settle (one
-    float() refuses, a non-finite value or, under the range check, a z
-    outside [-1, 1]), goes alone to the reference parse: its text is
+    (_newline_chunks), whose `\r\n` and lone `\r` become `\n` first. After
+    the header, a piece that holds only pairs of plain or e-notation
+    decimals (`-0.125`, `5.`, `.5`, `1e-05`) is read from its bytes by
+    whole-array steps; see _decimal_fields. Any other piece, or one holding
+    a cell the fast parse cannot settle (one float() refuses, or a
+    non-finite value), goes alone to the reference parse: its text is
     converted in one call with Python float semantics, and rescanned row
     by row for the exact message if it fails a check. The next piece tries
-    the fast parse again. Blank lines, CRLF line ends, spaces, underscores,
-    a leading '+', 'nan' and 'inf' all take the reference parse this way.
+    the fast parse again. Blank lines, spaces, underscores, a leading '+',
+    'nan' and 'inf' all take the reference parse this way.
 
     Each piece's fields go straight into two output arrays, resized in place
     (a realloc, so no second copy is held). A regular file's are sized from
     its length at the bytes per row read so far, with 1/16 to spare; a
     pipe's, or an estimate that falls short, grow geometrically. The arrays
     are trimmed to the rows read.
-
-    require_unit_range=False skips the per-row z in [-1, 1] check; the CLI
-    uses this to ingest raw data it is about to rescale.
     """
     z, y = np.empty(0), np.empty(0)  # rows 2 .. row - 1 are z[:row - 2], y[:row - 2]
     row, n_bytes = 1, 0
@@ -152,19 +150,20 @@ def parse_sample_csv(path, require_unit_range: bool = True):
             size = info.st_size if stat.S_ISREG(info.st_mode) else None
             for piece in _newline_chunks(fh):
                 n_bytes += len(piece)
+                if b"\r" in piece:  # text mode's line ends: \r\n, then a lone \r
+                    piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
                 values = _decimal_fields(piece) if row > 1 and LONGDOUBLE_EXACT else None
-                if values is None or (require_unit_range and np.abs(values[0::2]).max() > 1.0):
-                    # text mode's line ends (\n, \r\n, a lone \r) and no others
-                    lines = list(filterfalse(str.isspace, io.TextIOWrapper(
-                        io.BytesIO(piece), encoding="utf-8", errors="surrogateescape")))
+                if values is None:
+                    lines = list(filter(str.strip, piece.decode(
+                        "utf-8", "surrogateescape").split("\n")))
                     if row == 1 and lines:
-                        header = lines.pop(0).rstrip("\n")
+                        header = lines.pop(0)
                         if [h.strip() for h in header.split(",")] != ["z", "y"]:
                             raise DataError(f"{path}: expected header 'z,y', got {header!r}")
                         row = 2
                     if not lines:
                         continue
-                    values = _parse_rows(path, lines, row, require_unit_range)
+                    values = _parse_rows(path, lines, row)
                 start, row = row - 2, row + values.size // 2
                 if row - 2 > z.size:
                     want = (row - 2) * size // n_bytes if size else 2 * (row - 2)
@@ -217,8 +216,6 @@ def _decimal_fields(chunk: bytes):
     longer or larger ones go to float(). The sign is applied last, so `-0`
     stays -0.0.
     """
-    if b"\r" in chunk:
-        return None  # a CRLF piece, declined before a pass over its bytes
     odd = chunk.translate(None, b"0123456789.,\n-")
     if odd.translate(None, b"eE+"):
         return None
@@ -288,31 +285,25 @@ def _decimal_fields(chunk: bytes):
     return values if np.isfinite(values).all() else None
 
 
-def _parse_rows(path, lines: list, first_row: int, require_unit_range: bool) -> np.ndarray:
+def _parse_rows(path, lines: list, first_row: int) -> np.ndarray:
     """One chunk of non-blank data lines as an (n, 2) array."""
     fields = ",".join(lines).split(",")
     # exactly one comma per line: each line has one and there are no more
     if len(fields) == 2 * len(lines) and all(map(operator.contains, lines, repeat(","))):
-        try:
+        with contextlib.suppress(ValueError):  # a cell np.array refuses
             data = np.array(fields, dtype=float).reshape(-1, 2)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(data).all() and not (
-                    require_unit_range and np.abs(data[:, 0]).max() > 1.0):
+            if np.isfinite(data).all():
                 return data
-    return _parse_rows_one_by_one(path, lines, first_row, require_unit_range)
+    return _parse_rows_one_by_one(path, lines, first_row)
 
 
-def _parse_rows_one_by_one(path, lines: list, first_row: int,
-                           require_unit_range: bool) -> np.ndarray:
+def _parse_rows_one_by_one(path, lines: list, first_row: int) -> np.ndarray:
     """The row-by-row reference parse; raises at the first bad cell."""
-    rows = []
+    values = []
     for row_idx, line in enumerate(lines, start=first_row):
-        parts = line.rstrip("\n").split(",")
+        parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"{path}: row {row_idx}: expected 2 fields, got {len(parts)}")
-        row = []
         for col_name, text in zip(("z", "y"), parts):
             try:
                 value = float(text)
@@ -322,8 +313,5 @@ def _parse_rows_one_by_one(path, lines: list, first_row: int,
                 ) from None
             if not np.isfinite(value):
                 raise DataError(f"{path}: row {row_idx}, column {col_name}: non-finite value")
-            row.append(value)
-        if require_unit_range and not -1.0 <= row[0] <= 1.0:
-            raise DataError(f"{path}: row {row_idx}, column z: {row[0]} outside [-1, 1]")
-        rows.append(row)
-    return np.array(rows, dtype=float)
+            values.append(value)
+    return np.array(values, dtype=float).reshape(-1, 2)

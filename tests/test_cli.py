@@ -191,6 +191,29 @@ class TestConfigErrors:
         assert rc == 1
         assert "--rescale" in err
 
+    # (subcommand and flags, a config change, where None deletes the key,
+    # what the error names): each is refused with exit 1 before the data,
+    # which do not exist, are read; `estimate` alone fits no spillover
+    @pytest.mark.parametrize("argv, section, update, named", [
+        (["crossval"], "crossval", {"folds": 1}, ">= 2 folds, got 1"),
+        (["crossval"], "crossval", {"candidates": [0.05, 0.2]}, "candidate r=0.2 outside"),
+        (["crossval"], "crossval", {"candidates": []}, "at least one candidate"),
+        (["estimate", "--estimator", "spillover"], "estimator", {"r": None},
+         "requires cfg.r"),
+        (["estimate", "--estimator", "all"], "estimator", {"r": None}, "requires cfg.r"),
+        (["estimate"], "estimate", {"pooling": "median"}, "pooling must be one of"),
+    ], ids=["folds", "candidate", "no-candidates", "spillover-r", "all-r", "pooling"])
+    def test_config_is_checked_before_the_data(self, tmp_path, capsys, argv, section,
+                                               update, named):
+        doc = base_config()
+        doc.setdefault(section, {}).update(update)
+        doc[section] = {k: v for k, v in doc[section].items() if v is not None}
+        rc, out, err = run_cli([*argv, "--config", write_config(tmp_path, doc),
+                                "--data", str(tmp_path / "nope.csv"),
+                                "--out", str(tmp_path / "o.json")], capsys)
+        assert rc == 1 and out == "" and _one_error_line(err), err
+        assert named in err
+
     def test_missing_required_flag(self, capsys):
         rc, _, err = run_cli(["simulate"], capsys)
         assert rc == 1
@@ -544,7 +567,36 @@ class TestEstimate:
                               "--data", str(data),
                               "--out", str(tmp_path / "o.json")], capsys)
         assert rc == 3
-        assert "row 3" in err
+        assert err == f"rdspill: error: {data}: row 3, column z: 1.5 outside [-1, 1]\n"
+
+    @pytest.mark.parametrize("rescale, reason", [
+        (None, "-1.5 outside [-1, 1]"),
+        ("--rescale=-1,0,1", "value outside the range declared by --rescale"),
+    ], ids=["unit-range", "rescale"])
+    def test_out_of_range_z_past_the_first_chunk_reports_its_row(self, tmp_path, capsys,
+                                                                 rescale, reason):
+        # the row of the first bad z counts every row before it, in every piece
+        good = "-0.12345678901234567,1.2345678901234567\n"
+        data = tmp_path / "late.csv"
+        data.write_text("z,y\n" + good * 99_998 + "-1.5,1.0\n" + good * 10,
+                        encoding="utf-8")
+        rc, _, err = run_cli(["estimate", "--config", write_config(tmp_path, base_config()),
+                              "--data", str(data), "--out", str(tmp_path / "o.json"),
+                              *([rescale] if rescale else [])], capsys)
+        assert rc == 3
+        assert err == f"rdspill: error: {data}: row 100000, column z: {reason}\n"
+
+    @pytest.mark.parametrize("rescale", [None, "--rescale=-1,0,1"],
+                             ids=["unit-range", "rescale"])
+    def test_a_malformed_cell_is_reported_before_an_out_of_range_z(self, tmp_path,
+                                                                   capsys, rescale):
+        data = tmp_path / "bad.csv"
+        data.write_text("z,y\n1.5,1.0\n0.5,oops\n", encoding="utf-8")
+        rc, _, err = run_cli(["estimate", "--config", write_config(tmp_path, base_config()),
+                              "--data", str(data), "--out", str(tmp_path / "o.json"),
+                              *([rescale] if rescale else [])], capsys)
+        assert rc == 3
+        assert err == f"rdspill: error: {data}: row 3, column y: not a number: 'oops'\n"
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"

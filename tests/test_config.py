@@ -6,8 +6,15 @@ import pytest
 from rdspill.config import boolean, integer, list_of, read_section, real, text
 from rdspill.errors import ConfigError
 from rdspill.estimators import EstimatorConfig
-from rdspill.experiments import PHASE_REGIMES, ExperimentPlan, RegimeRule, benchmark_model
+from rdspill.experiments import ExperimentPlan, RegimeRule, benchmark_model
 from rdspill.funcspace import FuncSpec, ModelSpec, constant, sinusoid_sum
+
+# the three regimes of the phase-transition study, one rule each
+PHASE_REGIMES = (
+    RegimeRule("r>>h", "tau_d", 1.0, 0.1),
+    RegimeRule("r<<h", "tau_tot", 1.0, -0.1),
+    RegimeRule("r~h", "tau_star", 0.5, 0.0),
+)
 
 
 class TestReaders:

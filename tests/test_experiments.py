@@ -11,7 +11,6 @@ from rdspill.errors import ConfigError, IllPosedError, InsufficientSupportError
 from rdspill.estimators import EstimatorConfig
 from rdspill.experiments import (
     ESTIMATOR_NAMES,
-    PHASE_REGIMES,
     STUDIES,
     ExperimentPlan,
     RegimeRule,
@@ -29,6 +28,13 @@ from rdspill.experiments import (
 from rdspill.funcspace import ModelSpec, constant, polynomial
 from rdspill.population import true_estimands
 from rdspill.sampling import Sample
+
+# the three regimes of the phase-transition study, one rule each
+PHASE_REGIMES = (
+    RegimeRule("r>>h", "tau_d", 1.0, 0.1),
+    RegimeRule("r<<h", "tau_tot", 1.0, -0.1),
+    RegimeRule("r~h", "tau_star", 0.5, 0.0),
+)
 
 
 def exogenous_model(noise=0.05):

@@ -6,6 +6,8 @@ in floating point (a permutation, every row twice for a ratio of sums), and
 otherwise 1e-12 relative, because the transformed fit reaches its answer by
 a different rounding path.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from rdspill.estimators import (
     local_spillover_regression,
     nadaraya_watson_rdd,
 )
-from rdspill.experiments import benchmark_model
-from rdspill.population import CUTOFF, solve_population
+from rdspill.experiments import benchmark_model, tau_star_for_model
+from rdspill.funcspace import FuncSpec
+from rdspill.population import CUTOFF, solve_population, true_estimands
 from rdspill.sampling import Sample, draw_sample
 
 RTOL = 1e-12
@@ -109,6 +112,70 @@ def test_local_linear_follows_an_affine_outcome_map(sample):
     for got, want in ((mapped.beta_plus, est.beta_plus), (mapped.beta_minus, est.beta_minus)):
         assert close(got[0], 3.0 + 2.5 * want[0])
         assert close(got[1], 2.5 * want[1])
+
+
+# (a, s) of Y -> a + s*Y: a shift and a scaling together, a large shift
+# alone, and scalings far from the units of the draw
+OUTCOME_MAPS = [(3.0, 2.5), (-100.0, 1.0), (0.0, 1e8), (0.0, 1e-8)]
+
+
+class TestAffineOutcomeMap:
+    """Y -> a + s*Y: tau scales by s, intercepts map as Y does and slopes
+    scale by s."""
+
+    @pytest.mark.parametrize("a, s", OUTCOME_MAPS)
+    def test_nadaraya_watson(self, sample, a, s):
+        tau = nadaraya_watson_rdd(sample, CFG)
+        assert close(nadaraya_watson_rdd(Sample(z=sample.z, y=a + s * sample.y), CFG), s * tau)
+
+    @pytest.mark.parametrize("a, s", OUTCOME_MAPS)
+    def test_donut(self, sample, a, s):
+        est = donut_rdd(sample, CFG)
+        mapped = donut_rdd(Sample(z=sample.z, y=a + s * sample.y), CFG)
+        assert close(mapped.tau_hat, s * est.tau_hat)
+        for got, want in ((mapped.beta_plus, est.beta_plus), (mapped.beta_minus, est.beta_minus)):
+            assert close(got[0], a + s * want[0])
+            assert close(got[1], s * want[1])
+
+
+def _mapped(spec: FuncSpec, a: float, s: float) -> FuncSpec:
+    """a + s*spec, for a constant or polynomial spec."""
+    first, *rest = spec.coefficients
+    return FuncSpec(spec.family, [a + s * first, *(s * c for c in rest)])
+
+
+def _targets(model) -> tuple[float, float, float]:
+    """tau_d, tau_tot at r = 0.075 and tau_star at c = 1."""
+    estimands = true_estimands(model, 0.075, 2001)
+    return (estimands["tau_d"], estimands["tau_tot"],
+            tau_star_for_model(model, 1.0, "triangular"))
+
+
+class TestPopulation:
+    """The README model's targets under maps of its functions: a common
+    shift of the baselines leaves every target, and scaling the baselines,
+    gamma and the noise scales every target."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _targets(benchmark_model())
+
+    @pytest.mark.parametrize("a", [-100.0, 3.0])
+    def test_a_common_shift_of_the_baselines(self, reference, a):
+        base = benchmark_model()
+        model = dataclasses.replace(base, m_plus=_mapped(base.m_plus, a, 1.0),
+                                    m_minus=_mapped(base.m_minus, a, 1.0))
+        for got, want in zip(_targets(model), reference):
+            assert close(got, want)
+
+    @pytest.mark.parametrize("s", [2.5, 1e-3])
+    def test_a_common_scaling(self, reference, s):
+        base = benchmark_model()
+        model = dataclasses.replace(base, **{name: _mapped(getattr(base, name), 0.0, s)
+                                             for name in ("m_plus", "m_minus", "gamma",
+                                                          "noise_sd")})
+        for got, want in zip(_targets(model), reference):
+            assert close(got, s * want)
 
 
 def test_cross_validation_table_ignores_row_order(sample):

@@ -261,10 +261,13 @@ class TestCsv:
             parse_sample_csv(p)
 
     def test_out_of_range_z(self, tmp_path):
+        # the reader reads numbers; Sample, and the CLI by row, refuse the range
         p = tmp_path / "bad.csv"
         p.write_text("z,y\n1.5,1.0\n")
-        with pytest.raises(DataError, match="row 2, column z"):
-            parse_sample_csv(p)
+        z, y = parse_sample_csv(p)
+        assert z.tolist() == [1.5] and y.tolist() == [1.0]
+        with pytest.raises(ConfigError, match=r"\[-1, 1\]"):
+            Sample(z=z, y=y)
 
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -289,7 +292,6 @@ class TestCsv:
         ("0.5,oops", "row 100000, column y: not a number: 'oops'"),
         ("nan,1.0", "row 100000, column z: non-finite value"),
         ("0.5,1e999", "row 100000, column y: non-finite value"),
-        ("-1.5,1.0", "row 100000, column z: -1.5 outside"),
         ("0.5,1.0,2.0", "row 100000: expected 2 fields, got 3"),
     ])
     def test_bad_cell_past_the_first_chunk_reports_its_row(self, tmp_path, bad,
@@ -304,7 +306,7 @@ class TestCsv:
     def test_out_of_range_z_is_kept_without_the_range_check(self, tmp_path):
         p = tmp_path / "raw.csv"
         p.write_text("z,y\n" + (GOOD_LINE + "\n") * 99_998 + "-1.5,1.0\n")
-        z, y = parse_sample_csv(p, require_unit_range=False)
+        z, y = parse_sample_csv(p)
         assert z.size == 99_999 and z[-1] == -1.5 and y[-1] == 1.0
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -385,22 +387,27 @@ class TestCsv:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_reads_as_a_file_does(self, tmp_path):
         # a pipe is read in the same pieces as a file: the fast parse reads
-        # every piece but the last, whose CRLF line end sends it alone to
-        # the reference parse
-        content = ("z,y\n" + (GOOD_LINE + "\n") * 5_000 + "0.125,2\r\n").encode("utf-8")
-        fifo = tmp_path / "pipe.csv"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(content,))
-        writer.start()
-        try:
-            piped = _probed(fifo)
-        finally:
-            writer.join()
-        p = tmp_path / "file.csv"
-        p.write_bytes(content)
-        assert piped == _probed(p)
-        [(first, last)] = piped[1]
-        assert 2 < first and last == 5_002
+        # every piece, a CRLF line end included, but one whose space sends
+        # it alone to the reference parse
+        for last_line, handed_over in (("0.125,2\r\n", False), ("0.125, 2\n", True)):
+            content = ("z,y\n" + (GOOD_LINE + "\n") * 5_000 + last_line).encode("utf-8")
+            fifo = tmp_path / "pipe.csv"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(content,))
+            writer.start()
+            try:
+                piped = _probed(fifo)
+            finally:
+                writer.join()
+                fifo.unlink()
+            p = tmp_path / "file.csv"
+            p.write_bytes(content)
+            assert piped == _probed(p)
+            if handed_over:
+                [(first, last)] = piped[1]
+                assert 2 < first and last == 5_002
+            else:
+                assert piped[1] == []
 
 
 Z_EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.0, -1.0]
@@ -462,39 +469,40 @@ class TestToCsv:
         assert peak < 1 << 20
 
 
-def _outcome(path, **kwargs):
+def _outcome(path):
     """The column bits parse_sample_csv gives, or its DataError message."""
     try:
-        z, y = parse_sample_csv(path, **kwargs)
+        z, y = parse_sample_csv(path)
     except DataError as err:
         return str(err)
     return z.tobytes(), y.tobytes()
 
 
-def _outcomes(path, monkeypatch, **kwargs):
+def _outcomes(path, monkeypatch):
     """The outcome as the platform allows, then with the fast parse off."""
-    fast = _outcome(path, **kwargs)
+    fast = _outcome(path)
     with monkeypatch.context() as patch:
         patch.setattr(sampling, "LONGDOUBLE_EXACT", False)
         patch.setattr(sampling, "_decimal_fields", None)  # never reached when off
-        reference = _outcome(path, **kwargs)
+        reference = _outcome(path)
     return fast, reference
 
 
-def _probed(path, **kwargs):
+def _probed(path):
     """The outcome, and the data rows of each piece the reference parse
     read, as (first, last) pairs in file order: [] where the fast parse
     read every data row."""
     spans = []
     parse_rows = sampling._parse_rows
 
-    def probe(path, lines, first_row, require_unit_range):
+    def probe(*args):  # (path, lines, first_row, ...)
+        lines, first_row = args[1:3]
         spans.append((first_row, first_row + len(lines) - 1))
-        return parse_rows(path, lines, first_row, require_unit_range)
+        return parse_rows(*args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sampling, "_parse_rows", probe)
-        return _outcome(path, **kwargs), spans
+        return _outcome(path), spans
 
 
 def _parsed_bits(texts: list, tmp: Path) -> np.ndarray:
@@ -577,12 +585,10 @@ class TestFastParse:
         assert len(before) > 2 * sampling.CHUNK_BYTES
         p = tmp_path / "late.csv"
         p.write_bytes((before + f"{text},1.0\n" + (GOOD_LINE + "\n") * 10).encode("utf-8"))
-        for require_unit_range in (True, False):
-            fast, reference = _outcomes(p, monkeypatch,
-                                        require_unit_range=require_unit_range)
-            assert fast == reference
+        fast, reference = _outcomes(p, monkeypatch)
+        assert fast == reference
         # a late decline sends only its own piece to the reference parse
-        spans = _probed(p, require_unit_range=False)[1]
+        spans = _probed(p)[1]
         if fast_reads:
             assert spans == []
         else:
@@ -591,7 +597,7 @@ class TestFastParse:
 
     # (content, the data rows of each piece the reference parse read, as
     # (first, last) pairs); a piece holding the header always goes to the
-    # reference parse
+    # reference parse, and CRLF or lone-CR line ends read as \n does
     @pytest.mark.parametrize("content, spans", [
         _layout(b"z,y\n0.5,1.0\n-0.25,3", [], "None"),  # no final newline
         _layout(b"z,y\n", [], "None"),  # no data rows
@@ -599,8 +605,8 @@ class TestFastParse:
         _layout(b"z,y\n\n\n", [], "2"),
         _layout(b"\nz,y\n0.5,1.0\n", [(2, 2)], "1"),
         _layout(b"z,y\n0.5,1.0\n   \n", [(2, 2)], "2"),
-        _layout(b"z,y\r\n0.5,1.0\r\n-0.5,2.0\r\n", [(2, 3)], "1"),
-        _layout(b"z,y\r0.5,1.0\r", [(2, 2)], "1"),
+        _layout(b"z,y\r\n0.5,1.0\r\n-0.5,2.0\r\n", [], "1"),
+        _layout(b"z,y\r0.5,1.0\r", [], "1"),
         _layout(b" z , y\n0.5,1.0\n", [], "1"),
         _layout("\ufeffz,y\n0.5,1.0\n".encode("utf-8"), [], "1"),
         _layout(b"z,y", [], "1"),
@@ -608,7 +614,7 @@ class TestFastParse:
         _layout(b"z,y\n0.5,1.0,2.0\n", [(2, 2)], "2"),
         _layout(b"z,y\n0.5\n", [(2, 2)], "2"),
         _layout(b"z,y\n0.5,1.0\n0.2,\xff\n", [(2, 3)], "2"),
-        _layout(b"z,y\n1.5,1.0\n", [(2, 2)], "2"),
+        _layout(b"z,y\n1.5,1.0\n", [], "2"),  # the range is the caller's to check
     ])
     def test_file_layout(self, tmp_path, monkeypatch, content, spans):
         p = tmp_path / "layout.csv"
@@ -621,12 +627,17 @@ class TestFastParse:
     def test_a_late_piece_hands_over_with_its_rows_kept(self, tmp_path, monkeypatch,
                                                         late):
         # only the piece holding the late line goes to the reference parse,
-        # which keeps counting rows; the pieces after it are read fast
+        # which keeps counting rows; the pieces after it are read fast. A
+        # CRLF line end is read fast too
         lines = [GOOD_LINE] * 5_000 + [late] + ["-0.25,2.5"] * 10_000
         p = tmp_path / "late.csv"
         p.write_bytes(("z,y\n" + "\n".join(lines) + "\n").encode("utf-8"))
-        [(first, last)] = _probed(p)[1]
-        assert 2 < first <= 5_002 <= last < 15_000
+        spans = _probed(p)[1]
+        if late.endswith("\r"):
+            assert spans == []
+        else:
+            [(first, last)] = spans
+            assert 2 < first <= 5_002 <= last < 15_000
         fast, reference = _outcomes(p, monkeypatch)
         assert fast == reference
 
@@ -642,6 +653,23 @@ class TestFastParse:
         [(first, last)] = spans
         assert first == 2 and last < 200_001
         assert outcome == _outcomes(p, monkeypatch)[1]
+
+    def test_crlf_and_cr_copies_read_fast_after_the_header(self, tmp_path):
+        # a CR-only file has no \n to end its header line, so its first
+        # piece holds data rows too; no later piece goes to the reference parse
+        rng = np.random.default_rng(24)
+        p = tmp_path / "lf.csv"
+        _write_csv(Sample(z=rng.uniform(-1.0, 1.0, 20_000),
+                          y=rng.normal(0.0, 3.0, 20_000)), p)
+        lf = p.read_bytes()
+        assert len(lf) > 8 * sampling.CHUNK_BYTES
+        outcome, spans = _probed(p)
+        assert spans == []
+        for newline in (b"\r\n", b"\r"):
+            p.write_bytes(lf.replace(b"\n", newline))
+            got, spans = _probed(p)
+            assert got == outcome
+            assert [first for first, _ in spans] == ([] if newline == b"\r\n" else [2])
 
     @pytest.mark.parametrize("content, expected", LINE_ENDS)
     def test_only_lf_crlf_and_a_lone_cr_end_a_line(self, tmp_path, monkeypatch, content,
