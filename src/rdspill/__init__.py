@@ -73,11 +73,7 @@ from .funcspace import (
 )
 from .kernels import KERNEL_NAMES, kernel_values, one_sided_moment
 from .population import (
-    ALL_TREATED,
-    CUTOFF,
-    NONE_TREATED,
     PopulationSolution,
-    TreatmentRegime,
     mu_at,
     nu_exact,
     solve_population,

@@ -48,7 +48,7 @@ from .experiments import (
 )
 from .funcspace import ModelSpec
 from .kernels import KERNEL_NAMES
-from .population import CUTOFF, DEFAULT_GRID_N, solve_population, true_estimands
+from .population import DEFAULT_GRID_N, solve_population, true_estimands
 from .sampling import Sample, draw_sample, parse_sample_csv
 
 TOP_LEVEL_KEYS = {"model", "estimator", "simulate", "estimate", "crossval",
@@ -224,7 +224,7 @@ def cmd_simulate(args) -> int:
     if kernel not in KERNEL_NAMES:
         raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
     _check_out_dir(os.path.dirname(args.out))
-    sol = solve_population(model, r, CUTOFF, grid_n)
+    sol = solve_population(model, r, grid_n)
     sample = draw_sample(sol, n, seed)
     estimands = true_estimands(model, r, grid_n)
     sidecar = {

@@ -41,7 +41,7 @@ from .errors import (
     NumericError,
 )
 from .kernels import KERNEL_NAMES, kernel_values
-from .population import CUTOFF, nu_exact
+from .population import nu_exact
 from .sampling import Sample, substream
 
 ILL_POSED_CONDITION = 1e10
@@ -362,7 +362,7 @@ def _mu_delta(z: np.ndarray, pool: _NeighborPool, r: float, exclude_pos, bounds)
 
 def _nu_delta(z: np.ndarray, r: float) -> np.ndarray:
     """nu(z) - nu(0), the treated-share contrast at z, in closed form."""
-    return np.broadcast_to(nu_exact(CUTOFF, r, z) - nu_exact(CUTOFF, r, 0.0), z.shape)
+    return np.broadcast_to(nu_exact(r, z) - nu_exact(r, 0.0), z.shape)
 
 
 def _check_spillover(cfg: EstimatorConfig | None, pooling: str) -> None:

@@ -8,8 +8,8 @@ population once per cell (cached for the call), sets the cell up, then
 draws its replications one at a time in the calling process, drawing only
 the window |Z| <= reach of each n-row sample (binomial thinning, see
 draw_sample), fits each, and reports mean / sd / se against the
-theoretical target, which is recomputed from the population solver or the
-limit machinery at run time.
+theoretical target, which is recomputed at run time from the population
+solver (tau_tot: one solve of the treatment contrast) or the limit machinery.
 No target number is hard-coded. A library error in a cell becomes that
 cell's failure row; the other cells still run. A report has the law that
 full draws give, not their bits.
@@ -43,8 +43,7 @@ from .estimators import (
 )
 from .funcspace import ModelSpec, constant, polynomial
 from .kernels import KERNEL_NAMES, kernel_values
-from .population import (ALL_TREATED, CUTOFF, DEFAULT_GRID_N, NONE_TREATED, check_grid_n,
-                         solve_population)
+from .population import DEFAULT_GRID_N, check_grid_n, solve_population, true_estimands
 from .sampling import draw_sample, substream
 
 VERSION = "0.1.0"
@@ -227,7 +226,7 @@ class ExperimentReport:
 
 class SolutionCache:
     """Insert-only store of population solves keyed by
-    (model content hash, radius, grid size, regime)."""
+    (model content hash, radius, grid size)."""
 
     def __init__(self):
         self._store = {}
@@ -235,10 +234,10 @@ class SolutionCache:
     def __len__(self):
         return len(self._store)
 
-    def get_or_solve(self, model: ModelSpec, r: float, grid_n: int, regime=CUTOFF):
-        key = (model.content_hash(), float(r), int(grid_n), regime.kind)
+    def get_or_solve(self, model: ModelSpec, r: float, grid_n: int):
+        key = (model.content_hash(), float(r), int(grid_n))
         if key not in self._store:
-            self._store[key] = solve_population(model, r, regime, grid_n)
+            self._store[key] = solve_population(model, r, grid_n)
         return self._store[key]
 
 
@@ -256,14 +255,6 @@ def _tau_d(model: ModelSpec) -> float:
     return float(model.m_plus(0.0) - model.m_minus(0.0))
 
 
-def _tau_tot_target(model: ModelSpec, r: float, grid_n: int,
-                    cache: SolutionCache) -> float:
-    """Same contrast as population.true_estimands, served from the cache."""
-    sol_all = cache.get_or_solve(model, r, grid_n, ALL_TREATED)
-    sol_none = cache.get_or_solve(model, r, grid_n, NONE_TREATED)
-    return float(sol_all.y[sol_all.i0] - sol_none.y[sol_none.i0])
-
-
 def tau_star_for_model(model: ModelSpec, c: float, kernel: str) -> float:
     """Limit value of the cutoff contrast at c = 2r/h, built from the model's
     values at the cutoff on the lambda table cached per delta0."""
@@ -272,15 +263,15 @@ def tau_star_for_model(model: ModelSpec, c: float, kernel: str) -> float:
 
 
 def _cell_target(plan: ExperimentPlan, model: ModelSpec, kind: str, r: float,
-                 h: float, cache: SolutionCache) -> tuple[str, float]:
+                 h: float) -> tuple[str, float]:
     if kind == "tau_d":
         return "tau_d", _tau_d(model)
     if kind == "tau_tot":
-        return "tau_tot", _tau_tot_target(model, r, plan.grid_n, cache)
+        return "tau_tot", true_estimands(model, r, plan.grid_n)["tau_tot"]
     return "tau_star", tau_star_for_model(model, 2.0 * r / h, plan.kernel)
 
 
-def _stats_cell(regime: str, estimator: str, quantity: str, n: int, h: float,
+def _stats_cell(label: str, estimator: str, quantity: str, n: int, h: float,
                 r: float, values, target_name: str, target_value: float,
                 extra: dict | None = None) -> dict:
     arr = np.asarray(values, dtype=float)
@@ -289,7 +280,7 @@ def _stats_cell(regime: str, estimator: str, quantity: str, n: int, h: float,
     se = sd / math.sqrt(arr.size)
     bias = mean - target_value
     cell = {
-        "regime": regime, "estimator": estimator, "quantity": quantity,
+        "regime": label, "estimator": estimator, "quantity": quantity,
         "n": int(n), "h": float(h), "r": float(r),
         "replications": int(arr.size),
         "mean": mean, "sd": sd, "se": se,
@@ -302,9 +293,9 @@ def _stats_cell(regime: str, estimator: str, quantity: str, n: int, h: float,
     return cell
 
 
-def _failure(regime: str, n: int, h: float, r: float, err: Exception,
+def _failure(label: str, n: int, h: float, r: float, err: Exception,
              estimator: str | None) -> dict:
-    return {"regime": regime, "estimator": estimator, "n": int(n),
+    return {"regime": label, "estimator": estimator, "n": int(n),
             "h": float(h), "r": float(r),
             "error": type(err).__name__, "message": str(err)}
 
@@ -315,7 +306,7 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
 
     layout lists (label, rule, model, n, failure estimator) in report order;
     a cell's position in it keys its replication seeds. For each cell,
-    setup(model, rule, sol, h, r, cache) returns (rows, fit, reach): rows are
+    setup(model, rule, sol, h, r) returns (rows, fit, reach): rows are
     the (estimator, quantity, target name, target value, extra) of the stats
     rows the cell reports, fit(sample) returns one value per row, and each
     sample is drawn as only the window |Z| <= reach the fit reads. One pass
@@ -331,7 +322,7 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
         r = rule.radius(n, h, plan.grid_n)
         try:
             sol = cache.get_or_solve(model, r, plan.grid_n)
-            rows, fit, reach = setup(model, rule, sol, h, r, cache)
+            rows, fit, reach = setup(model, rule, sol, h, r)
             values = [fit(draw_sample(sol, n, int(s), reach=reach))
                       for s in _rep_seeds(plan.seed, study, cell_index,
                                           plan.replications)]
@@ -385,8 +376,8 @@ def run_phase_transition(plan: ExperimentPlan,
     layout = [(rule.label, rule, plan.model, n, "local_linear")
               for rule in plan.regime_map for n in plan.n_grid]
 
-    def setup(model, rule, sol, h, r, cache):
-        target = _cell_target(plan, model, rule.target, r, h, cache)
+    def setup(model, rule, sol, h, r):
+        target = _cell_target(plan, model, rule.target, r, h)
         cfg = EstimatorConfig(kernel=plan.kernel, h=h)
         return ([("local_linear", "tau_hat", *target, None)],
                 lambda sample: (local_linear_rdd(sample, cfg).tau_hat,), cfg.h)
@@ -416,8 +407,8 @@ def run_spillover_consistency(plan: ExperimentPlan,
     layout = [(rule.label, rule, plan.model, n, "spillover")
               for n in sorted(plan.n_grid)]
 
-    def setup(model, rule, sol, h, r, cache):
-        tau_tot = _tau_tot_target(model, r, plan.grid_n, cache)
+    def setup(model, rule, sol, h, r):
+        tau_tot = true_estimands(model, r, plan.grid_n)["tau_tot"]
         cfg = EstimatorConfig(kernel=plan.kernel, h=h, r=r)
         rows = [("spillover", "tau_d", "tau_d", _tau_d(model), None),
                 ("spillover", "delta", "delta0", float(model.delta(0.0)), None),
@@ -465,9 +456,9 @@ def run_donut_study(plan: ExperimentPlan,
               for variant, one_sided in (("two_sided", False), ("one_sided", True))
               for n in sorted(plan.n_grid)]
 
-    def setup(model, rule, sol, h, r, cache):
+    def setup(model, rule, sol, h, r):
         kind = "tau_d" if model.gamma_one_sided else "tau_tot"
-        target = _cell_target(plan, model, kind, r, h, cache)
+        target = _cell_target(plan, model, kind, r, h)
         cfg = EstimatorConfig(kernel=plan.kernel, h=h, h_donut=r)
         return ([("donut", "tau_hat", *target, {"h_donut": float(r)})],
                 lambda sample: (donut_rdd(sample, cfg).tau_hat,), cfg.h)
@@ -521,11 +512,11 @@ def run_ll_vs_nw(plan: ExperimentPlan,
             "plan.estimators must include local_linear or nadaraya_watson")
     layout = [(rule.label, rule, model, n, None) for n in sorted(plan.n_grid)]
 
-    def setup(model, rule, sol, h, r, cache):
+    def setup(model, rule, sol, h, r):
         if r < h:
             raise ConfigError(f"comparison regime needs r >= h, got r={r} < h={h}")
         tau_d = _tau_d(model)
-        tau_tot = _tau_tot_target(model, r, plan.grid_n, cache)
+        tau_tot = true_estimands(model, r, plan.grid_n)["tau_tot"]
         nw_pop = _nw_population_value(sol, h, plan.kernel)
         cfg = EstimatorConfig(kernel=plan.kernel, h=h)
         rows, fits = [], []

@@ -1,10 +1,11 @@
 """Continuum fixed point of the spillover model on a grid.
 
-The outcome function solves Y(z) = m_d(z) + delta(z)*mu_d(z) + gamma_d(z)*nu_d(z)
-where mu_d averages Y itself over the neighborhood [z-r, z+r] clipped to
-[-1, 1] (renormalized near the edges) and nu_d is the neighborhood treated
-share, known in closed form. Treatment enters through the regime: assigned at
-the cutoff (d(z) = 1{z >= 0}, with d(0) = 1), everyone treated, or no one.
+The outcome function solves Y(z) = m_d(z) + delta(z)*mu(z) + gamma_d(z)*nu(z)
+where mu averages Y itself over the neighborhood [z-r, z+r] clipped to
+[-1, 1] (renormalized near the edges) and nu is the neighborhood treated
+share, known in closed form. Treatment is assigned at the cutoff
+(d(z) = 1{z >= 0}, with d(0) = 1). The fixed point is linear in its
+right-hand side, so tau_tot (everyone minus no one treated) is one solve.
 
 Y inherits a single jump at the cutoff from m (and from a one-sided gamma);
 its size is known from the model, so the solver carries it exactly instead of
@@ -24,33 +25,16 @@ from .errors import ConfigError, DomainError
 from .funcspace import ModelSpec, eval_func
 from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
 
-REGIME_KINDS = ("cutoff", "all-treated", "none-treated")
-
 DEFAULT_GRID_N = 4001
 INTERP_BLOCK = 16384  # queries per block of the grid lookup; keeps its temporaries in cache
 
 
-@dataclass(frozen=True)
-class TreatmentRegime:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in REGIME_KINDS:
-            raise ConfigError(f"unknown treatment regime {self.kind!r}; expected one of {REGIME_KINDS}")
-
-
-CUTOFF = TreatmentRegime("cutoff")
-ALL_TREATED = TreatmentRegime("all-treated")
-NONE_TREATED = TreatmentRegime("none-treated")
-
-
-def nu_exact(regime: TreatmentRegime, r: float, z):
+def nu_exact(r: float, z):
     """Treated share of the neighborhood [z-r, z+r] clipped to [-1, 1].
 
-    Closed-form piecewise-linear expression; no quadrature. For the cutoff
-    regime at interior points this is the familiar ramp: 1/2 at the cutoff,
-    saturating at 0/1 once the neighborhood clears the cutoff, slope 1/(2r)
-    in between.
+    Closed-form piecewise-linear expression; no quadrature. At interior
+    points this is the familiar ramp: 1/2 at the cutoff, saturating at 0/1
+    once the neighborhood clears the cutoff, slope 1/(2r) in between.
     """
     if not r > 0.0:
         raise ConfigError("neighborhood radius must be positive")
@@ -60,20 +44,15 @@ def nu_exact(regime: TreatmentRegime, r: float, z):
     bound = 1.0 + 1e-12  # min and max, not abs: no temporary as long as z; NaN fails too
     if arr.size and not (arr.min() >= -bound and arr.max() <= bound):
         raise DomainError("nu_exact evaluated outside [-1, 1]")
-    if regime.kind == "all-treated":
-        out = np.ones_like(arr)
-    elif regime.kind == "none-treated":
-        out = np.zeros_like(arr)
-    else:
-        lo = arr - r
-        np.maximum(lo, -1.0, out=lo)
-        hi = arr + r
-        np.minimum(hi, 1.0, out=hi)
-        out = np.clip(hi, 0.0, None)
-        out -= np.clip(lo, 0.0, None)
-        hi -= lo
-        with np.errstate(invalid="ignore"):  # 0/0 where r does not move z; _fit_sides refuses the NaN
-            out /= hi
+    lo = arr - r
+    np.maximum(lo, -1.0, out=lo)
+    hi = arr + r
+    np.minimum(hi, 1.0, out=hi)
+    out = np.clip(hi, 0.0, None)
+    out -= np.clip(lo, 0.0, None)
+    hi -= lo
+    with np.errstate(invalid="ignore"):  # 0/0 where r does not move z; _fit_sides refuses the NaN
+        out /= hi
     if np.ndim(z) == 0:
         return float(out[0])
     return out
@@ -83,7 +62,6 @@ def nu_exact(regime: TreatmentRegime, r: float, z):
 class PopulationSolution:
     grid: np.ndarray
     r: float
-    regime: TreatmentRegime
     y: np.ndarray
     solver_report: dict
     model: ModelSpec
@@ -139,52 +117,16 @@ class PopulationSolution:
         return out
 
 
-def _jumps(model: ModelSpec, regime: TreatmentRegime) -> tuple[float, float]:
-    """Jump of the right-hand side (hence of Y) at the cutoff.
-
-    The grid stores the value with m on the treated branch (cutoff regime) and
-    gamma active (gamma is left-continuous when one-sided). nu is continuous,
-    so only m and a one-sided gamma can jump.
-    """
-    jump_left = 0.0
-    if regime.kind == "cutoff":
-        jump_left = eval_func(model.m_minus, 0.0) - eval_func(model.m_plus, 0.0)
-    jump_right = 0.0
-    if model.gamma_one_sided:
-        # gamma switches off to the right of 0; its stored value at 0 is gamma(0)
-        nu0 = {"cutoff": 0.5, "all-treated": 1.0, "none-treated": 0.0}[regime.kind]
-        jump_right = -eval_func(model.gamma, 0.0) * nu0
-    return jump_left, jump_right
-
-
-def _model_rhs(model: ModelSpec, regime: TreatmentRegime, grid: np.ndarray, r: float):
-    if regime.kind == "cutoff":
-        m_vals = np.where(grid >= 0.0,
-                          eval_func(model.m_plus, grid),
-                          eval_func(model.m_minus, grid))
-    elif regime.kind == "all-treated":
-        m_vals = np.asarray(eval_func(model.m_plus, grid))
-    else:
-        m_vals = np.asarray(eval_func(model.m_minus, grid))
-    nu_vals = np.asarray(nu_exact(regime, r, grid))
-    gamma_vals = np.asarray(model.gamma_at(grid))
-    return m_vals + gamma_vals * nu_vals
-
-
 def check_grid_n(grid_n: int) -> None:
     """Refuse a grid that solve_population cannot use."""
     if grid_n % 2 == 0 or grid_n < 201:
         raise ConfigError(f"grid_n must be odd and >= 201, got {grid_n}")
 
 
-def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
-                     grid_n: int = DEFAULT_GRID_N) -> PopulationSolution:
-    """Solve the fixed point on a uniform grid of grid_n points over [-1, 1].
-
-    Two-grid Nystrom iteration (quadrature.two_grid_solve) on a coarse grid
-    of spacing r/4, stopped once the residual sup-norm is at most 1e-10 or
-    the rounding floor of the solution, whichever is higher.
-    """
+def _solve(model: ModelSpec, r: float, grid_n: int, rhs,
+           jump_left: float, jump_right: float) -> PopulationSolution:
+    """y = rhs(grid) + delta*mu(y) on grid_n points over [-1, 1], with y's jumps
+    left and right of 0 known; two_grid_solve on a coarse grid of spacing r/4."""
     check_grid_n(grid_n)
     if not 0.0 < r < 2.0:
         raise ConfigError(f"radius r={r} outside (0, 2)")
@@ -194,9 +136,6 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
         raise ConfigError(
             f"grid too coarse: r={r} needs more than 4 grid spacings ({4 * dz:.6g}); increase grid_n"
         )
-    i0 = grid_n // 2
-    rhs = _model_rhs(model, regime, grid, r)
-    jump_left, jump_right = _jumps(model, regime)
 
     def windows(x):
         lo, hi = np.maximum(x - r, -1.0), np.minimum(x + r, 1.0)
@@ -204,13 +143,26 @@ def solve_population(model: ModelSpec, r: float, regime: TreatmentRegime,
 
     lo, hi, scale = windows(grid)
     # the jumps are known, so their share of delta*mu is a constant of the system
-    b = rhs + scale * window_integrals(np.zeros(grid_n), grid, lo, hi, i0,
-                                       jump_left, jump_right)
+    b = rhs(grid) + scale * window_integrals(np.zeros(grid_n), grid, lo, hi, grid_n // 2,
+                                             jump_left, jump_right)
     zc = coarse_grid(grid, r)
     y, report = two_grid_solve(b, grid, zc, windows, window_matrix(zc, *windows(zc)[:2]))
-    return PopulationSolution(grid=grid, r=float(r), regime=regime, y=y,
-                              solver_report=report, model=model,
-                              jump_left=jump_left, jump_right=jump_right)
+    return PopulationSolution(grid=grid, r=float(r), y=y, solver_report=report,
+                              model=model, jump_left=jump_left, jump_right=jump_right)
+
+
+def solve_population(model: ModelSpec, r: float,
+                     grid_n: int = DEFAULT_GRID_N) -> PopulationSolution:
+    """The outcome profile Y under treatment at the cutoff. Y jumps left of 0
+    by m_-(0) - m_+(0), and right of 0 by -gamma(0)/2 when gamma is one-sided."""
+    def rhs(grid):
+        m_vals = np.where(grid >= 0.0, eval_func(model.m_plus, grid),
+                          eval_func(model.m_minus, grid))
+        return m_vals + model.gamma_at(grid) * nu_exact(r, grid)
+
+    jump_left = eval_func(model.m_minus, 0.0) - eval_func(model.m_plus, 0.0)
+    jump_right = -eval_func(model.gamma, 0.0) * 0.5 if model.gamma_one_sided else 0.0
+    return _solve(model, r, grid_n, rhs, jump_left, jump_right)
 
 
 def mu_at(sol: PopulationSolution, z: float):
@@ -230,13 +182,15 @@ def mu_at(sol: PopulationSolution, z: float):
 def true_estimands(model: ModelSpec, r: float, grid_n: int = DEFAULT_GRID_N) -> dict:
     """Exact tau_d and the finite-r total effect tau_tot.
 
-    tau_d needs no solve. tau_tot compares the all-treated and none-treated
-    fixed points at the cutoff; as r -> 0 it approaches
-    (tau_d + gamma(0)) / (1 - delta(0)).
+    tau_d needs no solve. tau_tot, Y(0) with everyone treated minus Y(0) with
+    no one treated, is y(0) of the fixed point of the treatment contrast
+    m_+ - m_- + gamma. As r -> 0 it approaches (tau_d + gamma(0)) / (1 - delta(0)).
     """
     tau_d = eval_func(model.m_plus, 0.0) - eval_func(model.m_minus, 0.0)
-    sol_all = solve_population(model, r, ALL_TREATED, grid_n)
-    sol_none = solve_population(model, r, NONE_TREATED, grid_n)
-    i0 = sol_all.i0
-    tau_tot = float(sol_all.y[i0] - sol_none.y[i0])
-    return {"tau_d": float(tau_d), "tau_tot": tau_tot}
+
+    def rhs(grid):
+        return eval_func(model.m_plus, grid) - eval_func(model.m_minus, grid) + model.gamma_at(grid)
+
+    jump_right = -eval_func(model.gamma, 0.0) if model.gamma_one_sided else 0.0
+    sol = _solve(model, r, grid_n, rhs, 0.0, jump_right)
+    return {"tau_d": float(tau_d), "tau_tot": float(sol.y[sol.i0])}

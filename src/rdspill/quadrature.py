@@ -132,16 +132,18 @@ def two_grid_solve(b: np.ndarray, z: np.ndarray, zc: np.ndarray, windows,
     y, with (lo, hi, scale) = windows(x). coarse_weights = window_matrix(zc,
     lo_c, hi_c) on the coarse grid zc; it is overwritten. Each step
     adds rho + K rho + K w_c (w_c interpolated from zc), where (I - K_c) w_c =
-    (K rho)(zc); SolverError unless |rho| <= SOLVER_TOL within MAX_ITERATIONS
-    steps. The stop is raised to the rounding floor
-    len(z)*eps*sup|b|/(1 - sup|K|) when SOLVER_TOL lies below it, as it does
-    for solutions of size 1/(1 - delta) near delta = 1.
+    (K rho)(zc); SolverError unless |rho| <= SOLVER_TOL * min(1, sup|b|)
+    within MAX_ITERATIONS steps, so the stop is relative below unit scale.
+    The stop is raised to the rounding floor len(z)*eps*sup|b|/(1 - sup|K|)
+    when it lies below it, as it does for solutions of size 1/(1 - delta)
+    near delta = 1.
     """
     lo, hi, scale = windows(z)
     lo_c, hi_c, scale_c = windows(zc)
     # N window terms, each rounded relative to sup|y| <= sup|b|/(1 - sup|K|)
     gain = float(np.max(np.abs(scale * (hi - lo))))
-    tol = max(SOLVER_TOL, len(z) * np.finfo(float).eps * float(np.max(np.abs(b))) / (1.0 - gain))
+    b_sup = float(np.max(np.abs(b)))
+    tol = max(SOLVER_TOL * min(1.0, b_sup), len(z) * np.finfo(float).eps * b_sup / (1.0 - gain))
     # I - K_c in place, inverted once: each step is then one coarse matvec
     coarse_weights *= -scale_c[:, None]
     coarse_weights[np.diag_indices_from(coarse_weights)] += 1.0

@@ -183,13 +183,18 @@ def parse_sample_csv(path):
 
 
 def _newline_chunks(fh):
-    r"""Binary file fh in pieces that each end a line: the first line alone
-    (when shorter than CHUNK_BYTES), then about CHUNK_BYTES at a time, cut
-    after a read's last `\n` or, in a read without one, after its last `\r`
-    but the read's last byte, so a `\r\n` is never split. The last piece
-    gets a `\n` if the file lacks one."""
+    r"""Binary file fh in pieces that each end a line: the first line alone,
+    up to its own `\n`, `\r\n` or lone `\r` (when that lies in the first
+    CHUNK_BYTES), then about CHUNK_BYTES at a time, cut after a read's last
+    `\n` or, in a read without one, after its last `\r` but the read's last
+    byte, so a `\r\n` is never split. The last piece gets a `\n` if the
+    file lacks one."""
+    first = fh.read(CHUNK_BYTES)
+    end = min((i for i in (first.find(b"\n"), first.find(b"\r", 0, -1)) if i >= 0), default=-1) + 1
+    end += first[end - 1:end + 1] == b"\r\n"
+    yield first[:end]  # empty when no line ends in the first read
     tail = b""
-    for data in chain([fh.readline(CHUNK_BYTES)], iter(lambda: fh.read(CHUNK_BYTES), b"")):
+    for data in chain([first[end:]], iter(lambda: fh.read(CHUNK_BYTES), b"")):
         cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1
         if cut:
             yield tail + data[:cut]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rdspill.funcspace import ModelSpec, constant, eval_func, polynomial
-from rdspill.population import _jumps, _model_rhs
 from rdspill.quadrature import _locate
 
 
@@ -135,13 +134,19 @@ def noiseless_benchmark():
 def dense_population():
     """Oracle for solve_population: the same discretized fixed point,
     assembled as an N x N system from the reference weight loop and solved
-    by LU."""
+    by LU. Its right-hand side and jumps come from the model directly: the
+    ramp nu is the clipped window's share of [0, 1], and Y jumps where m
+    switches branch and, for a one-sided gamma, where gamma*nu(0) switches
+    off."""
 
-    def solve(model, r, regime, grid_n):
+    def solve(model, r, grid_n):
         grid = np.linspace(-1.0, 1.0, grid_n)
         lo, hi = np.maximum(grid - r, -1.0), np.minimum(grid + r, 1.0)
-        rhs = _model_rhs(model, regime, grid, r)
-        jump_left, jump_right = _jumps(model, regime)
+        nu = (np.clip(hi, 0.0, None) - np.clip(lo, 0.0, None)) / (hi - lo)
+        m = np.where(grid >= 0.0, eval_func(model.m_plus, grid), eval_func(model.m_minus, grid))
+        rhs = m + model.gamma_at(grid) * nu
+        jump_left = eval_func(model.m_minus, 0.0) - eval_func(model.m_plus, 0.0)
+        jump_right = -eval_func(model.gamma, 0.0) * 0.5 if model.gamma_one_sided else 0.0
         W, wl0, wr0 = _window_matrix_loop(grid, lo, hi, grid_n // 2)
         scale = np.asarray(eval_func(model.delta, grid)) / (hi - lo)
         system = np.eye(grid_n) - scale[:, None] * W

@@ -38,7 +38,7 @@ from rdspill.funcspace import (
     polynomial,
     sinusoid_sum,
 )
-from rdspill.population import CUTOFF, mu_at, nu_exact, solve_population, true_estimands
+from rdspill.population import mu_at, nu_exact, solve_population, true_estimands
 from rdspill.quadrature import window_integrals
 from rdspill.sampling import Sample
 
@@ -100,9 +100,9 @@ def test_check_01_solver_vs_dense_oracle(dense_population):
     worst_gap, worst_time = 0.0, 0.0
     for label, model, r in _solver_zoo():
         start = time.perf_counter()
-        sol = solve_population(model, r, CUTOFF, 4001)
+        sol = solve_population(model, r, 4001)
         elapsed = time.perf_counter() - start
-        gap = float(np.max(np.abs(sol.y - dense_population(model, r, CUTOFF, 4001))))
+        gap = float(np.max(np.abs(sol.y - dense_population(model, r, 4001))))
         worst_gap = max(worst_gap, gap)
         worst_time = max(worst_time, elapsed)
         assert gap <= 1e-8, (label, gap)
@@ -119,13 +119,13 @@ def test_check_01_solver_vs_dense_oracle(dense_population):
 
 def test_check_02_contraction():
     model = benchmark_model()
-    sol = solve_population(model, 0.1, CUTOFF, 1001)
+    sol = solve_population(model, 0.1, 1001)
     grid = sol.grid
     lo = np.maximum(grid - sol.r, -1.0)
     hi = np.minimum(grid + sol.r, 1.0)
     m_vals = np.where(grid >= 0.0, eval_func(model.m_plus, grid),
                       eval_func(model.m_minus, grid))
-    rhs = m_vals + np.asarray(model.gamma_at(grid)) * nu_exact(CUTOFF, sol.r, grid)
+    rhs = m_vals + np.asarray(model.gamma_at(grid)) * nu_exact(sol.r, grid)
     dvals = np.asarray(eval_func(model.delta, grid))
 
     def apply_map(vec):
@@ -196,7 +196,7 @@ def test_check_04_cutoff_average_limit():
         / (2.0 * (1.0 - model.delta(0.0)))
     devs = []
     for r in (0.1, 0.05, 0.01, 0.005):
-        sol = solve_population(model, r, CUTOFF, 4001)
+        sol = solve_population(model, r, 4001)
         devs.append(abs(mu_at(sol, 0.0) - limit))
     monotone = bool(np.all(np.diff(devs) < 0.0))
     final_ok = devs[-1] <= 5e-2
@@ -507,7 +507,7 @@ def test_check_12_nesting_identity(monkeypatch):
     monkeypatch.setattr(
         est_mod._NeighborPool, "mu",
         lambda pool, targets, r, exclude=None, bounds=None: np.full(np.shape(targets), 0.5))
-    monkeypatch.setattr(est_mod, "nu_exact", lambda regime, r, z: 0.5)
+    monkeypatch.setattr(est_mod, "nu_exact", lambda r, z: 0.5)
     cfg = EstimatorConfig(kernel="triangular", h=0.3, r=0.05)
     checked = 0
     for seed in range(20):

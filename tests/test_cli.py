@@ -30,7 +30,7 @@ from rdspill.estimators import (
     local_spillover_regression,
 )
 from rdspill.funcspace import ModelSpec
-from rdspill.population import CUTOFF, solve_population, true_estimands
+from rdspill.population import solve_population, true_estimands
 from rdspill.sampling import Sample, draw_sample
 
 BENCH = {
@@ -66,7 +66,7 @@ def run_cli(argv, capsys):
 @pytest.fixture(scope="module")
 def bench_sample():
     model = ModelSpec.from_config(BENCH)
-    sol = solve_population(model, 0.1, CUTOFF, 2001)
+    sol = solve_population(model, 0.1, 2001)
     return draw_sample(sol, 2500, 7)
 
 
@@ -823,7 +823,7 @@ class TestWindowMemory:
     @pytest.fixture(scope="class")
     def traced(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("window-memory")
-        sample = draw_sample(solve_population(ModelSpec.from_config(BENCH), 0.075, CUTOFF, 2001),
+        sample = draw_sample(solve_population(ModelSpec.from_config(BENCH), 0.075, 2001),
                              self.N, 1)
         data = tmp / "data.csv"
         with open(data, "w", encoding="utf-8") as fh:

@@ -30,7 +30,7 @@ from rdspill.estimators import (
 )
 from rdspill.funcspace import ModelSpec, constant, polynomial
 from rdspill.kernels import kernel_values
-from rdspill.population import CUTOFF, nu_exact, solve_population
+from rdspill.population import nu_exact, solve_population
 from rdspill.sampling import Sample, draw_sample, substream
 
 
@@ -56,7 +56,7 @@ def quiet_model():
 
 @pytest.fixture(scope="module")
 def quiet_solution(quiet_model):
-    return solve_population(quiet_model, r=0.05, regime=CUTOFF, grid_n=2001)
+    return solve_population(quiet_model, r=0.05, grid_n=2001)
 
 
 @pytest.fixture(scope="module")
@@ -576,7 +576,7 @@ class TestSpilloverRegression:
         monkeypatch.setattr(
             est_mod._NeighborPool, "mu",
             lambda pool, targets, r, exclude=None, bounds=None: np.full(np.shape(targets), 0.5))
-        monkeypatch.setattr(est_mod, "nu_exact", lambda regime, r, z: 0.5)
+        monkeypatch.setattr(est_mod, "nu_exact", lambda r, z: 0.5)
         nested = local_spillover_regression(nested_sample,
                                             EstimatorConfig(kernel="triangular", h=0.3, r=0.05))
         assert [d.shape[1] for d in designs] == [6, 6, 2, 2]
@@ -674,7 +674,7 @@ class TestSpilloverRegression:
         monkeypatch.setattr(
             est_mod._NeighborPool, "mu",
             lambda pool, targets, r, exclude=None, bounds=None: np.full(np.shape(targets), 0.5))
-        monkeypatch.setattr(est_mod, "nu_exact", lambda regime, r, z: 0.5)
+        monkeypatch.setattr(est_mod, "nu_exact", lambda r, z: 0.5)
         sp = local_spillover_regression(sample, cfg)
         ll = local_linear_rdd(sample, cfg)
         assert sp.beta_plus[:2] == ll.beta_plus
@@ -701,7 +701,7 @@ class TestSpilloverRegression:
             est_mod._NeighborPool, "mu",
             lambda pool, targets, r, exclude=None, bounds=None: np.asarray(targets, dtype=float) ** 2)
         monkeypatch.setattr(est_mod, "nu_exact",
-                            lambda regime, r, z: np.asarray(z, dtype=float) ** 2)
+                            lambda r, z: np.asarray(z, dtype=float) ** 2)
         with pytest.raises(IllPosedError) as exc:
             local_spillover_regression(sample, cfg)
         assert exc.value.condition_number > 1e10
@@ -808,7 +808,7 @@ class TestCrossValidation:
         fold_id = substream(seed, 101).permutation(z.size) % folds
         for row in out["cv_table"]:
             r = row["r"]
-            nu0 = nu_exact(CUTOFF, r, 0.0)
+            nu0 = nu_exact(r, 0.0)
             mse = {"plus": 0.0, "minus": 0.0}
             for k in range(folds):
                 train = Sample(z=z[fold_id != k], y=y[fold_id != k])
@@ -819,7 +819,7 @@ class TestCrossValidation:
                     if w == 0.0:
                         continue
                     md = brute_force_mu_hat(train.z, train.y, r, zt) - est.mu_hat_at_0
-                    nd = nu_exact(CUTOFF, r, zt) - nu0
+                    nd = nu_exact(r, zt) - nu0
                     side = "plus" if zt >= 0.0 else "minus"
                     beta = est.beta_plus if side == "plus" else est.beta_minus
                     pred = np.dot(beta, [1.0, zt, md, zt * md, nd, zt * nd])

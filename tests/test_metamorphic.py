@@ -20,8 +20,8 @@ from rdspill.estimators import (
     nadaraya_watson_rdd,
 )
 from rdspill.experiments import benchmark_model, tau_star_for_model
-from rdspill.funcspace import FuncSpec
-from rdspill.population import CUTOFF, solve_population, true_estimands
+from rdspill.funcspace import FuncSpec, ModelSpec, constant, polynomial, sinusoid_sum
+from rdspill.population import solve_population, true_estimands
 from rdspill.sampling import Sample, draw_sample
 
 RTOL = 1e-12
@@ -33,7 +33,7 @@ HALVED = EstimatorConfig(kernel="triangular", h=0.075, r=0.0375, h_donut=0.01)
 @pytest.fixture(scope="module")
 def sample():
     model = benchmark_model(0.1)
-    sol = solve_population(model, 0.075, CUTOFF, 4001)
+    sol = solve_population(model, 0.075, 4001)
     return draw_sample(sol, 50_000, seed=1)
 
 
@@ -175,6 +175,20 @@ class TestPopulation:
                                              for name in ("m_plus", "m_minus", "gamma",
                                                           "noise_sd")})
         for got, want in zip(_targets(model), reference):
+            assert close(got, s * want)
+
+    @pytest.mark.parametrize("s", [2.5, 1e-3, 1e-6])
+    def test_a_common_scaling_with_curved_baselines(self, s):
+        # a varying delta and non-linear baselines make tau_tot depend on the
+        # solve, which must then stop relative to the data's scale
+        base = ModelSpec(m_plus=polynomial([1.0, 0.3, -0.5]),
+                         m_minus=polynomial([0.0, 0.2, 0.4]),
+                         delta=sinusoid_sum([0.3, 0.2, 2.0]),
+                         gamma=polynomial([0.5, 0.3]), noise_sd=constant(0.1))
+        model = dataclasses.replace(base, **{name: _mapped(getattr(base, name), 0.0, s)
+                                             for name in ("m_plus", "m_minus", "gamma",
+                                                          "noise_sd")})
+        for got, want in zip(_targets(model), _targets(base)):
             assert close(got, s * want)
 
 

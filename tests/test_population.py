@@ -7,10 +7,6 @@ from rdspill.asymptotics import build_lambda_table
 from rdspill.errors import ConfigError, DomainError
 from rdspill.funcspace import ModelSpec, constant, eval_func, polynomial, sinusoid_sum
 from rdspill.population import (
-    ALL_TREATED,
-    CUTOFF,
-    NONE_TREATED,
-    TreatmentRegime,
     mu_at,
     nu_exact,
     solve_population,
@@ -50,44 +46,37 @@ def interp_reference(sol, z):
 
 class TestNuExact:
     def test_cutoff_values(self):
-        assert nu_exact(CUTOFF, 0.1, 0.0) == pytest.approx(0.5)
-        assert nu_exact(CUTOFF, 0.1, 0.05) == pytest.approx(0.75)
-        assert nu_exact(CUTOFF, 0.1, 0.1) == pytest.approx(1.0)
-        assert nu_exact(CUTOFF, 0.1, -0.2) == 0.0
-        assert nu_exact(CUTOFF, 0.1, 0.7) == 1.0
+        assert nu_exact(0.1, 0.0) == pytest.approx(0.5)
+        assert nu_exact(0.1, 0.05) == pytest.approx(0.75)
+        assert nu_exact(0.1, 0.1) == pytest.approx(1.0)
+        assert nu_exact(0.1, -0.2) == 0.0
+        assert nu_exact(0.1, 0.7) == 1.0
 
     def test_boundary_windows(self):
         # near z = -1 the neighborhood is clipped but stays untreated
-        assert nu_exact(CUTOFF, 0.3, -0.95) == 0.0
+        assert nu_exact(0.3, -0.95) == 0.0
         # near z = 1 fully treated
-        assert nu_exact(CUTOFF, 0.3, 0.95) == 1.0
+        assert nu_exact(0.3, 0.95) == 1.0
         # clipped window straddling the cutoff
-        assert nu_exact(CUTOFF, 1.5, -0.9) == pytest.approx(0.6 / 1.6)
-
-    def test_degenerate_regimes(self):
-        z = np.linspace(-1, 1, 11)
-        np.testing.assert_array_equal(nu_exact(ALL_TREATED, 0.1, z), 1.0)
-        np.testing.assert_array_equal(nu_exact(NONE_TREATED, 0.1, z), 0.0)
+        assert nu_exact(1.5, -0.9) == pytest.approx(0.6 / 1.6)
 
     def test_rejects_nan_radius(self):
         with pytest.raises(ConfigError, match="positive"):
-            nu_exact(CUTOFF, float("nan"), 0.0)
+            nu_exact(float("nan"), 0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            nu_exact(CUTOFF, 0.0, 0.0)
+            nu_exact(0.0, 0.0)
         with pytest.raises(ConfigError):
-            nu_exact(CUTOFF, 2.0, 0.0)
+            nu_exact(2.0, 0.0)
         with pytest.raises(DomainError):
-            nu_exact(CUTOFF, 0.1, 1.5)
-        with pytest.raises(ConfigError):
-            TreatmentRegime("sharp")
+            nu_exact(0.1, 1.5)
 
     @pytest.mark.parametrize("z", [np.nan, np.array([0.1, np.nan])])
     def test_rejects_nan(self, z):
         # a min/max range check lets NaN through; nu_exact returned nan
         with pytest.raises(DomainError):
-            nu_exact(CUTOFF, 0.075, z)
+            nu_exact(0.075, z)
 
     def test_matches_indicator_quadrature(self):
         # the closed form must agree with integrating the treated indicator
@@ -100,12 +89,12 @@ class TestNuExact:
         r = 0.17
         lo, hi = np.maximum(z - r, -1.0), np.minimum(z + r, 1.0)
         quad = window_integrals(ind, grid, lo, hi, i0, -1.0, 0.0) / (hi - lo)
-        np.testing.assert_allclose(quad, nu_exact(CUTOFF, r, z), atol=1e-12)
+        np.testing.assert_allclose(quad, nu_exact(r, z), atol=1e-12)
 
 
 @pytest.fixture(scope="module")
 def bench_sol(benchmark_model):
-    return solve_population(benchmark_model, 0.1, CUTOFF)
+    return solve_population(benchmark_model, 0.1)
 
 
 class TestSolvePopulation:
@@ -128,12 +117,12 @@ class TestSolvePopulation:
         for z in (-0.63, -0.2, 0.0, 0.31, 0.97):
             mu_ref = _brute_mu(bench_sol, z)
             m_val = eval_func(m.m_plus if z >= 0 else m.m_minus, z)
-            rhs = m_val + 0.4 * mu_ref + 0.5 * nu_exact(CUTOFF, 0.1, z)
+            rhs = m_val + 0.4 * mu_ref + 0.5 * nu_exact(0.1, z)
             assert bench_sol.interp(np.array([z]))[0] == pytest.approx(rhs, abs=2e-6)
 
     def test_matches_dense_oracle(self, benchmark_model, dense_population):
-        sol = solve_population(benchmark_model, 0.1, CUTOFF, grid_n=1001)
-        gap = np.max(np.abs(sol.y - dense_population(benchmark_model, 0.1, CUTOFF, 1001)))
+        sol = solve_population(benchmark_model, 0.1, grid_n=1001)
+        gap = np.max(np.abs(sol.y - dense_population(benchmark_model, 0.1, 1001)))
         # a residual below tol leaves an error below tol / (1 - delta_bar); the
         # factor 2 covers the oracle's own rounding
         assert gap <= 2 * SOLVER_TOL / (1 - 0.4)
@@ -141,7 +130,7 @@ class TestSolvePopulation:
 
     def test_rejects_nan_radius(self, benchmark_model):
         with pytest.raises(ConfigError, match="outside"):
-            solve_population(benchmark_model, float("nan"), CUTOFF, grid_n=1001)
+            solve_population(benchmark_model, float("nan"), grid_n=1001)
 
     def test_smallest_radius_matches_dense_oracle(self, dense_population):
         # just above 4 grid spacings: the coarse grid sits at its node cap
@@ -149,9 +138,9 @@ class TestSolvePopulation:
             m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
             delta=constant(0.95), gamma=constant(0.5), noise_sd=constant(0.0),
         )
-        sol = solve_population(model, 0.00801, CUTOFF, grid_n=1001)
+        sol = solve_population(model, 0.00801, grid_n=1001)
         assert sol.solver_report["coarse_n"] == 501
-        gap = np.max(np.abs(sol.y - dense_population(model, 0.00801, CUTOFF, 1001)))
+        gap = np.max(np.abs(sol.y - dense_population(model, 0.00801, 1001)))
         assert gap <= 2 * SOLVER_TOL / (1 - 0.95)
 
     @pytest.mark.parametrize("delta", [0.9999, 0.99999])
@@ -162,14 +151,14 @@ class TestSolvePopulation:
             m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
             delta=constant(delta), gamma=constant(0.5), noise_sd=constant(0.0),
         )
-        assert solve_population(model, r, CUTOFF, grid_n=4001).solver_report["iterations"] >= 1
-        sol = solve_population(model, r, CUTOFF, grid_n=2001)
-        ref = dense_population(model, r, CUTOFF, 2001)
+        assert solve_population(model, r, grid_n=4001).solver_report["iterations"] >= 1
+        sol = solve_population(model, r, grid_n=2001)
+        ref = dense_population(model, r, 2001)
         assert np.max(np.abs(sol.y - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_grid_refinement_converges(self, benchmark_model):
-        coarse = solve_population(benchmark_model, 0.3, CUTOFF, grid_n=1001)
-        fine = solve_population(benchmark_model, 0.3, CUTOFF, grid_n=4001)
+        coarse = solve_population(benchmark_model, 0.3, grid_n=1001)
+        fine = solve_population(benchmark_model, 0.3, grid_n=4001)
         # coarse grid points are a subset of the fine ones (both include 0)
         assert np.max(np.abs(coarse.y - fine.y[::4])) < 1e-4
 
@@ -191,7 +180,7 @@ class TestSolvePopulation:
             m = polynomial([0.1, 0.2, -0.5])
             model = ModelSpec(m_plus=m, m_minus=m, delta=constant(0.4), gamma=constant(0.5),
                               noise_sd=constant(0.1), gamma_one_sided=jumps == "right")
-        sol = solve_population(model, 0.05, CUTOFF, grid_n)
+        sol = solve_population(model, 0.05, grid_n)
         assert (sol.jump_left != 0.0, sol.jump_right != 0.0) == (jumps == "left", jumps == "right")
         g, i0 = sol.grid, sol.i0
         ends = np.array([-1.0, 1.0])
@@ -206,13 +195,13 @@ class TestSolvePopulation:
 
     def test_validation(self, benchmark_model):
         with pytest.raises(ConfigError):
-            solve_population(benchmark_model, 0.1, CUTOFF, grid_n=1000)
+            solve_population(benchmark_model, 0.1, grid_n=1000)
         with pytest.raises(ConfigError):
-            solve_population(benchmark_model, 0.1, CUTOFF, grid_n=101)
+            solve_population(benchmark_model, 0.1, grid_n=101)
         with pytest.raises(ConfigError):
-            solve_population(benchmark_model, 2.5, CUTOFF)
+            solve_population(benchmark_model, 2.5)
         with pytest.raises(ConfigError):
-            solve_population(benchmark_model, 0.001, CUTOFF, grid_n=401)
+            solve_population(benchmark_model, 0.001, grid_n=401)
 
     def test_arrays_read_only(self, bench_sol):
         with pytest.raises(ValueError):
@@ -224,12 +213,12 @@ class TestSolvePopulation:
             delta=constant(0.4), gamma=constant(0.5),
             noise_sd=constant(0.0), gamma_one_sided=True,
         )
-        sol = solve_population(model, 0.1, CUTOFF)
+        sol = solve_population(model, 0.1)
         assert sol.jump_right == pytest.approx(-0.25)  # -gamma(0) * nu(0)
         for z in (-0.4, 0.2):
             mu_ref = _brute_mu(sol, z)
             m_val = eval_func(model.m_plus if z >= 0 else model.m_minus, z)
-            rhs = m_val + 0.4 * mu_ref + model.gamma_at(z) * nu_exact(CUTOFF, 0.1, z)
+            rhs = m_val + 0.4 * mu_ref + model.gamma_at(z) * nu_exact(0.1, z)
             assert sol.interp(np.array([z]))[0] == pytest.approx(rhs, abs=2e-6)
 
 
@@ -237,7 +226,7 @@ def test_solver_memory_stays_linear(benchmark_model):
     # one fine N x N array would take 128 MB here (N = 4001) or 328 MB (6401)
     tracemalloc.start()
     try:
-        solve_population(benchmark_model, 0.075, CUTOFF, 4001)
+        solve_population(benchmark_model, 0.075, 4001)
         build_lambda_table(0.4, 24.0, 6401)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -247,14 +236,14 @@ def test_solver_memory_stays_linear(benchmark_model):
 
 class TestStructureLemmas:
     def test_odd_solution_preserved(self):
-        # odd baseline, constant delta, no exogenous channel, uniform
-        # treatment: window clipping is mirror symmetric, so the fixed point
-        # inherits oddness
+        # odd baseline, constant delta, no exogenous channel, the same
+        # baseline on both sides: window clipping is mirror symmetric, so the
+        # fixed point inherits oddness
         model = ModelSpec(
             m_plus=sinusoid_sum([0.7, 3.0]), m_minus=sinusoid_sum([0.7, 3.0]),
             delta=constant(0.3), gamma=constant(0.0), noise_sd=constant(0.0),
         )
-        sol = solve_population(model, 0.25, ALL_TREATED, grid_n=2001)
+        sol = solve_population(model, 0.25, grid_n=2001)
         assert np.max(np.abs(sol.y + sol.y[::-1])) < 1e-9
 
     def test_contraction_on_differences(self, benchmark_model):
@@ -277,12 +266,12 @@ class TestStructureLemmas:
         # mu at most osc(y)/(2r), and y at most C + delta*slope(mu) by the
         # product rule (all coefficients constant here)
         r = 0.1
-        sol = solve_population(benchmark_model, r, CUTOFF, grid_n=4001)
+        sol = solve_population(benchmark_model, r, grid_n=4001)
         z, dz = sol.grid, sol.grid[1] - sol.grid[0]
         interior = (np.abs(z[:-1]) > r + 2 * dz) & (np.abs(z[:-1] + 1) > r + 2 * dz) \
             & (np.abs(z[:-1] - 1) > r + 2 * dz)
         slope = lambda v: np.abs(np.diff(v) / dz)[interior]
-        mu, nu = mu_at(sol, sol.grid), nu_exact(CUTOFF, r, sol.grid)
+        mu, nu = mu_at(sol, sol.grid), nu_exact(r, sol.grid)
         assert np.max(slope(nu)) <= 1 / (2 * r) + 1e-9
         osc = np.max(sol.y) - np.min(sol.y)
         assert np.max(slope(mu)) <= osc / (2 * r) + 1e-9
@@ -295,12 +284,12 @@ class TestStructureLemmas:
 
 class TestMuAt:
     def test_matches_brute_force(self, benchmark_model):
-        sol = solve_population(benchmark_model, 0.15, CUTOFF)
+        sol = solve_population(benchmark_model, 0.15)
         for z in (-0.9, -0.1, 0.0, 0.07, 0.95):
             assert mu_at(sol, z) == pytest.approx(_brute_mu(sol, z), abs=1e-6)
 
     def test_domain(self, benchmark_model):
-        sol = solve_population(benchmark_model, 0.15, CUTOFF, grid_n=1001)
+        sol = solve_population(benchmark_model, 0.15, grid_n=1001)
         with pytest.raises(DomainError):
             mu_at(sol, 1.2)
         # NaN used to return nan after an invalid-cast RuntimeWarning
@@ -313,14 +302,41 @@ class TestMuAt:
         # proportional to r (slope about 0.0502 for this model)
         devs = {}
         for r in (0.1, 0.05):
-            sol = solve_population(benchmark_model, r, CUTOFF)
+            sol = solve_population(benchmark_model, r)
             devs[r] = abs(mu_at(sol, 0.0) - 1.25)
         assert devs[0.05] < devs[0.1]
         for r, dev in devs.items():
             assert dev == pytest.approx(0.0502 * r, rel=0.03)
 
 
+CURVED = dict(m_plus=polynomial([1.0, 0.3, -0.5]), m_minus=polynomial([0.0, 0.2, 0.4]),
+              gamma=polynomial([0.5, 0.3]), noise_sd=constant(0.0))
+
+
 class TestTrueEstimands:
+    @pytest.mark.parametrize("model, r", [
+        (ModelSpec(delta=constant(0.4), **CURVED), 0.1),
+        (ModelSpec(delta=sinusoid_sum([0.3, 0.2, 2.0]), **CURVED), 0.075),
+        (ModelSpec(delta=constant(0.4), gamma_one_sided=True, **CURVED), 0.1),
+        (ModelSpec(delta=constant(-0.6), gamma_one_sided=True, **CURVED), 0.3),
+    ])
+    def test_tau_tot_is_the_two_world_contrast(self, model, r, window_matrix_loop):
+        # tau_tot by its definition: Y(0) with everyone treated minus Y(0)
+        # with no one treated, each world a dense system of its own; a
+        # one-sided gamma, active at 0, switches off just right of it
+        grid_n = 1001
+        grid = np.linspace(-1.0, 1.0, grid_n)
+        lo, hi = np.maximum(grid - r, -1.0), np.minimum(grid + r, 1.0)
+        W, _, wr0 = window_matrix_loop(grid, lo, hi, grid_n // 2)
+        scale = eval_func(model.delta, grid) / (hi - lo)
+        system = np.eye(grid_n) - scale[:, None] * W
+        jump_right = -eval_func(model.gamma, 0.0) if model.gamma_one_sided else 0.0
+        treated = np.linalg.solve(system, eval_func(model.m_plus, grid) + model.gamma_at(grid)
+                                  + scale * wr0 * jump_right)
+        untreated = np.linalg.solve(system, eval_func(model.m_minus, grid))
+        want = treated[grid_n // 2] - untreated[grid_n // 2]
+        assert true_estimands(model, r, grid_n)["tau_tot"] == pytest.approx(want, abs=1e-9)
+
     def test_benchmark_exact_values(self, benchmark_model):
         est = true_estimands(benchmark_model, 0.1)
         assert est["tau_d"] == pytest.approx(1.0, abs=1e-14)

@@ -21,7 +21,7 @@ from rdspill.estimators import (
     nadaraya_watson_rdd,
 )
 from rdspill.funcspace import ModelSpec, constant, polynomial, sinusoid_sum
-from rdspill.population import CUTOFF, solve_population
+from rdspill.population import solve_population
 from rdspill.sampling import (
     Sample,
     draw_sample,
@@ -41,7 +41,7 @@ def _write_csv(sample: Sample, path) -> None:
 
 @pytest.fixture(scope="module")
 def noiseless_sol(noiseless_benchmark):
-    return solve_population(noiseless_benchmark, 0.1, CUTOFF, grid_n=1001)
+    return solve_population(noiseless_benchmark, 0.1, grid_n=1001)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def unit_noise_sol():
         m_plus=polynomial([1.0, 0.3]), m_minus=polynomial([0.0, 0.2]),
         delta=constant(0.4), gamma=constant(0.5), noise_sd=constant(1.0),
     )
-    return solve_population(model, 0.1, CUTOFF, grid_n=1001)
+    return solve_population(model, 0.1, grid_n=1001)
 
 
 class TestDrawSample:
@@ -101,12 +101,12 @@ class TestDrawSample:
             draw_sample(noiseless_sol, 0, seed=1)
 
     def test_interp_error_drops_with_grid(self, noiseless_benchmark):
-        fine = solve_population(noiseless_benchmark, 0.17, CUTOFF, grid_n=8001)
+        fine = solve_population(noiseless_benchmark, 0.17, grid_n=8001)
         rng = np.random.default_rng(0)
         z = rng.uniform(-1, 1, 4000)
         errs = []
         for grid_n in (501, 1001):
-            sol = solve_population(noiseless_benchmark, 0.17, CUTOFF, grid_n=grid_n)
+            sol = solve_population(noiseless_benchmark, 0.17, grid_n=grid_n)
             errs.append(np.max(np.abs(sol.interp(z) - fine.interp(z))))
         assert errs[1] < errs[0] / 3.0
 
@@ -128,7 +128,7 @@ def noisy_sol(request):
         delta=constant(0.4), gamma=constant(0.5),
         noise_sd=NOISE_SPECS[request.param],
     )
-    return solve_population(model, WINDOW_R, CUTOFF, grid_n=1001)
+    return solve_population(model, WINDOW_R, grid_n=1001)
 
 
 def _fit_outcome(fit, sample, cfg):
@@ -655,8 +655,8 @@ class TestFastParse:
         assert outcome == _outcomes(p, monkeypatch)[1]
 
     def test_crlf_and_cr_copies_read_fast_after_the_header(self, tmp_path):
-        # a CR-only file has no \n to end its header line, so its first
-        # piece holds data rows too; no later piece goes to the reference parse
+        # the header's piece ends at its own line end, of any kind, so no
+        # data row goes to the reference parse with it
         rng = np.random.default_rng(24)
         p = tmp_path / "lf.csv"
         _write_csv(Sample(z=rng.uniform(-1.0, 1.0, 20_000),
@@ -669,7 +669,7 @@ class TestFastParse:
             p.write_bytes(lf.replace(b"\n", newline))
             got, spans = _probed(p)
             assert got == outcome
-            assert [first for first, _ in spans] == ([] if newline == b"\r\n" else [2])
+            assert spans == []
 
     @pytest.mark.parametrize("content, expected", LINE_ENDS)
     def test_only_lf_crlf_and_a_lone_cr_end_a_line(self, tmp_path, monkeypatch, content,

@@ -18,7 +18,7 @@ from traced_cli import Tracer, instrument
 tracer = Tracer()
 instrument(tracer)
 from rdspill import cli, experiments
-cli.solve_population(experiments.benchmark_model(), 0.1, cli.CUTOFF, 401)
+cli.solve_population(experiments.benchmark_model(), 0.1, 401)
 print(json.dumps(tracer.spans))
 """
 
