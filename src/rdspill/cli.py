@@ -38,14 +38,7 @@ from .estimators import (
     nadaraya_watson_rdd,
     to_record,
 )
-from .experiments import (
-    ESTIMATOR_NAMES,
-    STUDIES,
-    VERSION,
-    ExperimentPlan,
-    hash_config,
-    tau_star_for_model,
-)
+from .experiments import STUDIES, VERSION, ExperimentPlan, hash_config, tau_star_for_model
 from .funcspace import ModelSpec
 from .kernels import KERNEL_NAMES
 from .population import DEFAULT_GRID_N, solve_population, true_estimands
@@ -54,6 +47,7 @@ from .sampling import Sample, draw_sample, parse_sample_csv
 TOP_LEVEL_KEYS = {"model", "estimator", "simulate", "estimate", "crossval",
                   "experiment"}
 REGIME_LABELS = ("r>>h", "r<<h", "r~h")
+# --estimator's choices and the fit each runs; "all" runs every fit in this order
 ESTIMATOR_ALIASES = {
     "ll": "local_linear",
     "nw": "nadaraya_watson",
@@ -217,6 +211,9 @@ def cmd_simulate(args) -> int:
     if declared == "r~h":
         if not sim.get("h", 0.0) > 0.0:
             raise ConfigError("declaring the r~h regime requires a positive 'h' value")
+        if not 0.0 < 2.0 * r / sim["h"] < 2.0:
+            raise ConfigError(f"declaring the r~h regime requires 0 < 2r/h < 2, "
+                              f"got r={r}, h={sim['h']}")
     elif "h" in sim or "kernel" in sim:
         raise ConfigError("'h' and 'kernel' in the 'simulate' section are read only "
                           "with \"declared_regime\": \"r~h\"")
@@ -261,7 +258,7 @@ def cmd_estimate(args) -> int:
     cfg = EstimatorConfig.from_config(_section(doc, "estimator"))
     pooling = read_section(doc.get("estimate", {}), "'estimate' section", {},
                            {"pooling": text}).get("pooling", "average")
-    names = (ESTIMATOR_NAMES if args.estimator == "all"
+    names = (tuple(ESTIMATOR_ALIASES.values()) if args.estimator == "all"
              else (ESTIMATOR_ALIASES[args.estimator],))
     _check_spillover(cfg if "spillover" in names else None, pooling)
     _check_out_dir(os.path.dirname(args.out))
@@ -364,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--data", required=True, help="input CSV with header z,y")
     est.add_argument("--out", required=True, help="output JSON path")
     est.add_argument("--estimator", default="ll",
-                     choices=["ll", "nw", "donut", "spillover", "all"])
+                     choices=[*ESTIMATOR_ALIASES, "all"])
     est.add_argument("--rescale", metavar="MIN,CUTOFF,MAX", help=(
         "affine map for raw data: cutoff to 0, declared range into [-1, 1]"))
     est.set_defaults(func=cmd_estimate)

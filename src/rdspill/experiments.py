@@ -49,7 +49,6 @@ from .sampling import draw_sample, substream
 VERSION = "0.1.0"
 
 TARGET_KINDS = ("tau_d", "tau_tot", "tau_star")
-ESTIMATOR_NAMES = ("local_linear", "nadaraya_watson", "donut", "spillover")
 RADIUS_CAP = 0.9
 RADIUS_FLOOR_CELLS = 8
 
@@ -125,13 +124,11 @@ class ExperimentPlan:
     h_coef: float = 1.0
     h_power: float = -0.2
     kernel: str = "triangular"
-    estimators: tuple[str, ...] = ESTIMATOR_NAMES
     grid_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         object.__setattr__(self, "regime_map", tuple(self.regime_map))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replications < 2:
             raise ConfigError(
                 f"need >= 2 replications for a standard error, got {self.replications}")
@@ -139,6 +136,8 @@ class ExperimentPlan:
             raise ConfigError("regime_map must contain at least one rule")
         if not self.n_grid or any(n < 10 for n in self.n_grid):
             raise ConfigError("n_grid must be non-empty with every n >= 10")
+        if len(set(self.n_grid)) < len(self.n_grid):
+            raise ConfigError(f"n_grid repeats a sample size: {list(self.n_grid)}")
         if self.h_coef <= 0.0:
             raise ConfigError(f"bandwidth coefficient must be positive, got {self.h_coef}")
         if not -0.25 < self.h_power < 0.0:
@@ -146,9 +145,6 @@ class ExperimentPlan:
                 f"bandwidth exponent must lie in (-1/4, 0), got {self.h_power}")
         if self.kernel not in KERNEL_NAMES:
             raise ConfigError(f"unknown kernel {self.kernel!r}")
-        bad = set(self.estimators) - set(ESTIMATOR_NAMES)
-        if bad:
-            raise ConfigError(f"unknown estimators: {sorted(bad)}")
         check_grid_n(self.grid_n)
         for n in self.n_grid:
             h = self.h_of(n)
@@ -173,7 +169,6 @@ class ExperimentPlan:
             "h_coef": self.h_coef,
             "h_power": self.h_power,
             "kernel": self.kernel,
-            "estimators": list(self.estimators),
             "grid_n": self.grid_n,
         }
 
@@ -183,8 +178,7 @@ class ExperimentPlan:
             doc, "experiment plan",
             {"model": ModelSpec.from_config, "regime_map": list_of(RegimeRule.from_config),
              "n_grid": list_of(integer), "replications": integer, "seed": integer},
-            {"h_coef": real, "h_power": real, "kernel": text,
-             "estimators": list_of(text), "grid_n": integer}))
+            {"h_coef": real, "h_power": real, "kernel": text, "grid_n": integer}))
 
     def config_hash(self) -> str:
         return hash_config(self.to_config())
@@ -225,8 +219,8 @@ class ExperimentReport:
 
 
 class SolutionCache:
-    """Insert-only store of population solves keyed by
-    (model content hash, radius, grid size)."""
+    """Insert-only store of population solves keyed by (model, radius, grid
+    size); a frozen ModelSpec hashes and compares by value."""
 
     def __init__(self):
         self._store = {}
@@ -235,7 +229,7 @@ class SolutionCache:
         return len(self._store)
 
     def get_or_solve(self, model: ModelSpec, r: float, grid_n: int):
-        key = (model.content_hash(), float(r), int(grid_n))
+        key = (model, float(r), int(grid_n))
         if key not in self._store:
             self._store[key] = solve_population(model, r, grid_n)
         return self._store[key]
@@ -352,14 +346,6 @@ def _require_fraction_of_h(rule: RegimeRule, need: str) -> None:
             f"{need}; got factor={rule.factor}, n_power={rule.n_power}")
 
 
-def _require_default_estimators(plan: ExperimentPlan, study: str) -> None:
-    """Refuse an estimator list the study would ignore."""
-    if plan.estimators != ESTIMATOR_NAMES:
-        raise ConfigError(
-            f"the {study} study fits a fixed estimator and ignores "
-            f"plan.estimators; leave estimators unset, got {list(plan.estimators)}")
-
-
 def _require_zero_delta(model: ModelSpec, study: str) -> None:
     if model.delta_bar != 0.0:
         raise ConfigError(
@@ -372,7 +358,6 @@ def run_phase_transition(plan: ExperimentPlan,
     """Monte Carlo mean of the local linear cutoff contrast across radius
     regimes. Wide radii target tau_d, narrow radii the finite-r total effect,
     comparable radii the limit value tau_star at c = 2r/h."""
-    _require_default_estimators(plan, "phase_transition")
     layout = [(rule.label, rule, plan.model, n, "local_linear")
               for rule in plan.regime_map for n in plan.n_grid]
 
@@ -398,7 +383,6 @@ def run_spillover_consistency(plan: ExperimentPlan,
                               cache: SolutionCache | None = None) -> ExperimentReport:
     """Bias of the spillover regression coefficients along a sample-size
     ladder at fixed c = 2r/h < 2."""
-    _require_default_estimators(plan, "consistency")
     rule = _single_rule(plan, "consistency")
     _require_fraction_of_h(rule, "the consistency study needs r = (c/2) * h "
                                  "with 0 < c < 2")
@@ -444,7 +428,6 @@ def run_donut_study(plan: ExperimentPlan,
     Two sub-studies: two-sided gamma targets the finite-r total effect,
     one-sided gamma (active only at z <= 0) targets tau_d.
     """
-    _require_default_estimators(plan, "donut")
     _require_zero_delta(plan.model, "donut")
     rule = _single_rule(plan, "donut")
     _require_fraction_of_h(rule, "the donut study needs r = factor * h with "
@@ -466,10 +449,10 @@ def run_donut_study(plan: ExperimentPlan,
     return _run_cells("donut", plan, cache, layout, setup)
 
 
-def _nw_population_value(sol, h: float, kernel: str, nodes: int = 64) -> float:
-    """Population value of the kernel-mean contrast, by per-side quadrature
-    of the solved outcome profile."""
-    x, wq = np.polynomial.legendre.leggauss(nodes)
+def _nw_population_value(sol, h: float, kernel: str) -> float:
+    """Population value of the kernel-mean contrast, by 64-node per-side
+    Gauss-Legendre quadrature of the solved outcome profile."""
+    x, wq = np.polynomial.legendre.leggauss(64)
     means = []
     for z in (0.5 * h * (x + 1.0), -0.5 * h * (x[::-1] + 1.0)):
         kw = kernel_values(kernel, z / h) * (0.5 * h * wq)
@@ -507,9 +490,6 @@ def run_ll_vs_nw(plan: ExperimentPlan,
         raise ConfigError(
             "the comparison study needs a nonzero exogenous spillover gamma")
     rule = _single_rule(plan, "comparison")
-    if not {"local_linear", "nadaraya_watson"} & set(plan.estimators):
-        raise ConfigError(
-            "plan.estimators must include local_linear or nadaraya_watson")
     layout = [(rule.label, rule, model, n, None) for n in sorted(plan.n_grid)]
 
     def setup(model, rule, sol, h, r):
@@ -519,16 +499,12 @@ def run_ll_vs_nw(plan: ExperimentPlan,
         tau_tot = true_estimands(model, r, plan.grid_n)["tau_tot"]
         nw_pop = _nw_population_value(sol, h, plan.kernel)
         cfg = EstimatorConfig(kernel=plan.kernel, h=h)
-        rows, fits = [], []
-        if "local_linear" in plan.estimators:
-            rows.append(("local_linear", "tau_hat", "tau_d", tau_d, None))
-            fits.append(lambda sample: local_linear_rdd(sample, cfg).tau_hat)
-        if "nadaraya_watson" in plan.estimators:
-            rows.append(("nadaraya_watson", "tau_hat", "nw_population", nw_pop,
-                         {"tau_d": tau_d, "tau_tot": tau_tot,
-                          "margin_from_tau_d": abs(nw_pop - tau_d)}))
-            fits.append(lambda sample: nadaraya_watson_rdd(sample, cfg))
-        return rows, lambda sample: tuple(fit(sample) for fit in fits), cfg.h
+        rows = [("local_linear", "tau_hat", "tau_d", tau_d, None),
+                ("nadaraya_watson", "tau_hat", "nw_population", nw_pop,
+                 {"tau_d": tau_d, "tau_tot": tau_tot,
+                  "margin_from_tau_d": abs(nw_pop - tau_d)})]
+        return (rows, lambda sample: (local_linear_rdd(sample, cfg).tau_hat,
+                                      nadaraya_watson_rdd(sample, cfg)), cfg.h)
 
     return _run_cells("ll_vs_nw", plan, cache, layout, setup, _nw_separation)
 

@@ -7,8 +7,6 @@ construction.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -134,7 +132,6 @@ class ModelSpec:
     noise_sd: FuncSpec
     gamma_one_sided: bool = False
     delta_bar: float = field(init=False)
-    _content_hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.linspace(-1.0, 1.0, _VALIDATION_GRID_N)
@@ -154,10 +151,6 @@ class ModelSpec:
         if np.min(svals) < 0.0:
             raise ConfigError("noise_sd must be nonnegative on [-1, 1]")
         object.__setattr__(self, "delta_bar", sup_abs)
-        # every cache lookup compares models by this hash
-        blob = json.dumps(self.to_config(), sort_keys=True, separators=(",", ":"))
-        object.__setattr__(self, "_content_hash",
-                           hashlib.sha256(blob.encode()).hexdigest()[:16])
 
     def gamma_at(self, z):
         """gamma as it enters outcomes: gamma(z), or gamma(z)*1{z<=0} when one-sided."""
@@ -182,7 +175,3 @@ class ModelSpec:
         return cls(**read_section(doc, "model config",
                                   dict.fromkeys(MODEL_FUNCTIONS, FuncSpec.from_config),
                                   {"gamma_one_sided": boolean}))
-
-    def content_hash(self) -> str:
-        """First 16 hex digits of the SHA-256 of the canonical JSON config."""
-        return self._content_hash

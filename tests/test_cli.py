@@ -4,6 +4,7 @@ The CLI is supposed to be a pure adapter: every number it writes must be
 bit-identical to what the library produces on the same inputs, and reruns
 with the same config and seed must be byte-identical on disk.
 """
+import ast
 import contextlib
 import copy
 import errno
@@ -153,6 +154,21 @@ class TestConfigErrors:
         assert rc == 1
         assert "positive 'h'" in err
 
+    @pytest.mark.parametrize("r, h", [(0.15, 0.05), (0.1, 0.1), (0.1, 0.01)])
+    def test_regime_comparable_needs_r_below_h(self, tmp_path, capsys, monkeypatch,
+                                               r, h):
+        # tau_star needs c = 2r/h in (0, 2): refused before the solve and the draw
+        def never(*args):
+            raise AssertionError("solved a population the config refuses")
+
+        monkeypatch.setattr(cli, "solve_population", never)
+        doc = base_config()
+        doc["simulate"].update(declared_regime="r~h", r=r, h=h, n=2_000_000)
+        rc, out, err = run_cli(["simulate", "--config", write_config(tmp_path, doc),
+                                "--out", str(tmp_path / "o.csv")], capsys)
+        assert rc == 1 and out == ""
+        assert f"0 < 2r/h < 2, got r={r}, h={h}" in err
+
     @pytest.mark.parametrize("delta0, update, code, named", [
         (0.4, {"declared_regime": "r~h", "h": 0.2, "kernel": "box"}, 1, "unknown kernel 'box'"),
         (0.4, {"kernel": "box"}, 1, "declared_regime"),
@@ -268,7 +284,11 @@ MALFORMED = [
     ("experiment", ("experiment", "plan", "replications"), "2", "'replications'"),
     ("experiment", ("experiment", "plan", "seed"), -7, "'seed'"),
     ("experiment", ("experiment", "plan", "h_coef"), True, "'h_coef'"),
-    ("experiment", ("experiment", "plan", "estimators"), "local_linear", "'estimators'"),
+    # every study fits a fixed set of estimators; a plan cannot choose one
+    ("experiment", ("experiment", "plan", "estimators"), ["local_linear"],
+     "unknown keys in experiment plan: ['estimators']"),
+    ("experiment", ("experiment", "plan", "n_grid"), [2000, 2000, 4000],
+     "n_grid repeats a sample size"),
     # grids solve_population refuses, and a radius rule whose n^n_power overflows
     *[("experiment", ("experiment", "plan", "grid_n"), g, f"grid_n must be odd and >= 201, got {g}")
       for g in (0, 1, 2, 200)],
@@ -1104,6 +1124,24 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"rdspill {version}\n"
+
+    def test_runtime_imports_are_numpy_and_the_standard_library(self):
+        # numpy is the one declared runtime dependency; anything else
+        # installed alongside (scipy, say) must not be imported
+        src = PYPROJECT.parent / "src" / "rdspill"
+        outside = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                            if name.partition(".")[0] != "numpy"
+                            and name.partition(".")[0] not in sys.stdlib_module_names]
+        assert outside == []
 
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "rdspill.cli", "--version"],

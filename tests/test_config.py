@@ -110,7 +110,7 @@ ONE_SIDED = ModelSpec(m_plus=constant(1.0), m_minus=constant(0.0), delta=constan
                    replications=2, seed=1),
     ExperimentPlan(model=ONE_SIDED, regime_map=PHASE_REGIMES[:1], n_grid=(1000, 4000),
                    replications=3, seed=9, h_coef=0.8, h_power=-0.15, kernel="uniform",
-                   estimators=("local_linear",), grid_n=2001),
+                   grid_n=2001),
 ], ids=lambda obj: type(obj).__name__)
 def test_from_config_inverts_to_config(obj):
     assert type(obj).from_config(obj.to_config()) == obj

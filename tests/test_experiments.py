@@ -10,7 +10,6 @@ import rdspill.experiments as exp_mod
 from rdspill.errors import ConfigError, IllPosedError, InsufficientSupportError
 from rdspill.estimators import EstimatorConfig
 from rdspill.experiments import (
-    ESTIMATOR_NAMES,
     STUDIES,
     ExperimentPlan,
     RegimeRule,
@@ -25,7 +24,7 @@ from rdspill.experiments import (
     run_phase_transition,
     run_spillover_consistency,
 )
-from rdspill.funcspace import ModelSpec, constant, polynomial
+from rdspill.funcspace import MODEL_FUNCTIONS, ModelSpec, constant, polynomial
 from rdspill.population import true_estimands
 from rdspill.sampling import Sample
 
@@ -127,24 +126,20 @@ class TestExperimentPlan:
             ExperimentPlan(model=benchmark_model(), regime_map=PHASE_REGIMES,
                            n_grid=(16,), replications=2, seed=1, h_coef=3.0)
 
-    def test_rejects_unknown_estimator(self):
-        with pytest.raises(ConfigError, match="estimators"):
+    @pytest.mark.parametrize("n_grid", [(20000, 20000, 20000), (1000, 2000, 1000)])
+    def test_rejects_a_repeated_sample_size(self, n_grid):
+        # a ladder that repeats an n would pass the consistency study's
+        # three-sizes guard, and ll_vs_nw's separation keyed by n would
+        # keep one of the repeated cells
+        with pytest.raises(ConfigError, match="repeats a sample size"):
             ExperimentPlan(model=benchmark_model(), regime_map=PHASE_REGIMES,
-                           n_grid=(1000,), replications=2, seed=1,
-                           estimators=("ols",))
+                           n_grid=n_grid, replications=2, seed=1)
 
-    @pytest.mark.parametrize("runner", [run_phase_transition,
-                                        run_spillover_consistency,
-                                        run_donut_study])
-    def test_fixed_estimator_studies_reject_an_estimator_list(self, runner):
-        # these studies fit one estimator each; a list they would ignore
-        # is refused before anything is solved
-        plan = ExperimentPlan(model=exogenous_model(),
-                              regime_map=(RegimeRule("r~h", "tau_star", 0.5, 0.0),),
-                              n_grid=(1000, 2000, 4000), replications=2, seed=1,
-                              grid_n=1601, estimators=("donut",))
-        with pytest.raises(ConfigError, match="estimators"):
-            runner(plan)
+    def test_a_plan_that_sets_estimators_is_refused(self, small_phase_plan):
+        # every study fits a fixed set of estimators
+        doc = dict(small_phase_plan.to_config(), estimators=["local_linear"])
+        with pytest.raises(ConfigError, match=r"unknown keys .*'estimators'"):
+            ExperimentPlan.from_config(doc)
 
     def test_bandwidth_rule(self):
         plan = ExperimentPlan(model=benchmark_model(), regime_map=PHASE_REGIMES,
@@ -183,6 +178,45 @@ class TestInfrastructure:
         assert len(cache) == 1
         cache.get_or_solve(model, 0.2, 1601)
         assert len(cache) == 2
+        cache.get_or_solve(model, 0.2, 2001)
+        assert len(cache) == 3
+
+    def test_cache_keys_on_the_model_value(self):
+        # a model built again from its config, or by replace, shares the
+        # entry; a change to any one function or to gamma_one_sided does not
+        cache = SolutionCache()
+        model = benchmark_model()
+        first = cache.get_or_solve(model, 0.1, 1601)
+        for twin in (benchmark_model(), ModelSpec.from_config(model.to_config()),
+                     dataclasses.replace(model, gamma=constant(0.5))):
+            assert twin is not model and twin == model
+            assert cache.get_or_solve(twin, 0.1, 1601) is first
+        assert len(cache) == 1
+        variants = [dataclasses.replace(model, **{name: constant(0.05)})
+                    for name in MODEL_FUNCTIONS]
+        variants.append(dataclasses.replace(model, gamma_one_sided=True))
+        for variant in variants:
+            assert cache.get_or_solve(variant, 0.1, 1601) is not first
+        assert len(cache) == 1 + len(variants)
+
+    def test_a_signed_zero_coefficient_shares_the_fresh_solve(self):
+        # -0.0 == 0.0, so the two models are one key; their solves and
+        # draws are bit-identical, so the hit returns what a fresh solve would
+        plus = dataclasses.replace(benchmark_model(), gamma=polynomial([0.5, 0.0]))
+        minus = dataclasses.replace(plus, gamma=polynomial([0.5, -0.0]))
+        assert plus == minus and hash(plus) == hash(minus)
+        assert json.dumps(plus.to_config()) != json.dumps(minus.to_config())
+        fresh = exp_mod.solve_population(minus, 0.1, 1601)
+        cache = SolutionCache()
+        cache.get_or_solve(plus, 0.1, 1601)
+        hit = cache.get_or_solve(minus, 0.1, 1601)
+        assert len(cache) == 1
+        for name in ("grid", "y", "jump_left", "jump_right"):
+            assert np.asarray(getattr(hit, name)).tobytes() \
+                == np.asarray(getattr(fresh, name)).tobytes(), name
+        assert hit.solver_report == fresh.solver_report
+        a, b = draw_sample(hit, 5000, 3), draw_sample(fresh, 5000, 3)
+        assert a.z.tobytes() == b.z.tobytes() and a.y.tobytes() == b.y.tobytes()
 
     def test_rep_seeds_deterministic_and_distinct(self):
         a = _rep_seeds(7, "phase_transition", 0, 6)
@@ -410,22 +444,17 @@ class TestLlVsNw:
         assert sep["nw_se_distance_from_tau_d"] > 5.0
         assert sep["nw_se_distance_from_tau_tot"] > 5.0
 
-    def test_estimator_subset_is_respected(self, cache):
+    def test_reports_both_fits_at_every_sample_size(self, cache):
         plan = ExperimentPlan(model=exogenous_model(),
                               regime_map=(RegimeRule("r=h", "tau_d", 1.0),),
-                              n_grid=(1200,), replications=2, seed=10,
-                              grid_n=1601, estimators=("local_linear",))
+                              n_grid=(2400, 1200), replications=2, seed=10,
+                              grid_n=1601)
         report = run_ll_vs_nw(plan, cache)
-        assert [c["estimator"] for c in report.cells] == ["local_linear"]
-        assert report.summary["nw_separation"] == {}
-
-    def test_requires_a_relevant_estimator(self):
-        plan = ExperimentPlan(model=exogenous_model(),
-                              regime_map=(RegimeRule("r=h", "tau_d", 1.0),),
-                              n_grid=(1200,), replications=2, seed=10,
-                              grid_n=1601, estimators=("donut",))
-        with pytest.raises(ConfigError, match="estimators"):
-            run_ll_vs_nw(plan)
+        assert not report.failures
+        assert [(c["n"], c["estimator"], c["target_name"]) for c in report.cells] == [
+            (1200, "local_linear", "tau_d"), (1200, "nadaraya_watson", "nw_population"),
+            (2400, "local_linear", "tau_d"), (2400, "nadaraya_watson", "nw_population")]
+        assert sorted(report.summary["nw_separation"]) == ["1200", "2400"]
 
     def test_nw_population_value_matches_closed_form(self, cache):
         # With linear baselines, gamma constant, and r >= h the outcome is

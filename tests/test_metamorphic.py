@@ -7,10 +7,12 @@ otherwise 1e-12 relative, because the transformed fit reaches its answer by
 a different rounding path.
 """
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from rdspill import cli
 from rdspill.estimators import (
     EstimatorConfig,
     cross_validate_r,
@@ -198,3 +200,66 @@ def test_cross_validation_table_ignores_row_order(sample):
     shuffled = Sample(z=sample.z[perm], y=sample.y[perm])
     args = ([0.04, 0.075, 0.12], 5, 1)
     assert cross_validate_r(shuffled, CFG, *args) == cross_validate_r(sample, CFG, *args)
+
+
+def _close_tree(got, want, rtol=RTOL) -> bool:
+    """got and want have one shape; their floats agree within rtol."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(
+            _close_tree(got[key], want[key], rtol) for key in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(
+            _close_tree(a, b, rtol) for a, b in zip(got, want))
+    if isinstance(want, float):
+        return close(got, want, rtol)
+    return got == want
+
+
+class TestRescaledCli:
+    """--rescale maps a raw running variable onto [-1, 1], so a CSV whose Z
+    is an affine image of the unit-scale Z gives the same estimates and radii
+    with the same config: bit for bit when the map is a power of two,
+    otherwise within 1e-12."""
+
+    CONFIG = {"estimator": CFG.to_config(),
+              "crossval": {"candidates": [0.04, 0.075, 0.12], "folds": 5, "seed": 1}}
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        sol = solve_population(benchmark_model(0.1), 0.075, 4001)
+        sample = draw_sample(sol, 20_000, seed=5)
+        return sample.z, sample.y
+
+    @staticmethod
+    def run(tmp_path, capsys, name, z, y, rescale=None):
+        """The est.json records, the selected radii and crossval's table."""
+        data = tmp_path / f"{name}.csv"
+        np.savetxt(data, np.column_stack((z, y)), fmt="%.17g", delimiter=",",
+                   header="z,y", comments="")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TestRescaledCli.CONFIG), encoding="utf-8")
+        flags = ["--config", str(config), "--data", str(data)]
+        if rescale is not None:
+            flags.append("--rescale=" + rescale)
+        est, cv = tmp_path / f"{name}.est.json", tmp_path / f"{name}.cv.json"
+        assert cli.main(["estimate", "--estimator", "all", "--out", str(est), *flags]) == 0
+        capsys.readouterr()
+        assert cli.main(["crossval", "--out", str(cv), *flags]) == 0
+        records = json.loads(est.read_text())["records"]
+        result = json.loads(cv.read_text())["crossval"]
+        return records, (result["r_plus"], result["r_minus"]), capsys.readouterr().out
+
+    def test_a_power_of_two_scale_keeps_the_bits(self, tmp_path, rows, capsys):
+        z, y = rows
+        unit = self.run(tmp_path, capsys, "unit", z, y)
+        assert [r["estimator"] for r in unit[0]] == [
+            "local_linear", "nadaraya_watson", "donut", "spillover"]
+        assert self.run(tmp_path, capsys, "x4", 4.0 * z, y, "-4,0,4") == unit
+
+    def test_an_affine_map_agrees_to_rounding(self, tmp_path, rows, capsys):
+        z, y = rows
+        records, radii, _ = self.run(tmp_path, capsys, "unit", z, y)
+        mapped, mapped_radii, _ = self.run(tmp_path, capsys, "affine", 3.0 * z + 0.5, y,
+                                           "-2.5,0.5,3.5")
+        assert _close_tree(mapped, records)
+        assert mapped_radii == radii
