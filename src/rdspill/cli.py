@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import stat
@@ -408,5 +409,15 @@ def _fail(code: int, err: Exception) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry of `python -m rdspill.cli` and the `rdspill` script:
+    main() on sys.argv, then the heap frozen, so the interpreter's exit skips
+    its final collection over every object the run loaded. In-process
+    callers call main(), which leaves the collector as it found it."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -389,8 +389,12 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
     a, b = _window_range(z, cfg.h)
     mu_delta, mu0 = _mu_delta(z[a:b], _NeighborPool(z, y), cfg.r, np.arange(a, b), (None, None))
     nu_delta = _nu_delta(z[a:b], cfg.r)
-    # the fit holds the |Z| <= h rows alone: the pool and the rest of the window go
-    z, y = z[a:b].copy(), y[a:b].copy()
+    z, y = z[a:b], y[a:b]
+    if not np.may_share_memory(z, sample.z):
+        # the window was sorted into new arrays: copy the |Z| <= h rows so
+        # the pool and the rest of that window go before the fit; a slice of
+        # the caller's sample costs nothing to keep
+        z, y = z.copy(), y.copy()
     fits = _fit_sides(z, y, kernel_values(cfg.kernel, z / cfg.h), mu_delta, nu_delta)
     bp, cond_p, n_p = fits["plus"]
     bm, cond_m, n_m = fits["minus"]

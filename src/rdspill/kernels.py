@@ -1,6 +1,8 @@
 """Kernel functions on [-1, 1] and their one-sided moments."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError
@@ -23,10 +25,13 @@ def kernel_values(name: str, u) -> np.ndarray:
     return vals
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-# mapped to [0, 1]
-_Q_NODES = 0.5 * (_GL_NODES + 1.0)
-_Q_WEIGHTS = 0.5 * _GL_WEIGHTS
+@functools.cache
+def _unit_quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """24-node Gauss-Legendre nodes and weights mapped to [0, 1], built on
+    first use: a process that never takes a moment never loads
+    numpy.polynomial."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def one_sided_moment(name: str, p: int, s: int = 1) -> float:
@@ -35,5 +40,6 @@ def one_sided_moment(name: str, p: int, s: int = 1) -> float:
     Gauss-Legendre with 24 nodes is exact here: every supported kernel is a
     polynomial on [0, 1] of degree <= 2, so the integrand degree is p + 2s.
     """
-    k = kernel_values(name, _Q_NODES)
-    return float(np.sum(_Q_WEIGHTS * _Q_NODES**p * k**s))
+    nodes, weights = _unit_quadrature()
+    k = kernel_values(name, nodes)
+    return float(np.sum(weights * nodes**p * k**s))

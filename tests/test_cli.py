@@ -8,6 +8,7 @@ import ast
 import contextlib
 import copy
 import errno
+import gc
 import importlib
 import io
 import json
@@ -571,6 +572,18 @@ class TestEstimate:
         assert rec["diagnostics"]["delta_hat"] == spill.delta_hat
         assert rec["diagnostics"]["gamma_hat"] == spill.gamma_hat
 
+    @pytest.mark.parametrize("command", [["estimate", "--estimator", "all"], ["crossval"]])
+    def test_does_not_load_numpy_polynomial(self, tmp_path, sim_csv, command):
+        # kernels builds its quadrature nodes on first use, and no fit takes
+        # a kernel moment
+        cfg, data = sim_csv
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE_CLI, "numpy.polynomial", *command,
+             "--config", cfg, "--data", data, "--out", str(tmp_path / "out.json")],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_all_returns_four_records_in_order(self, tmp_path, capsys, sim_csv):
         cfg, data = sim_csv
         run_cli(["estimate", "--config", cfg, "--data", data,
@@ -979,7 +992,7 @@ class TestExperiment:
         # the replications run in the calling process: no pool is started
         cfg = write_config(tmp_path, self.plan_doc())
         proc = subprocess.run(
-            [sys.executable, "-c", MODULES_PROBE_CLI, "experiment",
+            [sys.executable, "-c", MODULES_PROBE_CLI, "multiprocessing", "experiment",
              "--config", cfg, "--out", str(tmp_path / "results")],
             env=_child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -1014,13 +1027,21 @@ def _child_env(**blas) -> dict:
     return env
 
 
-# runs the CLI, then prints whether the run imported multiprocessing
+# runs the CLI on argv[2:], then prints whether the run imported module argv[1]
 MODULES_PROBE_CLI = """
 import sys
 from rdspill.cli import main
-rc = main(sys.argv[1:])
-print("multiprocessing" in sys.modules)
+rc = main(sys.argv[2:])
+print(sys.argv[1] in sys.modules)
 sys.exit(rc)
+"""
+
+# runs `python -m rdspill.cli` as -m does, with an exit handler, registered
+# first so it runs after the entry returned, that prints the frozen count
+EXIT_PROBE_CLI = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+runpy.run_module("rdspill.cli", run_name="__main__", alter_sys=True)
 """
 
 # runs the CLI held to one CPU
@@ -1144,6 +1165,32 @@ class TestEntryPoint:
         assert outside == []
 
     def test_module_invocation(self):
+        version, _ = project_metadata()
         proc = subprocess.run([sys.executable, "-m", "rdspill.cli", "--version"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+        assert proc.stdout == f"rdspill {version}\n"
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_module_entry_exits_with_the_heap_frozen(self, tmp_path, code):
+        argv = (["simulate", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "s.csv")] if code else ["--version"])
+        proc = subprocess.run([sys.executable, "-c", EXIT_PROBE_CLI, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == ("rdspill: error: config file not found: "
+                               f"{tmp_path / 'missing.json'}\n" if code else "")
+        label, frozen = proc.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(frozen) > 0, proc.stdout
+
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, code):
+        doc = base_config()
+        if code:
+            doc["simulate"]["n"] = "many"
+        cfg = write_config(tmp_path, doc)
+        before = gc.get_freeze_count(), gc.isenabled()
+        rc, _, _ = run_cli(["simulate", "--config", cfg,
+                            "--out", str(tmp_path / "s.csv")], capsys)
+        assert rc == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
