@@ -45,8 +45,7 @@ from .kernels import KERNEL_NAMES
 from .population import DEFAULT_GRID_N, solve_population, true_estimands
 from .sampling import Sample, draw_sample, parse_sample_csv
 
-TOP_LEVEL_KEYS = {"model", "estimator", "simulate", "estimate", "crossval",
-                  "experiment"}
+TOP_LEVEL_KEYS = {"model", "estimator", "simulate", "crossval", "experiment"}
 REGIME_LABELS = ("r>>h", "r<<h", "r~h")
 # --estimator's choices and the fit each runs; "all" runs every fit in this order
 ESTIMATOR_ALIASES = {
@@ -69,7 +68,11 @@ def _load_config(path: str) -> dict:
             doc = json.load(fh, parse_constant=refuse)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path}: {err.strerror or err}") from None
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an
+    # integer past Python's digit limit; deep nesting exhausts the recursion
+    except (ValueError, RecursionError) as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
     # each subcommand reads the sections it uses
     return read_section(doc, f"config {path}", {},
@@ -242,29 +245,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_estimator(name: str, sample: Sample, cfg: EstimatorConfig,
-                   pooling: str) -> dict:
+def _run_estimator(name: str, sample: Sample, cfg: EstimatorConfig) -> dict:
     if name == "local_linear":
         return to_record(name, cfg, local_linear_rdd(sample, cfg))
     if name == "nadaraya_watson":
         return to_record(name, cfg, nadaraya_watson_rdd(sample, cfg))
     if name == "donut":
         return to_record(name, cfg, donut_rdd(sample, cfg))
-    return to_record("spillover", cfg,
-                     local_spillover_regression(sample, cfg, pooling))
+    return to_record("spillover", cfg, local_spillover_regression(sample, cfg))
 
 
 def cmd_estimate(args) -> int:
     doc = _load_config(args.config)
     cfg = EstimatorConfig.from_config(_section(doc, "estimator"))
-    pooling = read_section(doc.get("estimate", {}), "'estimate' section", {},
-                           {"pooling": text}).get("pooling", "average")
     names = (tuple(ESTIMATOR_ALIASES.values()) if args.estimator == "all"
              else (ESTIMATOR_ALIASES[args.estimator],))
-    _check_spillover(cfg if "spillover" in names else None, pooling)
+    if "spillover" in names:
+        _check_spillover(cfg)
     _check_out_dir(os.path.dirname(args.out))
     sample, n, rescale_info = _load_sample(args, cfg.h if cfg.r is None else cfg.h + cfg.r)
-    records = [_run_estimator(name, sample, cfg, pooling) for name in names]
+    records = [_run_estimator(name, sample, cfg) for name in names]
     payload = {
         "data": args.data,
         "n": n,

@@ -20,8 +20,10 @@ permutations of the input; a sample with strictly increasing Z serves slices.
 The neighbor-mean estimator follows the sample-analog definition: strict
 window |Z_j - z| < r, self-exclusion of the evaluation point's own row, and
 share weights w_plus(z) = |[z-r, z+r] n [0, inf)| / (2r) with
-w_plus + w_minus = 1. Empty neighbor sets contribute zero to their term.
-Targets are taken NEIGHBOR_BLOCK at a time.
+w_plus + w_minus = 1. An empty treated or untreated part gives its share to
+the other, so the mean does not depend on where Y's origin sits; a target
+with no neighbor at all raises InsufficientSupportError. Targets are taken
+NEIGHBOR_BLOCK at a time.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ from .population import nu_exact
 from .sampling import Sample, substream
 
 ILL_POSED_CONDITION = 1e10
-POOLING_MODES = ("average", "plus", "minus")
 NEIGHBOR_BLOCK = 4096  # targets per block of _NeighborPool.mu; bounds its temporaries
 
 
@@ -195,10 +196,9 @@ def _fit_side(side: str, rows, zs, ys, ws, *cols) -> tuple:
     X *= sw[:, None]
     sw *= ys[rows]  # the weighted outcome
     if not (np.isfinite(X.min()) and np.isfinite(X.max())):  # NaN propagates to both
-        raise IllPosedError(
-            f"weighted design on the {side} side holds inf or NaN; a radius "
-            f"too small to move Z in floating point makes the treated share "
-            f"0/0", condition_number=math.inf)
+        raise IllPosedError(f"weighted design on the {side} side holds inf or NaN; "
+                            f"Y is not finite, or its sums overflow",
+                            condition_number=math.inf)
     beta, _, rank, s = np.linalg.lstsq(X, sw, rcond=None)
     cond = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
     if six and cond > ILL_POSED_CONDITION:
@@ -295,7 +295,7 @@ class _NeighborPool:
                     hit &= ~self.held[ex]
                 treated = ex >= self.split
                 own = (hit & treated, hit & ~treated)
-            means = []
+            means, empty = [], []
             # treated neighbors lie in [split, ...), untreated ones in [..., split)
             for clip, mine in zip((np.maximum, np.minimum), own):
                 lo, hi = clip(a, self.split), clip(b, self.split)
@@ -305,12 +305,19 @@ class _NeighborPool:
                 if mine is not None:
                     total[mine] -= self.y[ex[mine]]
                     count[mine] -= 1
-                empty = count == 0
-                np.divide(total, count, out=total, where=~empty)
-                total[empty] = 0.0  # an empty side contributes zero
-                means.append(total)
+                empty.append(count == 0)
+                np.divide(total, count, out=total, where=~empty[-1])
+                means.append(total)  # an empty part's entry stays undivided: weight 0 below
             t_mean, u_mean = means
+            alone = empty[0] & empty[1]
+            if alone.any():
+                t = float(targets[block][np.argmax(alone)])
+                side = "plus" if t >= 0.0 else "minus"
+                raise InsufficientSupportError(
+                    side, f"no neighbor within r={r} of the target Z={t} on the {side} side")
             wp = _share_weight_plus(targets[block], r)
+            wp[empty[0]] = 0.0  # an empty part gives its share to the other
+            wp[empty[1]] = 1.0
             t_mean *= wp
             np.subtract(1.0, wp, out=wp)
             u_mean *= wp
@@ -365,21 +372,18 @@ def _nu_delta(z: np.ndarray, r: float) -> np.ndarray:
     return np.broadcast_to(nu_exact(r, z) - nu_exact(r, 0.0), z.shape)
 
 
-def _check_spillover(cfg: EstimatorConfig | None, pooling: str) -> None:
-    """Refuse an unknown pooling mode, or a cfg without a radius (None: no cfg test)."""
-    if cfg is not None and cfg.r is None:
+def _check_spillover(cfg: EstimatorConfig) -> None:
+    """Refuse a cfg without a radius."""
+    if cfg.r is None:
         raise ConfigError("spillover regression requires cfg.r")
-    if pooling not in POOLING_MODES:
-        raise ConfigError(f"pooling must be one of {POOLING_MODES}, got {pooling!r}")
 
 
-def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
-                               pooling: str = "average") -> SpilloverEstimate:
+def local_spillover_regression(sample: Sample, cfg: EstimatorConfig) -> SpilloverEstimate:
     """Six-regressor WLS per side: (1, Z, mu_delta, Z*mu_delta, nu_delta,
     Z*nu_delta), with the neighbor-mean contrast estimated and the treated
-    share supplied in closed form.
-    """
-    _check_spillover(cfg, pooling)
+    share supplied in closed form; delta_hat and gamma_hat average the sides'
+    mu_delta and nu_delta coefficients."""
+    _check_spillover(cfg)
     c = 2.0 * cfg.r / cfg.h
     if c >= 2.0:
         raise CollinearityError(
@@ -399,13 +403,8 @@ def local_spillover_regression(sample: Sample, cfg: EstimatorConfig,
     bp, cond_p, n_p = fits["plus"]
     bm, cond_m, n_m = fits["minus"]
     tau_d_hat = float(bp[0] - bm[0])
-    if pooling == "plus":
-        delta_hat, gamma_hat = float(bp[2]), float(bp[4])
-    elif pooling == "minus":
-        delta_hat, gamma_hat = float(bm[2]), float(bm[4])
-    else:
-        delta_hat = float((bp[2] + bm[2]) / 2.0)
-        gamma_hat = float((bp[4] + bm[4]) / 2.0)
+    delta_hat = float((bp[2] + bm[2]) / 2.0)
+    gamma_hat = float((bp[4] + bm[4]) / 2.0)
     if abs(1.0 - delta_hat) > 1e-6:
         tau_tot_hat = float((tau_d_hat + gamma_hat) / (1.0 - delta_hat))
     else:

@@ -294,8 +294,8 @@ def _failure(label: str, n: int, h: float, r: float, err: Exception,
             "error": type(err).__name__, "message": str(err)}
 
 
-def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
-               layout, setup, summarize=None) -> ExperimentReport:
+def _run_cells(study: str, plan: ExperimentPlan, layout, setup,
+               summarize=None) -> ExperimentReport:
     """The cell loop every study shares.
 
     layout lists (label, rule, model, n, failure estimator) in report order;
@@ -304,12 +304,12 @@ def _run_cells(study: str, plan: ExperimentPlan, cache: SolutionCache | None,
     the (estimator, quantity, target name, target value, extra) of the stats
     rows the cell reports, fit(sample) returns one value per row, and each
     sample is drawn as only the window |Z| <= reach the fit reads. One pass
-    per cell solves it (into a fresh cache when cache is None), sets it up,
-    then draws and fits its replications in seed order. The first
-    RdspillError in a cell ends it as that cell's failure row.
-    summarize(cells) adds study-specific summary keys.
+    per cell solves it (cached for the call), sets it up, then draws and fits
+    its replications in seed order. The first RdspillError in a cell ends it
+    as that cell's failure row. summarize(cells) adds study-specific summary
+    keys.
     """
-    cache = cache if cache is not None else SolutionCache()
+    cache = SolutionCache()
     cells, failures = [], []
     for cell_index, (label, rule, model, n, estimator) in enumerate(layout):
         h = plan.h_of(n)
@@ -353,8 +353,7 @@ def _require_zero_delta(model: ModelSpec, study: str) -> None:
             f"sup|delta| = {model.delta_bar}")
 
 
-def run_phase_transition(plan: ExperimentPlan,
-                         cache: SolutionCache | None = None) -> ExperimentReport:
+def run_phase_transition(plan: ExperimentPlan) -> ExperimentReport:
     """Monte Carlo mean of the local linear cutoff contrast across radius
     regimes. Wide radii target tau_d, narrow radii the finite-r total effect,
     comparable radii the limit value tau_star at c = 2r/h."""
@@ -367,7 +366,7 @@ def run_phase_transition(plan: ExperimentPlan,
         return ([("local_linear", "tau_hat", *target, None)],
                 lambda sample: (local_linear_rdd(sample, cfg).tau_hat,), cfg.h)
 
-    return _run_cells("phase_transition", plan, cache, layout, setup)
+    return _run_cells("phase_transition", plan, layout, setup)
 
 
 def _trend_ok(ordered_cells: list) -> bool:
@@ -379,8 +378,7 @@ def _trend_ok(ordered_cells: list) -> bool:
     return True
 
 
-def run_spillover_consistency(plan: ExperimentPlan,
-                              cache: SolutionCache | None = None) -> ExperimentReport:
+def run_spillover_consistency(plan: ExperimentPlan) -> ExperimentReport:
     """Bias of the spillover regression coefficients along a sample-size
     ladder at fixed c = 2r/h < 2."""
     rule = _single_rule(plan, "consistency")
@@ -417,12 +415,10 @@ def run_spillover_consistency(plan: ExperimentPlan,
             trend[quantity] = _trend_ok(ordered) if len(ordered) >= 3 else False
         return {"trend": trend}
 
-    return _run_cells("spillover_consistency", plan, cache, layout, setup,
-                      summarize)
+    return _run_cells("spillover_consistency", plan, layout, setup, summarize)
 
 
-def run_donut_study(plan: ExperimentPlan,
-                    cache: SolutionCache | None = None) -> ExperimentReport:
+def run_donut_study(plan: ExperimentPlan) -> ExperimentReport:
     """Donut extrapolation with h_donut = r on exogenous-spillover models.
 
     Two sub-studies: two-sided gamma targets the finite-r total effect,
@@ -446,7 +442,7 @@ def run_donut_study(plan: ExperimentPlan,
         return ([("donut", "tau_hat", *target, {"h_donut": float(r)})],
                 lambda sample: (donut_rdd(sample, cfg).tau_hat,), cfg.h)
 
-    return _run_cells("donut", plan, cache, layout, setup)
+    return _run_cells("donut", plan, layout, setup)
 
 
 def _nw_population_value(sol, h: float, kernel: str) -> float:
@@ -477,8 +473,7 @@ def _nw_separation(cells: list) -> dict:
     return {"nw_separation": separation}
 
 
-def run_ll_vs_nw(plan: ExperimentPlan,
-                 cache: SolutionCache | None = None) -> ExperimentReport:
+def run_ll_vs_nw(plan: ExperimentPlan) -> ExperimentReport:
     """Local linear versus local constant under exogenous spillovers with
     r >= h: the linear fit absorbs the treated-share ramp, the constant fit
     does not. The local-constant cell's target is its own population value,
@@ -506,7 +501,7 @@ def run_ll_vs_nw(plan: ExperimentPlan,
         return (rows, lambda sample: (local_linear_rdd(sample, cfg).tau_hat,
                                       nadaraya_watson_rdd(sample, cfg)), cfg.h)
 
-    return _run_cells("ll_vs_nw", plan, cache, layout, setup, _nw_separation)
+    return _run_cells("ll_vs_nw", plan, layout, setup, _nw_separation)
 
 
 STUDIES = {

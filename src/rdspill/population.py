@@ -51,7 +51,7 @@ def nu_exact(r: float, z):
     out = np.clip(hi, 0.0, None)
     out -= np.clip(lo, 0.0, None)
     hi -= lo
-    with np.errstate(invalid="ignore"):  # 0/0 where r does not move z; _fit_sides refuses the NaN
+    with np.errstate(invalid="ignore"):  # 0/0 where r does not move z, a z the neighbor mean refuses
         out /= hi
     if np.ndim(z) == 0:
         return float(out[0])

@@ -22,9 +22,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdspill import cli
-from rdspill.errors import SolverError
+from rdspill.errors import ConfigError, SolverError
 from rdspill.estimators import (
     EstimatorConfig,
     cross_validate_r,
@@ -86,6 +88,24 @@ class TestConfigErrors:
                               "--out", str(tmp_path / "o.csv")], capsys)
         assert rc == 1
         assert "invalid JSON" in err
+
+    # a config that cannot be read (a directory, a path under a file), or
+    # whose bytes json cannot decode: make(c.json), then read the config name
+    @pytest.mark.parametrize("make, name, named", [
+        (Path.mkdir, "c.json", "cannot read config"),
+        (lambda path: path.write_bytes(b"{}"), "c.json/x.json", "cannot read config"),
+        (lambda path: path.write_bytes(b"\xff\xfe{}"), "c.json", "invalid JSON"),
+        (lambda path: path.write_bytes(b"[" * 200_000), "c.json", "invalid JSON"),
+        (lambda path: path.write_bytes(b'{"model": ' + b"9" * 5000 + b"}"), "c.json",
+         "invalid JSON"),
+    ], ids=["directory", "under-a-file", "not-utf8", "deep-nesting", "long-integer"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, make, name, named):
+        make(tmp_path / "c.json")
+        path = tmp_path / name
+        rc, out, err = run_cli(["simulate", "--config", str(path),
+                                "--out", str(tmp_path / "o.csv")], capsys)
+        assert rc == 1 and out == "" and _one_error_line(err), err
+        assert f"{named} {path}" in err or f"{path}: {named}" in err
 
     def test_root_must_be_object(self, tmp_path, capsys):
         path = tmp_path / "arr.json"
@@ -218,8 +238,10 @@ class TestConfigErrors:
         (["estimate", "--estimator", "spillover"], "estimator", {"r": None},
          "requires cfg.r"),
         (["estimate", "--estimator", "all"], "estimator", {"r": None}, "requires cfg.r"),
-        (["estimate"], "estimate", {"pooling": "median"}, "pooling must be one of"),
-    ], ids=["folds", "candidate", "no-candidates", "spillover-r", "all-r", "pooling"])
+        # the spillover fit averages its sides; no section chooses otherwise
+        (["estimate"], "estimate", {"pooling": "average"}, "unknown keys in config"),
+    ], ids=["folds", "candidate", "no-candidates", "spillover-r", "all-r",
+            "estimate-section"])
     def test_config_is_checked_before_the_data(self, tmp_path, capsys, argv, section,
                                                update, named):
         doc = base_config()
@@ -238,6 +260,25 @@ class TestConfigErrors:
 
     def test_no_subcommand(self, capsys):
         assert run_cli([], capsys)[0] == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary() | st.dictionaries(st.sampled_from([*cli.TOP_LEVEL_KEYS, "estimate"]),
+                                     st.none() | st.floats() | st.text(max_size=3))
+       .map(lambda doc: json.dumps(doc).encode()))
+@example(b"\xff\xfe{}")
+@example(b"[" * 200_000)
+@example(b'{"model": ' + b"9" * 5000 + b"}")
+@example(b'{"model": NaN}')
+@example(b'{"estimate": {"pooling": "average"}}')
+def test_a_config_is_a_dict_or_a_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any.json"
+    path.write_bytes(data)
+    try:
+        doc = cli._load_config(str(path))
+    except ConfigError:
+        return
+    assert isinstance(doc, dict) and set(doc) <= cli.TOP_LEVEL_KEYS
 
 
 def experiment_config() -> dict:
@@ -272,7 +313,7 @@ MALFORMED = [
     ("estimate", ("estimator", "r"), NAN, "NaN"),
     ("estimate", ("estimator", "r"), INF, "Infinity"),
     ("estimate", ("estimator", "kernel"), 1, "'kernel'"),
-    ("estimate", ("estimate",), {"pooling": ["plus"]}, "'pooling'"),
+    ("estimate", ("estimate",), {"pooling": "plus"}, "unknown keys in config"),
     ("crossval", ("crossval", "candidates"), 0.05, "'candidates'"),
     ("crossval", ("crossval", "folds"), 2.7, "'folds'"),
     ("crossval", ("crossval", "seed"), "3", "'seed'"),
@@ -565,7 +606,7 @@ class TestEstimate:
         assert by_name["local_linear"]["coefficients"]["beta_plus"] == list(ll.beta_plus)
         assert by_name["donut"]["tau_d"] == ll.tau_hat
 
-        spill = local_spillover_regression(bench_sample, ecfg, pooling="average")
+        spill = local_spillover_regression(bench_sample, ecfg)
         rec = by_name["spillover"]
         assert rec["tau_d"] == spill.tau_d_hat
         assert rec["tau_tot"] == spill.tau_tot_hat
@@ -691,19 +732,6 @@ class TestEstimate:
                             "--data", str(data),
                             "--out", str(tmp_path / "o.json")], capsys)
         assert rc == 1
-
-    def test_pooling_section_is_honored(self, tmp_path, capsys, sim_csv,
-                                        bench_sample):
-        cfg_doc = base_config()
-        cfg_doc["estimate"] = {"pooling": "plus"}
-        _, data = sim_csv
-        run_cli(["estimate", "--config", write_config(tmp_path, cfg_doc, "p.json"),
-                 "--data", data, "--out", str(tmp_path / "est.json"),
-                 "--estimator", "spillover"], capsys)
-        rec = json.loads((tmp_path / "est.json").read_text())["records"][0]
-        ecfg = EstimatorConfig.from_config(cfg_doc["estimator"])
-        plus = local_spillover_regression(bench_sample, ecfg, pooling="plus")
-        assert rec["diagnostics"]["delta_hat"] == plus.delta_hat
 
 
 class TestRescale:

@@ -402,13 +402,16 @@ def mu_hat(sample: Sample, r: float, z: float) -> float:
 def brute_force_mu_hat(z: np.ndarray, y: np.ndarray, r: float, t: float) -> float:
     """The neighbor mean at t from its definition, one row at a time: the
     strict window |Z_j - t| < r less the first row at Z == t, each side's
-    mean (0 for an empty side), weighted by w_plus = clip((t + r)/(2r), 0, 1)."""
+    mean weighted by w_plus = clip((t + r)/(2r), 0, 1), or the other side's
+    mean alone where one side is empty."""
     own = next((j for j, zj in enumerate(z) if zj == t), None)
     sides = {True: [], False: []}
     for j, (zj, yj) in enumerate(zip(z, y)):
         if j != own and abs(zj - t) < r:
             sides[zj >= 0.0].append(yj)
-    t_mean, u_mean = (sum(v) / len(v) if v else 0.0 for v in (sides[True], sides[False]))
+    if not sides[True] or not sides[False]:
+        return sum(sides[True] + sides[False]) / len(sides[True] + sides[False])
+    t_mean, u_mean = (sum(v) / len(v) for v in (sides[True], sides[False]))
     w_plus = min(max((t + r) / (2.0 * r), 0.0), 1.0)
     return w_plus * t_mean + (1.0 - w_plus) * u_mean
 
@@ -421,9 +424,14 @@ class TestMuHat:
         assert got == pytest.approx(5.0, abs=1e-14)
 
     def test_window_is_strict_and_self_is_excluded(self):
+        # at r = 0.5 the target has no neighbor, which is refused; just past
+        # 0.5 both rows enter, each side at its share 1/2
         z = np.array([-0.5, 0.0, 0.5])
         y = np.array([1.0, 2.0, 3.0])
-        assert mu_hat(Sample(z=z, y=y), r=0.5, z=0.0) == 0.0
+        with pytest.raises(InsufficientSupportError, match="no neighbor") as exc:
+            mu_hat(Sample(z=z, y=y), r=0.5, z=0.0)
+        assert exc.value.side == "plus"
+        assert mu_hat(Sample(z=z, y=y), r=np.nextafter(0.5, 1.0), z=0.0) == pytest.approx(2.0)
 
     def test_self_exclusion_removes_one_match(self):
         z = np.array([0.1, 0.1])
@@ -435,12 +443,12 @@ class TestMuHat:
         y = np.array([2.0, 1e6, 4.0])
         assert mu_hat(Sample(z=z, y=y), r=0.05, z=0.0) == pytest.approx(3.0, abs=1e-10)
 
-    def test_empty_side_contributes_zero(self):
+    def test_empty_side_gives_its_share_to_the_other(self):
+        # w_plus is 0.3 at -0.02, but no treated row is in the window
         z = np.array([-0.04, -0.03, -0.02])
         y = np.array([3.0, 5.0, 7.0])
-        got = mu_hat(Sample(z=z, y=y), r=0.05, z=-0.02)
-        w_plus = (-0.02 + 0.05) / 0.1
-        assert got == pytest.approx((1 - w_plus) * 4.0, abs=1e-12)
+        assert mu_hat(Sample(z=z, y=y), r=0.05, z=-0.02) == 4.0
+        assert mu_hat(Sample(z=-z, y=y), r=0.05, z=0.02) == 4.0
 
     def test_deep_interior_weight_is_one_sided(self):
         z = np.array([0.3, 0.31, 0.32])
@@ -500,6 +508,12 @@ class TestMuHat:
 # --------------------------------------------------- spillover regression --
 
 
+def isolated(sample: Sample, at: float) -> Sample:
+    """The sample less its rows within 0.05 of at, plus one row at at."""
+    keep = np.abs(sample.z - at) >= 0.05
+    return Sample(z=np.append(sample.z[keep], at), y=np.append(sample.y[keep], 1.0))
+
+
 class TestSpilloverRegression:
     def test_requires_radius(self):
         with pytest.raises(ConfigError, match="r"):
@@ -510,11 +524,6 @@ class TestSpilloverRegression:
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.2)
         with pytest.raises(CollinearityError):
             local_spillover_regression(linear_sample(), cfg)
-
-    def test_rejects_unknown_pooling(self):
-        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
-        with pytest.raises(ConfigError, match="pooling"):
-            local_spillover_regression(linear_sample(), cfg, pooling="median")
 
     def test_recovers_benchmark_effects(self, quiet_sample):
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
@@ -527,16 +536,12 @@ class TestSpilloverRegression:
         assert est.condition_numbers["plus"] < 1e10
         assert est.condition_numbers["minus"] < 1e10
 
-    def test_pooling_modes_are_consistent(self, quiet_sample):
-        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
-        avg = local_spillover_regression(quiet_sample, cfg, pooling="average")
-        plus = local_spillover_regression(quiet_sample, cfg, pooling="plus")
-        minus = local_spillover_regression(quiet_sample, cfg, pooling="minus")
-        assert avg.delta_hat == (plus.delta_hat + minus.delta_hat) / 2.0
-        assert avg.gamma_hat == (plus.gamma_hat + minus.gamma_hat) / 2.0
-        assert plus.beta_plus == avg.beta_plus
-        assert minus.beta_minus == avg.beta_minus
-        assert plus.tau_d_hat == avg.tau_d_hat
+    def test_delta_and_gamma_average_the_sides(self, quiet_sample):
+        est = local_spillover_regression(
+            quiet_sample, EstimatorConfig(kernel="triangular", h=0.2, r=0.05))
+        assert est.delta_hat == (est.beta_plus[2] + est.beta_minus[2]) / 2.0
+        assert est.gamma_hat == (est.beta_plus[4] + est.beta_minus[4]) / 2.0
+        assert est.tau_d_hat == est.beta_plus[0] - est.beta_minus[0]
 
     def test_one_condition_number_per_side(self, quiet_sample, monkeypatch):
         # the condition number comes from the solve's own singular values,
@@ -591,16 +596,33 @@ class TestSpilloverRegression:
 
     def test_non_finite_design_is_ill_posed_before_any_svd(self, quiet_sample,
                                                            monkeypatch):
-        # r = 1e-300 does not move Z in floating point: the treated share is
-        # 0/0, and the SVD of a NaN design need not converge
+        # an infinite Y makes the neighbor means inf or NaN, and the SVD of
+        # a NaN design need not converge
         def no_cond(*args, **kwargs):
             raise AssertionError("took the condition number of a non-finite design")
 
         monkeypatch.setattr(np.linalg, "cond", no_cond)
-        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=1e-300)
+        y = quiet_sample.y.copy()
+        y[np.argmin(np.abs(quiet_sample.z - 0.1))] = np.inf
+        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
         with np.errstate(invalid="ignore"), pytest.raises(IllPosedError, match="inf or NaN") as exc:
-            local_spillover_regression(quiet_sample, cfg)
+            local_spillover_regression(Sample(z=quiet_sample.z, y=y), cfg)
         assert exc.value.condition_number == math.inf
+
+    @pytest.mark.parametrize("at, side", [(0.1, "plus"), (-0.1, "minus")])
+    def test_an_isolated_row_is_refused_on_its_side(self, quiet_sample, at, side):
+        # no row within r = 0.05 of the one at Z = at, inside the kernel window
+        with pytest.raises(InsufficientSupportError, match=f"Z={at} on the {side}") as exc:
+            local_spillover_regression(isolated(quiet_sample, at),
+                                       EstimatorConfig(kernel="triangular", h=0.2, r=0.05))
+        assert exc.value.side == side
+
+    def test_a_radius_that_does_not_move_z_leaves_no_neighbor(self, quiet_sample):
+        # at r = 1e-300 each row's window is empty in floating point; the
+        # neighbor mean refuses before any design is built
+        cfg = EstimatorConfig(kernel="triangular", h=0.2, r=1e-300)
+        with pytest.raises(InsufficientSupportError, match="no neighbor"):
+            local_spillover_regression(quiet_sample, cfg)
 
     def test_normal_equations_residual(self, quiet_sample):
         cfg = EstimatorConfig(kernel="triangular", h=0.2, r=0.05)
@@ -827,6 +849,14 @@ class TestCrossValidation:
             assert row["feasible"]
             assert row["mse_plus"] == pytest.approx(mse["plus"], rel=1e-9)
             assert row["mse_minus"] == pytest.approx(mse["minus"], rel=1e-9)
+
+    def test_a_radius_leaving_a_row_without_neighbors_is_infeasible(self, quiet_sample):
+        # the row at 0.1 has no neighbor within 0.03, and has some within 0.08
+        sample = isolated(Sample(z=quiet_sample.z[:4000], y=quiet_sample.y[:4000]), 0.1)
+        out = cross_validate_r(sample, EstimatorConfig(kernel="triangular", h=0.2),
+                               [0.03, 0.08], folds=3, seed=12)
+        assert [row["feasible"] for row in out["cv_table"]] == [False, True]
+        assert out["r_plus"] == out["r_minus"] == 0.08
 
     def test_far_points_have_zero_influence_bitwise(self, quiet_sample):
         # rows outside |Z| < h + max(candidates) enter no fold and no fit

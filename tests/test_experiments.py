@@ -47,11 +47,6 @@ def exogenous_model(noise=0.05):
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return SolutionCache()
-
-
-@pytest.fixture(scope="module")
 def small_phase_plan():
     return ExperimentPlan(
         model=benchmark_model(0.05),
@@ -65,8 +60,8 @@ def small_phase_plan():
 
 
 @pytest.fixture(scope="module")
-def phase_report(small_phase_plan, cache):
-    return run_phase_transition(small_phase_plan, cache)
+def phase_report(small_phase_plan):
+    return run_phase_transition(small_phase_plan)
 
 
 class TestRegimeRule:
@@ -263,20 +258,20 @@ class TestPhaseTransition:
             "version": exp_mod.VERSION,
         }
 
-    def test_rerun_is_bit_identical(self, small_phase_plan, phase_report, cache):
-        again = run_phase_transition(small_phase_plan, cache)
+    def test_rerun_is_bit_identical(self, small_phase_plan, phase_report):
+        again = run_phase_transition(small_phase_plan)
         assert again.to_json() == phase_report.to_json()
         assert again.to_csv() == phase_report.to_csv()
 
-    def test_seed_changes_the_draws(self, small_phase_plan, phase_report, cache):
+    def test_seed_changes_the_draws(self, small_phase_plan, phase_report):
         other_plan = ExperimentPlan.from_config(
             dict(small_phase_plan.to_config(), seed=43))
-        other = run_phase_transition(other_plan, cache)
+        other = run_phase_transition(other_plan)
         means = [c["mean"] for c in phase_report.cells]
         other_means = [c["mean"] for c in other.cells]
         assert means != other_means
 
-    def test_failures_recorded_without_aborting(self, small_phase_plan, cache,
+    def test_failures_recorded_without_aborting(self, small_phase_plan,
                                                 monkeypatch):
         calls = {"n": 0}
         real = exp_mod.local_linear_rdd
@@ -288,7 +283,7 @@ class TestPhaseTransition:
             return real(sample, cfg)
 
         monkeypatch.setattr(exp_mod, "local_linear_rdd", flaky)
-        report = run_phase_transition(small_phase_plan, cache)
+        report = run_phase_transition(small_phase_plan)
         assert len(report.failures) == 1
         assert report.failures[0]["error"] == "InsufficientSupportError"
         assert len(report.cells) == 1
@@ -328,12 +323,12 @@ class TestSpilloverConsistency:
         with pytest.raises(ConfigError, match="three"):
             run_spillover_consistency(plan)
 
-    def test_cells_and_trend_summary(self, cache):
+    def test_cells_and_trend_summary(self):
         plan = ExperimentPlan(model=benchmark_model(0.05),
                               regime_map=(RegimeRule("r~h", "tau_star", 0.5),),
                               n_grid=(1000, 2000, 4000), replications=3, seed=5,
                               grid_n=1601)
-        report = run_spillover_consistency(plan, cache)
+        report = run_spillover_consistency(plan)
         assert len(report.cells) == 12
         quantities = {c["quantity"] for c in report.cells}
         assert quantities == {"tau_d", "delta", "gamma", "tau_tot"}
@@ -344,12 +339,12 @@ class TestSpilloverConsistency:
             assert cell["target_value"] == pytest.approx(oracle["tau_tot"],
                                                          abs=1e-12)
 
-    def test_tau_d_cells_track_target_closely(self, cache):
+    def test_tau_d_cells_track_target_closely(self):
         plan = ExperimentPlan(model=benchmark_model(0.05),
                               regime_map=(RegimeRule("r~h", "tau_star", 0.5),),
                               n_grid=(1000, 2000, 4000), replications=3, seed=5,
                               grid_n=1601)
-        report = run_spillover_consistency(plan, cache)
+        report = run_spillover_consistency(plan)
         largest = max((c for c in report.cells if c["quantity"] == "tau_d"),
                       key=lambda c: c["n"])
         assert abs(largest["bias"]) < 0.1
@@ -370,12 +365,12 @@ class TestDonutStudy:
         with pytest.raises(ConfigError, match="factor"):
             run_donut_study(plan)
 
-    def test_two_substudies_with_matching_targets(self, cache):
+    def test_two_substudies_with_matching_targets(self):
         plan = ExperimentPlan(model=exogenous_model(),
                               regime_map=(RegimeRule("r=h/2", "tau_d", 0.5),),
                               n_grid=(3000,), replications=3, seed=11,
                               grid_n=1601)
-        report = run_donut_study(plan, cache)
+        report = run_donut_study(plan)
         assert len(report.cells) == 2
         by_regime = {c["regime"]: c for c in report.cells}
         two = by_regime["two_sided:r=h/2"]
@@ -388,13 +383,13 @@ class TestDonutStudy:
             assert cell["h_donut"] == cell["r"]
             assert abs(cell["bias"]) < 0.15
 
-    def test_rerun_bit_identical(self, cache):
+    def test_rerun_bit_identical(self):
         plan = ExperimentPlan(model=exogenous_model(),
                               regime_map=(RegimeRule("r=h/2", "tau_d", 0.5),),
                               n_grid=(1200,), replications=2, seed=13,
                               grid_n=1601)
-        a = run_donut_study(plan, cache)
-        b = run_donut_study(plan, cache)
+        a = run_donut_study(plan)
+        b = run_donut_study(plan)
         assert a.to_json() == b.to_json()
 
 
@@ -417,21 +412,21 @@ class TestLlVsNw:
         with pytest.raises(ConfigError, match="gamma"):
             run_ll_vs_nw(plan)
 
-    def test_narrow_radius_is_recorded_as_failure(self, cache):
+    def test_narrow_radius_is_recorded_as_failure(self):
         plan = ExperimentPlan(model=exogenous_model(),
                               regime_map=(RegimeRule("r=h/2", "tau_d", 0.5),),
                               n_grid=(1000,), replications=2, seed=3, grid_n=1601)
-        report = run_ll_vs_nw(plan, cache)
+        report = run_ll_vs_nw(plan)
         assert not report.cells
         assert len(report.failures) == 1
         assert "r >= h" in report.failures[0]["message"]
 
-    def test_ll_tracks_tau_d_and_nw_separates(self, cache):
+    def test_ll_tracks_tau_d_and_nw_separates(self):
         plan = ExperimentPlan(model=exogenous_model(),
                               regime_map=(RegimeRule("r=h", "tau_d", 1.0),),
                               n_grid=(4000,), replications=4, seed=10,
                               grid_n=1601)
-        report = run_ll_vs_nw(plan, cache)
+        report = run_ll_vs_nw(plan)
         by_est = {c["estimator"]: c for c in report.cells}
         ll = by_est["local_linear"]
         nw = by_est["nadaraya_watson"]
@@ -444,26 +439,26 @@ class TestLlVsNw:
         assert sep["nw_se_distance_from_tau_d"] > 5.0
         assert sep["nw_se_distance_from_tau_tot"] > 5.0
 
-    def test_reports_both_fits_at_every_sample_size(self, cache):
+    def test_reports_both_fits_at_every_sample_size(self):
         plan = ExperimentPlan(model=exogenous_model(),
                               regime_map=(RegimeRule("r=h", "tau_d", 1.0),),
                               n_grid=(2400, 1200), replications=2, seed=10,
                               grid_n=1601)
-        report = run_ll_vs_nw(plan, cache)
+        report = run_ll_vs_nw(plan)
         assert not report.failures
         assert [(c["n"], c["estimator"], c["target_name"]) for c in report.cells] == [
             (1200, "local_linear", "tau_d"), (1200, "nadaraya_watson", "nw_population"),
             (2400, "local_linear", "tau_d"), (2400, "nadaraya_watson", "nw_population")]
         assert sorted(report.summary["nw_separation"]) == ["1200", "2400"]
 
-    def test_nw_population_value_matches_closed_form(self, cache):
+    def test_nw_population_value_matches_closed_form(self):
         # With linear baselines, gamma constant, and r >= h the outcome is
         # m(z) + gamma * (z + r) / (2r) on the fit window, so the kernel-mean
         # contrast is tau_d + h*m1*(s_plus + s_minus) + gamma*h*m1/r with m1
         # the one-sided first-moment ratio of the kernel (1/3 for triangular).
         model = exogenous_model(noise=0.0)
         h, r = 0.15, 0.2
-        sol = cache.get_or_solve(model, r, 1601)
+        sol = exp_mod.solve_population(model, r, 1601)
         got = _nw_population_value(sol, h, "triangular")
         m1 = 1.0 / 3.0
         want = 1.0 + h * m1 * (0.3 + 0.2) + 0.5 * h * m1 / r
@@ -524,7 +519,7 @@ def test_wrapper_sees_every_call_in_this_process(name, monkeypatch):
 
     monkeypatch.setattr(exp_mod, name, traced)
     runner, plan = _study_plans()[REPLICATION_CALLS[name]]
-    report = runner(plan, SolutionCache())
+    report = runner(plan)
     assert not report.failures
     cells = {(cell["regime"], cell["n"]) for cell in report.cells}
     assert pids == [os.getpid()] * (len(cells) * plan.replications)
@@ -565,7 +560,7 @@ def test_failure_row_is_the_earliest_failing_seed(monkeypatch):
 
     monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
     monkeypatch.setattr(exp_mod, "draw_sample", counting)
-    report = runner(plan, cache)
+    report = runner(plan)
     assert [(f["regime"], f["n"], f["message"]) for f in report.failures] \
         == want_failures
     assert all(f["error"] == "IllPosedError" for f in report.failures)
@@ -579,7 +574,7 @@ def test_setup_and_replication_failures(monkeypatch):
         regime_map=(RegimeRule("r=0.7h*n^0.05", "tau_d", 0.7, 0.05),),
         n_grid=(1200, 2400, 4800), replications=5, seed=2, grid_n=1601)
     monkeypatch.setattr(exp_mod, "local_linear_rdd", _failing_local_linear)
-    report = run_ll_vs_nw(plan, SolutionCache())
+    report = run_ll_vs_nw(plan)
     assert [(f["n"], f["error"]) for f in report.failures] == [
         (1200, "ConfigError"), (4800, "IllPosedError")]
     assert {cell["n"] for cell in report.cells} == {2400}
@@ -603,9 +598,9 @@ class TestWindowedDraws:
         and on the next seed (set 2)."""
         runner, plan = _study_plans()[index]
         plan = dataclasses.replace(plan, seed=plan.seed + seed_set - 1)
-        windowed = runner(plan, SolutionCache())
+        windowed = runner(plan)
         _draws_with(monkeypatch, lambda reach, sol: None)
-        full = runner(plan, SolutionCache())
+        full = runner(plan)
         assert not windowed.failures and not full.failures
         assert len(windowed.cells) == len(full.cells)
         for a, b in zip(windowed.cells, full.cells):
@@ -623,7 +618,7 @@ class TestWindowedDraws:
             return reach
 
         _draws_with(monkeypatch, record)
-        report = runner(plan, SolutionCache())
+        report = runner(plan)
         widen = STUDY_NAMES[index] == "spillover_consistency"
         assert asked == {cell["h"] + cell["r"] if widen else cell["h"]
                          for cell in report.cells}
@@ -639,7 +634,7 @@ class TestWindowedDraws:
         # fit's: the fit reads those rows, so the report must move; keeping
         # every row must leave it byte-identical
         runner, plan = _study_plans()[index]
-        windowed = runner(plan, SolutionCache())
+        windowed = runner(plan)
 
         def draws_within(reach_of):
             def draw(sol, n, seed, reach=None):
@@ -650,11 +645,11 @@ class TestWindowedDraws:
             monkeypatch.setattr(exp_mod, "draw_sample", draw)
 
         draws_within(lambda reach, sol: reach)
-        kept = runner(plan, SolutionCache())
+        kept = runner(plan)
         assert kept.to_json() == windowed.to_json()
         assert kept.to_csv() == windowed.to_csv()
         draws_within(self.NARROWER[index])
-        narrowed = runner(plan, SolutionCache())
+        narrowed = runner(plan)
         assert narrowed.to_json() != windowed.to_json()
         assert narrowed.to_csv() != windowed.to_csv()
 

@@ -140,6 +140,49 @@ class TestAffineOutcomeMap:
             assert close(got[1], s * want[1])
 
 
+class TestSpilloverOutcomeMap:
+    """Y -> a + Y leaves tau_d, delta and gamma and shifts mu(0) by a;
+    Y -> s*Y scales tau_d and gamma by s and leaves delta. Radius
+    cross-validation keeps its radii; its errors stay under a shift and
+    scale by s^2. Within 1e-9: each run solves a different design."""
+
+    RTOL = 1e-9
+    CANDIDATES = ([0.04, 0.075, 0.12], 5, 1)
+
+    @pytest.fixture(scope="class")
+    def reference(self, sample):
+        return (local_spillover_regression(sample, CFG),
+                cross_validate_r(sample, CFG, *self.CANDIDATES))
+
+    def mapped(self, sample, y):
+        mapped = Sample(z=sample.z, y=y)
+        return (local_spillover_regression(mapped, CFG),
+                cross_validate_r(mapped, CFG, *self.CANDIDATES))
+
+    def assert_errors(self, got, want, factor):
+        assert (got["r_plus"], got["r_minus"]) == (want["r_plus"], want["r_minus"])
+        for row, ref in zip(got["cv_table"], want["cv_table"]):
+            assert row["r"] == ref["r"] and row["feasible"] and ref["feasible"]
+            for key in ("mse_plus", "mse_minus"):
+                assert close(row[key], factor * ref[key], self.RTOL), (row, ref)
+
+    @pytest.mark.parametrize("a", [-100.0, 3.0])
+    def test_a_shift(self, sample, reference, a):
+        (est, cv), (got, got_cv) = reference, self.mapped(sample, a + sample.y)
+        for name in ("tau_d_hat", "delta_hat", "gamma_hat"):
+            assert close(getattr(got, name), getattr(est, name), self.RTOL), name
+        assert close(got.mu_hat_at_0, a + est.mu_hat_at_0, self.RTOL)
+        self.assert_errors(got_cv, cv, 1.0)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
+    def test_a_scaling(self, sample, reference, s):
+        (est, cv), (got, got_cv) = reference, self.mapped(sample, s * sample.y)
+        assert close(got.tau_d_hat, s * est.tau_d_hat, self.RTOL)
+        assert close(got.gamma_hat, s * est.gamma_hat, self.RTOL)
+        assert close(got.delta_hat, est.delta_hat, self.RTOL)
+        self.assert_errors(got_cv, cv, s * s)
+
+
 def _mapped(spec: FuncSpec, a: float, s: float) -> FuncSpec:
     """a + s*spec, for a constant or polynomial spec."""
     first, *rest = spec.coefficients

@@ -46,7 +46,7 @@ plan = experiments.ExperimentPlan(
     model=experiments.benchmark_model(0.05),
     regime_map=(experiments.RegimeRule("r~h", "tau_star", 0.5, 0.0),),
     n_grid=(400,), replications=2, seed=1, grid_n=401)
-experiments.run_phase_transition(plan, experiments.SolutionCache())
+experiments.run_phase_transition(plan)
 print(json.dumps(tracer.spans))
 """
 
