@@ -41,6 +41,7 @@ from .kernels import kernel_values, one_sided_moment
 from .quadrature import coarse_grid, two_grid_solve, window_integrals, window_matrix
 
 TABLE_SPACING = 0.005
+GL_NODES = 32  # Gauss-Legendre nodes per piece of tau_star's profile integrals
 TAIL_BUDGET = 1e-10  # times max(1, plateau): far below the O(spacing^2) quadrature error
 MAX_TABLE_A = 384  # no larger than the per-c sizing built: 3073 coarse nodes, about 150 MB
 
@@ -86,12 +87,10 @@ class LambdaTable:
         s, log_factor = _tail_terms(self.delta0)
         return float(np.min(np.exp(log_factor - s * self.truncation_A)))
 
-    def interval_average(self, lo, hi):
-        """Mean of lambda over [lo, hi]; pieces beyond +-A use the asymptotes.
-
-        lo, hi: two floats (a float is returned) or two 1-D arrays of one length.
-        """
-        scalar = np.ndim(lo) == 0
+    def interval_average(self, lo, hi) -> np.ndarray:
+        """Mean of lambda over each [lo[i], hi[i]], for two 1-D arrays of one
+        length (a float is read as one window); pieces beyond +-A use the
+        asymptotes."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if not np.all(lo < hi):
@@ -103,8 +102,7 @@ class LambdaTable:
         inside = lo_in < hi_in
         total[inside] += window_integrals(self.values, self.a_grid, lo_in[inside],
                                           hi_in[inside], self.i0, -1.0, 0.0)
-        average = total / (hi - lo)
-        return float(average[0]) if scalar else average
+        return total / (hi - lo)
 
 
 def build_lambda_table(delta0: float, A: float | None = None,
@@ -195,7 +193,7 @@ def mu_profile(x: np.ndarray, c: float, table: LambdaTable,
     til_l = lam_l - _indicator_average(l_lo, l_hi)
     share = np.minimum(1.0, np.abs(xs) / c)
     out[nonzero] = share * (delta0 * tau_d * (lam_g - lam_l) + gamma0 * (til_g - til_l))
-    return out if out.ndim else float(out)
+    return out
 
 
 def nu_profile(x, c: float) -> np.ndarray:
@@ -221,9 +219,9 @@ def _intercept_combo(kernel: str, plus_0, plus_1, minus_0, minus_1) -> float:
     population local linear intercept bias on the plus side is
     (g21*I0 - g11*I1)/den and on the minus side (g21*I0m + g11*I1m)/den.
     """
-    g01 = one_sided_moment(kernel, 0, 1)
-    g11 = one_sided_moment(kernel, 1, 1)
-    g21 = one_sided_moment(kernel, 2, 1)
+    g01 = one_sided_moment(kernel, 0)
+    g11 = one_sided_moment(kernel, 1)
+    g21 = one_sided_moment(kernel, 2)
     den = g01 * g21 - g11 * g11
     if abs(den) < 1e-14:
         raise NumericError(f"degenerate kernel moments for {kernel!r}: g01*g21 - g11^2 = {den}")
@@ -232,28 +230,20 @@ def _intercept_combo(kernel: str, plus_0, plus_1, minus_0, minus_1) -> float:
     return (plus - minus) / den
 
 
-def tau_star(model_at_0: dict, c: float, kernel: str,
-             table: LambdaTable | None = None, gl_nodes: int = 32) -> float:
+def tau_star(model_at_0: dict, c: float, kernel: str) -> float:
     """Intermediate-regime limit of the local linear RDD estimand.
 
-    model_at_0 carries {tau_d, delta0, gamma0}. The table defaults to
-    lambda_table(delta0); a passed table must be built at the same delta0
-    (ConfigError) and meet the tail budget (NumericError). One evaluation of
-    each profile per Gauss-Legendre piece serves both kernel moments.
+    model_at_0 carries {tau_d, delta0, gamma0}; the profiles read
+    lambda_table(delta0). One evaluation of each profile per Gauss-Legendre
+    piece (GL_NODES nodes) serves both kernel moments.
     """
     if not 0.0 < c < 2.0:
         raise ConfigError(f"c must be in (0, 2), got {c}")
     tau_d = float(model_at_0["tau_d"])
     delta0 = float(model_at_0["delta0"])
     gamma0 = float(model_at_0["gamma0"])
-    if table is None:
-        table = lambda_table(delta0)
-    elif table.delta0 != delta0:
-        raise ConfigError(f"lambda table is for delta0={table.delta0}, not {delta0}")
-    elif table.tail_bound > TAIL_BUDGET * max(1.0, table.plateau):
-        raise NumericError(f"lambda table at A={table.truncation_A} has tail bound "
-                           f"{table.tail_bound:.3g}, above its budget")
-    nodes, weights = np.polynomial.legendre.leggauss(gl_nodes)
+    table = lambda_table(delta0)
+    nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
 
     def side_ints(side):
         """[mu, nu] per-side integrals [profile * K, x * profile * K]."""

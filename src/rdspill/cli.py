@@ -41,7 +41,7 @@ from .estimators import (
 )
 from .experiments import STUDIES, VERSION, ExperimentPlan, hash_config, tau_star_for_model
 from .funcspace import ModelSpec
-from .kernels import KERNEL_NAMES
+from .kernels import check_kernel
 from .population import DEFAULT_GRID_N, solve_population, true_estimands
 from .sampling import Sample, draw_sample, parse_sample_csv
 
@@ -222,8 +222,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("'h' and 'kernel' in the 'simulate' section are read only "
                           "with \"declared_regime\": \"r~h\"")
     kernel = sim.get("kernel", "triangular")
-    if kernel not in KERNEL_NAMES:
-        raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}")
+    check_kernel(kernel)
     _check_out_dir(os.path.dirname(args.out))
     sol = solve_population(model, r, grid_n)
     sample = draw_sample(sol, n, seed)
@@ -263,7 +262,8 @@ def cmd_estimate(args) -> int:
     if "spillover" in names:
         _check_spillover(cfg)
     _check_out_dir(os.path.dirname(args.out))
-    sample, n, rescale_info = _load_sample(args, cfg.h if cfg.r is None else cfg.h + cfg.r)
+    # only the spillover fit reads past |z| <= h, out to h + r
+    sample, n, rescale_info = _load_sample(args, cfg.h + cfg.r if "spillover" in names else cfg.h)
     records = [_run_estimator(name, sample, cfg) for name in names]
     payload = {
         "data": args.data,

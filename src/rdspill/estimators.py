@@ -42,7 +42,7 @@ from .errors import (
     InsufficientSupportError,
     NumericError,
 )
-from .kernels import KERNEL_NAMES, kernel_values
+from .kernels import check_kernel, kernel_values
 from .population import nu_exact
 from .sampling import Sample, substream
 
@@ -58,8 +58,7 @@ class EstimatorConfig:
     h_donut: float = 0.0
 
     def __post_init__(self):
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigError(f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}")
+        check_kernel(self.kernel)
         if not 0.0 < self.h <= 1.0:
             raise ConfigError(f"bandwidth h must be in (0, 1], got {self.h}")
         if self.r is not None and not self.r > 0.0:

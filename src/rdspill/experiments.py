@@ -42,7 +42,7 @@ from .estimators import (
     nadaraya_watson_rdd,
 )
 from .funcspace import ModelSpec, constant, polynomial
-from .kernels import KERNEL_NAMES, kernel_values
+from .kernels import check_kernel, kernel_values
 from .population import DEFAULT_GRID_N, check_grid_n, solve_population, true_estimands
 from .sampling import draw_sample, substream
 
@@ -143,8 +143,7 @@ class ExperimentPlan:
         if not -0.25 < self.h_power < 0.0:
             raise ConfigError(
                 f"bandwidth exponent must lie in (-1/4, 0), got {self.h_power}")
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigError(f"unknown kernel {self.kernel!r}")
+        check_kernel(self.kernel)
         check_grid_n(self.grid_n)
         for n in self.n_grid:
             h = self.h_of(n)

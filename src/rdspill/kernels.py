@@ -10,19 +10,22 @@ from .errors import ConfigError
 KERNEL_NAMES = ("triangular", "epanechnikov", "uniform")
 
 
+def check_kernel(name: str) -> None:
+    """ConfigError unless name is one of KERNEL_NAMES."""
+    if name not in KERNEL_NAMES:
+        raise ConfigError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
+
+
 def kernel_values(name: str, u) -> np.ndarray:
     """K(u) with support [-1, 1]; zero outside."""
+    check_kernel(name)
     u = np.asarray(u, dtype=float)
     inside = np.abs(u) <= 1.0
     if name == "triangular":
-        vals = (1.0 - np.abs(u)) * inside
-    elif name == "epanechnikov":
-        vals = 0.75 * (1.0 - u * u) * inside
-    elif name == "uniform":
-        vals = 0.5 * inside
-    else:
-        raise ConfigError(f"unknown kernel {name!r}; expected one of {KERNEL_NAMES}")
-    return vals
+        return (1.0 - np.abs(u)) * inside
+    if name == "epanechnikov":
+        return 0.75 * (1.0 - u * u) * inside
+    return 0.5 * inside
 
 
 @functools.cache
@@ -34,12 +37,11 @@ def _unit_quadrature() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def one_sided_moment(name: str, p: int, s: int = 1) -> float:
-    """gamma_{p,s} = integral_0^1 x^p K(x)^s dx.
+def one_sided_moment(name: str, p: int) -> float:
+    """gamma_p = integral_0^1 x^p K(x) dx.
 
     Gauss-Legendre with 24 nodes is exact here: every supported kernel is a
-    polynomial on [0, 1] of degree <= 2, so the integrand degree is p + 2s.
+    polynomial on [0, 1] of degree <= 2, so the integrand degree is p + 2.
     """
     nodes, weights = _unit_quadrature()
-    k = kernel_values(name, nodes)
-    return float(np.sum(weights * nodes**p * k**s))
+    return float(np.sum(weights * nodes**p * kernel_values(name, nodes)))

@@ -239,13 +239,13 @@ class TestIntervalAverage:
             lo = rng.uniform(-9.0, 2.0)
             hi = lo + rng.uniform(0.05, 4.0)
             ref = _riemann_avg(tab04, lo, hi)
-            assert tab04.interval_average(lo, hi) == pytest.approx(ref, abs=1e-5)
+            assert tab04.interval_average(lo, hi)[0] == pytest.approx(ref, abs=1e-5)
 
     @given(lo=st.floats(-20, 19), width=st.floats(0.01, 8))
     @settings(max_examples=30, deadline=None)
     def test_bounded_by_range(self, lo, width):
         tab = _SHARED["tab"]
-        avg = tab.interval_average(lo, lo + width)
+        avg = tab.interval_average(lo, lo + width)[0]
         assert -1e-9 <= avg <= tab.plateau + 1e-9
 
     def test_rejects_empty(self, tab04):
@@ -268,7 +268,7 @@ class TestIntervalAverage:
         got = tab04.interval_average(lo, hi)
         ref = [_interval_average_scalar(tab04, a, b) for a, b in zip(lo, hi)]
         np.testing.assert_array_equal(got.view(np.int64), np.array(ref).view(np.int64))
-        assert isinstance(tab04.interval_average(-0.3, 0.0), float)
+        assert tab04.interval_average(-0.3, 0.0).shape == (1,)
 
 
 # hypothesis can't take a fixture argument; share one small table instead
@@ -285,102 +285,88 @@ class TestLambdaPm:
 
     def test_delta0_zero_plus_is_one(self, tab0):
         for x in (0.25, 0.7, 1.0):
-            assert tab0.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x) \
+            assert tab0.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x)[0] \
                 == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_x(self, tab04_sized):
         # the gained window slides right toward the plateau; for positive
         # delta0 its average must not decrease
         xs = np.linspace(0.0, 1.0, 21)[1:]
-        vals = [tab04_sized.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x)
+        vals = [tab04_sized.interval_average(max(1.0, 2 * x - 1.0), 1.0 + 2 * x)[0]
                 for x in xs]
         assert np.all(np.diff(vals) > -1e-9)
 
 
 class TestTauStar:
-    def test_benchmark_anchor(self, tab04_sized):
-        ts = tau_star(BENCH, 1.0, "triangular", tab04_sized)
+    def test_benchmark_anchor(self):
+        ts = tau_star(BENCH, 1.0, "triangular")
         assert ts == pytest.approx(POP_ANCHOR_C1, abs=5e-4)
 
-    def test_between_direct_and_total(self, tab04_sized):
-        ts = tau_star(BENCH, 1.0, "triangular", tab04_sized)
+    def test_between_direct_and_total(self):
+        ts = tau_star(BENCH, 1.0, "triangular")
         assert 1.0 < ts < 2.5
 
     def test_curve_monotone_decreasing_in_c(self):
         cs = [0.2, 0.4, 1.0, 1.5, 1.9]
-        vals = [tau_star(BENCH, c, "triangular", lambda_table(0.4)) for c in cs]
+        vals = [tau_star(BENCH, c, "triangular") for c in cs]
         assert np.all(np.diff(vals) < 0)
         assert vals[0] < 2.5 and vals[-1] > 1.0
 
-    def test_delta0_zero_closed_form(self, tab0):
+    def test_delta0_zero_closed_form(self):
         # triangular kernel at c = 1: the share-profile intercept combination
         # equals 1/8 exactly, so tau_star = tau_d + gamma0/8
-        ts = tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.0,
-                      "triangular", tab0)
+        ts = tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.0, "triangular")
         assert ts == pytest.approx(1.0625, abs=1e-10)
 
-    def test_delta0_zero_wide_c_no_bias(self, tab0):
+    def test_delta0_zero_wide_c_no_bias(self):
         # with c >= 2 the share profile is linear on the fit window and the
         # local linear functional annihilates it; approach c -> 2 from below
-        ts = tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.999,
-                      "triangular", tab0)
+        ts = tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.999, "triangular")
         assert ts == pytest.approx(1.0, abs=1e-4)
 
-    def test_no_spillover_returns_tau_d(self, tab0):
-        ts = tau_star({"tau_d": 1.3, "delta0": 0.0, "gamma0": 0.0}, 0.7,
-                      "triangular", tab0)
+    def test_no_spillover_returns_tau_d(self):
+        ts = tau_star({"tau_d": 1.3, "delta0": 0.0, "gamma0": 0.0}, 0.7, "triangular")
         assert ts == pytest.approx(1.3, abs=1e-12)
 
     def test_zero_direct_zero_gamma_is_zero(self):
-        ts = tau_star({"tau_d": 0.0, "delta0": 0.3, "gamma0": 0.0}, 1.0,
-                      "triangular", lambda_table(0.3))
+        ts = tau_star({"tau_d": 0.0, "delta0": 0.3, "gamma0": 0.0}, 1.0, "triangular")
         assert ts == pytest.approx(0.0, abs=1e-12)
 
-    def test_delta0_zero_matches_gamma_moment_combo(self, tab0):
+    def test_delta0_zero_matches_gamma_moment_combo(self):
         # with no endogenous channel the estimand reduces to the share-profile
         # term alone, reconstructable from its one-sided kernel moments
         c, kern, gamma0 = 0.8, "epanechnikov", 0.7
-        g01, g11, g21 = (one_sided_moment(kern, p, 1) for p in (0, 1, 2))
+        g01, g11, g21 = (one_sided_moment(kern, p) for p in (0, 1, 2))
         plus = [_profile_moment(p, c, kern, 1) for p in (0, 1)]
         minus = [_profile_moment(p, c, kern, -1) for p in (0, 1)]
         combo = (g21 * (plus[0] - minus[0]) - g11 * (plus[1] + minus[1])) \
             / (g01 * g21 - g11**2)
-        ts = tau_star({"tau_d": 2.0, "delta0": 0.0, "gamma0": gamma0}, c, kern, tab0)
+        ts = tau_star({"tau_d": 2.0, "delta0": 0.0, "gamma0": gamma0}, c, kern)
         assert ts == pytest.approx(2.0 + gamma0 * combo, abs=1e-10)
 
-    def test_kernel_agreement_rough(self, tab04_sized):
+    def test_kernel_agreement_rough(self):
         # different kernels weight the same profiles; values stay in a band
-        vals = [tau_star(BENCH, 1.0, k, tab04_sized)
+        vals = [tau_star(BENCH, 1.0, k)
                 for k in ("triangular", "epanechnikov", "uniform")]
         assert max(vals) - min(vals) < 0.25
         assert all(1.0 < v < 2.5 for v in vals)
 
-    def test_c_validation(self, tab04):
+    def test_c_validation(self):
         with pytest.raises(ConfigError):
-            tau_star(BENCH, 2.0, "triangular", tab04)
+            tau_star(BENCH, 2.0, "triangular")
         with pytest.raises(ConfigError):
-            tau_star(BENCH, -0.5, "triangular", tab04)
+            tau_star(BENCH, -0.5, "triangular")
 
-    def test_degenerate_kernel_moments(self, tab0, monkeypatch):
-        monkeypatch.setattr(asy, "one_sided_moment", lambda k, p, s=1: 0.5)
+    def test_degenerate_kernel_moments(self, monkeypatch):
+        monkeypatch.setattr(asy, "one_sided_moment", lambda k, p: 0.5)
         with pytest.raises(NumericError):
-            tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.0,
-                     "triangular", tab0)
+            tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.0, "triangular")
 
-    def test_short_table_raises(self, tab04):
-        # an A = 8 table is short of the A = 11 that delta0 = 0.4 needs;
-        # tau_star refuses it rather than read its truncated tail
-        with pytest.raises(NumericError, match="tail bound"):
-            tau_star(BENCH, 1.0, "triangular", tab04)
-
-    def test_table_for_another_delta0_raises(self, tab0):
-        with pytest.raises(ConfigError, match="delta0"):
-            tau_star(BENCH, 1.0, "triangular", tab0)
-
-    def test_default_table_is_cached_per_delta0(self):
+    def test_default_table_is_cached_per_delta0(self, monkeypatch):
         assert lambda_table(0.4) is lambda_table(0.4)
-        assert tau_star(BENCH, 0.01, "triangular") \
-            == tau_star(BENCH, 0.01, "triangular", lambda_table(0.4))
+        # tau_star reads the cached table: it builds none at a delta0 seen before
+        monkeypatch.setattr(asy, "build_lambda_table", None)
+        assert tau_star(BENCH, 0.01, "triangular") > 1.0
 
 
 # one reference per delta0: the sized table's tau_star against a table at
@@ -398,12 +384,13 @@ def _reference_table(delta0):
 class TestSizedTable:
     @pytest.mark.parametrize("delta0", [-0.5, 0.4, 0.8, 0.9, 0.99])
     @pytest.mark.parametrize("c", [1.0, 0.1, 0.01])
-    def test_matches_reference(self, delta0, c):
+    def test_matches_reference(self, monkeypatch, delta0, c):
         # gamma0 = 0.3: with tau_d = 1 and gamma0 = 0.5 the endogenous term
         # cancels exactly at delta0 = -0.5
         model = {"tau_d": 1.0, "delta0": delta0, "gamma0": 0.3}
         got = tau_star(model, c, "triangular")
-        ref = tau_star(model, c, "triangular", _reference_table(delta0))
+        monkeypatch.setattr(asy, "lambda_table", {delta0: _reference_table(delta0)}.__getitem__)
+        ref = tau_star(model, c, "triangular")
         assert abs(got - ref) <= 1e-5 * abs(ref)
 
     @pytest.mark.parametrize("delta0", [-0.5, 0.4, 0.8, 0.9, 0.99])
@@ -432,9 +419,11 @@ class TestMoments:
         direct = nu_exact(c * h / 2, xs * h) - 0.5
         np.testing.assert_allclose(prof, direct, atol=1e-12)
 
-    def test_dual_resolution_agreement(self, tab04_sized):
-        hi = tau_star(BENCH, 1.0, "triangular", tab04_sized, gl_nodes=32)
-        lo = tau_star(BENCH, 1.0, "triangular", tab04_sized, gl_nodes=16)
+    def test_dual_resolution_agreement(self, monkeypatch):
+        assert asy.GL_NODES == 32
+        hi = tau_star(BENCH, 1.0, "triangular")
+        monkeypatch.setattr(asy, "GL_NODES", 16)
+        lo = tau_star(BENCH, 1.0, "triangular")
         assert abs(hi - lo) < 1e-6
 
     @pytest.mark.parametrize("delta0", [-0.5, 0.0, 0.4, 0.8])
@@ -447,7 +436,7 @@ class TestMoments:
             got = mu_profile(xs, c, tab, 1.3, 0.7)
             ref = _mu_profile_loop(xs, c, tab, 1.3, 0.7)
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
-            assert mu_profile(c / 2, c, tab, 1.3, 0.7) == ref[-6]
+            assert mu_profile([c / 2], c, tab, 1.3, 0.7)[0] == ref[-6]
 
     def test_delta0_zero_lambda_tilde_maps_vanish(self, tab0):
         # lambda_tilde = lambda - 1{a >= 0} is zero at delta0 = 0, so the

@@ -210,6 +210,26 @@ class TestConfigErrors:
         assert rc == code and named in err and out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["estimate", "experiment", "simulate"])
+    def test_unknown_kernel_reads_alike_in_every_section(self, tmp_path, capsys, command):
+        if command == "experiment":
+            doc = experiment_config()
+            doc["experiment"]["plan"]["kernel"] = "box"
+            extra = ["--out", str(tmp_path / "d")]
+        elif command == "estimate":
+            doc = base_config()
+            doc["estimator"]["kernel"] = "box"
+            extra = ["--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.json")]
+        else:
+            doc = base_config()
+            doc["simulate"].update(declared_regime="r~h", h=0.2, kernel="box")
+            extra = ["--out", str(tmp_path / "o.csv")]
+        rc, out, err = run_cli([command, "--config", write_config(tmp_path, doc), *extra],
+                               capsys)
+        assert rc == 1 and out == ""
+        assert err == ("rdspill: error: unknown kernel 'box'; expected one of "
+                       "('triangular', 'epanechnikov', 'uniform')\n")
+
     def test_unknown_study(self, tmp_path, capsys):
         doc = {"experiment": {"study": "phase", "plan": {}}}
         rc, _, err = run_cli(["experiment", "--config", write_config(tmp_path, doc),
@@ -612,6 +632,26 @@ class TestEstimate:
         assert rec["tau_tot"] == spill.tau_tot_hat
         assert rec["diagnostics"]["delta_hat"] == spill.delta_hat
         assert rec["diagnostics"]["gamma_hat"] == spill.gamma_hat
+
+    @pytest.mark.parametrize("estimator, spillover", [
+        ("ll", False), ("nw", False), ("donut", False), ("spillover", True), ("all", True)])
+    def test_loads_only_the_window_its_fits_read(self, tmp_path, capsys, monkeypatch,
+                                                 sim_csv, estimator, spillover):
+        # the config sets r, but only the spillover fit reads past |z| <= h
+        cfg, data = sim_csv
+        seen = []
+        load = cli._load_sample
+
+        def spy(args, half_width):
+            seen.append(half_width)
+            return load(args, half_width)
+
+        monkeypatch.setattr(cli, "_load_sample", spy)
+        rc, _, err = run_cli(["estimate", "--config", cfg, "--data", data,
+                              "--out", str(tmp_path / "est.json"), "--estimator", estimator],
+                             capsys)
+        assert rc == 0, err
+        assert seen == [0.2 + 0.1 if spillover else 0.2]
 
     @pytest.mark.parametrize("command", [["estimate", "--estimator", "all"], ["crossval"]])
     def test_does_not_load_numpy_polynomial(self, tmp_path, sim_csv, command):

@@ -4,35 +4,29 @@ import pytest
 from rdspill.errors import ConfigError
 from rdspill.kernels import KERNEL_NAMES, kernel_values, one_sided_moment
 
-# gamma_{p,s} = int_0^1 x^p K(x)^s dx, worked out by hand
+# gamma_p = int_0^1 x^p K(x) dx, worked out by hand
 CLOSED_FORMS = {
-    ("triangular", 0, 1): 1 / 2,
-    ("triangular", 1, 1): 1 / 6,
-    ("triangular", 2, 1): 1 / 12,
-    ("triangular", 0, 2): 1 / 3,
-    ("triangular", 1, 2): 1 / 12,
-    ("epanechnikov", 0, 1): 1 / 2,
-    ("epanechnikov", 1, 1): 3 / 16,
-    ("epanechnikov", 2, 1): 1 / 10,
-    ("epanechnikov", 0, 2): 3 / 10,
-    ("uniform", 0, 1): 1 / 2,
-    ("uniform", 1, 1): 1 / 4,
-    ("uniform", 2, 1): 1 / 6,
-    ("uniform", 0, 2): 1 / 4,
-    ("uniform", 1, 2): 1 / 8,
+    ("triangular", 0): 1 / 2,
+    ("triangular", 1): 1 / 6,
+    ("triangular", 2): 1 / 12,
+    ("epanechnikov", 0): 1 / 2,
+    ("epanechnikov", 1): 3 / 16,
+    ("epanechnikov", 2): 1 / 10,
+    ("uniform", 0): 1 / 2,
+    ("uniform", 1): 1 / 4,
+    ("uniform", 2): 1 / 6,
 }
 
 
 @pytest.mark.parametrize("key", sorted(CLOSED_FORMS))
 def test_moment_closed_forms(key):
-    name, p, s = key
-    assert one_sided_moment(name, p, s) == pytest.approx(CLOSED_FORMS[key], abs=1e-14)
+    assert one_sided_moment(*key) == pytest.approx(CLOSED_FORMS[key], abs=1e-14)
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_unit_mass(name):
     # symmetric kernels integrate to one over [-1, 1]
-    assert 2 * one_sided_moment(name, 0, 1) == pytest.approx(1.0, abs=1e-14)
+    assert 2 * one_sided_moment(name, 0) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
