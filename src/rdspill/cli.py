@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import hashlib
 import json
 import os
 import stat
@@ -39,7 +40,7 @@ from .estimators import (
     nadaraya_watson_rdd,
     to_record,
 )
-from .experiments import STUDIES, VERSION, ExperimentPlan, hash_config, tau_star_for_model
+from .experiments import STUDIES, VERSION, ExperimentPlan, tau_star_for_model
 from .funcspace import ModelSpec
 from .kernels import check_kernel
 from .population import DEFAULT_GRID_N, solve_population, true_estimands
@@ -88,7 +89,10 @@ def _section(doc: dict, name: str, seed=None):
 
 
 def _provenance(doc: dict, seed, rescale=None) -> dict:
-    return {"version": VERSION, "config_hash": hash_config(doc),
+    """Every command's provenance; its hash is the first 16 hex digits of
+    the SHA-256 of the effective document's canonical JSON."""
+    blob = json.dumps(doc, sort_keys=True).encode()
+    return {"version": VERSION, "config_hash": hashlib.sha256(blob).hexdigest()[:16],
             "seed": seed, "rescale": rescale}
 
 
@@ -314,9 +318,12 @@ def cmd_experiment(args) -> int:
     if study not in STUDIES:
         raise ConfigError(
             f"unknown study {study!r}; expected one of {sorted(STUDIES)}")
-    plan = ExperimentPlan.from_config(_section(sec, "plan", args.seed))
+    raw_plan = _section(sec, "plan", args.seed)
+    plan = ExperimentPlan.from_config(raw_plan)
+    effective = dict(doc, experiment=dict(doc["experiment"], plan=raw_plan))
     _check_out_dir(args.out, created=True)
     report = STUDIES[study](plan)
+    report.provenance = _provenance(effective, plan.seed)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as err:

@@ -166,7 +166,8 @@ def _fit_sides(z, y, w, mu_delta=None, nu_delta=None) -> dict:
     """Per-side weighted least squares, one lstsq on the sqrt-weighted
     design, of Y on (1, Z), or on the six spillover regressors when mu_delta
     and nu_delta are given; {side: (beta, cond, n)}, cond the ratio of the
-    design's extreme singular values (inf if the least is zero). A side whose
+    design's extreme singular values (inf if the least is zero), of a
+    six-regressor design with its columns scaled to unit norm. A side whose
     spillover columns are all zero takes the (1, Z) fit, zero-padded to six
     coefficients. A design holding inf or NaN raises before the SVD, which
     need not converge on one; a six-regressor design above
@@ -198,7 +199,15 @@ def _fit_side(side: str, rows, zs, ys, ws, *cols) -> tuple:
         raise IllPosedError(f"weighted design on the {side} side holds inf or NaN; "
                             f"Y is not finite, or its sums overflow",
                             condition_number=math.inf)
+    if six:
+        # unit 2-norm columns (van der Sluis 1969), so the condition number
+        # does not carry Y's units; a zero column keeps divisor 1 and its rank loss
+        norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+        norms[norms == 0.0] = 1.0
+        X /= norms
     beta, _, rank, s = np.linalg.lstsq(X, sw, rcond=None)
+    if six:
+        beta /= norms
     cond = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
     if six and cond > ILL_POSED_CONDITION:
         raise IllPosedError(

@@ -24,7 +24,6 @@ replications execute.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -97,21 +96,11 @@ class RegimeRule:
         floor = RADIUS_FLOOR_CELLS * 2.0 / (grid_n - 1)
         return min(max(r, floor), RADIUS_CAP)
 
-    def to_config(self) -> dict:
-        return {"label": self.label, "target": self.target,
-                "factor": self.factor, "n_power": self.n_power}
-
     @classmethod
     def from_config(cls, doc: dict) -> "RegimeRule":
         return cls(**read_section(doc, "regime rule",
                                   {"label": text, "target": text, "factor": real},
                                   {"n_power": real}))
-
-
-def hash_config(doc: dict) -> str:
-    """First 16 hex digits of the SHA-256 of the canonical JSON of doc."""
-    blob = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -158,19 +147,6 @@ class ExperimentPlan:
     def h_of(self, n: int) -> float:
         return self.h_coef * float(n) ** self.h_power
 
-    def to_config(self) -> dict:
-        return {
-            "model": self.model.to_config(),
-            "regime_map": [rule.to_config() for rule in self.regime_map],
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "seed": self.seed,
-            "h_coef": self.h_coef,
-            "h_power": self.h_power,
-            "kernel": self.kernel,
-            "grid_n": self.grid_n,
-        }
-
     @classmethod
     def from_config(cls, doc: dict) -> "ExperimentPlan":
         return cls(**read_section(
@@ -179,9 +155,6 @@ class ExperimentPlan:
              "n_grid": list_of(integer), "replications": integer, "seed": integer},
             {"h_coef": real, "h_power": real, "kernel": text, "grid_n": integer}))
 
-    def config_hash(self) -> str:
-        return hash_config(self.to_config())
-
 
 @dataclass
 class ExperimentReport:
@@ -189,7 +162,7 @@ class ExperimentReport:
     cells: list
     failures: list
     summary: dict
-    provenance: dict
+    provenance: dict = dataclasses.field(default_factory=dict)  # set by the CLI
 
     CSV_COLUMNS = ("study", "regime", "estimator", "quantity", "n", "h", "r",
                    "replications", "mean", "sd", "se", "target_name",
@@ -237,11 +210,6 @@ class SolutionCache:
 def _rep_seeds(seed: int, study: str, cell_index: int, replications: int) -> np.ndarray:
     gen = substream(seed, _STUDY_TAGS[study], cell_index)
     return gen.integers(0, 2**62, size=replications)
-
-
-def _provenance(plan: ExperimentPlan) -> dict:
-    return {"config_hash": plan.config_hash(), "seed": plan.seed,
-            "version": VERSION}
 
 
 def _tau_d(model: ModelSpec) -> float:
@@ -329,7 +297,7 @@ def _run_cells(study: str, plan: ExperimentPlan, layout, setup,
     summary = {"n_cells": len(cells), "n_failures": len(failures)}
     if summarize is not None:
         summary.update(summarize(cells))
-    return ExperimentReport(study, cells, failures, summary, _provenance(plan))
+    return ExperimentReport(study, cells, failures, summary)
 
 
 def _single_rule(plan: ExperimentPlan, study: str) -> RegimeRule:

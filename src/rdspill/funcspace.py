@@ -1,9 +1,9 @@
 """Parametric structural functions on [-1, 1].
 
 Model ingredients (the two outcome branches, the endogenous and exogenous
-spillover coefficients, the noise scale) are restricted to closed families so
-that configs round-trip without loss. Everything is immutable after
-construction.
+spillover coefficients, the noise scale) are restricted to closed families, so
+a config names each one exactly by its family and coefficients. Everything is
+immutable after construction.
 """
 from __future__ import annotations
 
@@ -64,9 +64,6 @@ class FuncSpec:
 
     def __call__(self, z):
         return eval_func(self, z)
-
-    def to_config(self) -> dict:
-        return {"family": self.family, "coefficients": list(self.coefficients)}
 
     @classmethod
     def from_config(cls, doc: dict) -> "FuncSpec":
@@ -163,12 +160,6 @@ class ModelSpec:
         if np.ndim(z) == 0:
             return float(out)
         return out
-
-    def to_config(self) -> dict:
-        doc = {name: getattr(self, name).to_config() for name in MODEL_FUNCTIONS}
-        if self.gamma_one_sided:
-            doc["gamma_one_sided"] = True
-        return doc
 
     @classmethod
     def from_config(cls, doc: dict) -> "ModelSpec":

@@ -119,6 +119,18 @@ def benchmark_model():
     )
 
 
+@pytest.fixture
+def benchmark_model_doc():
+    """The config document of benchmark_model, a fresh dict per test."""
+    return {
+        "m_plus": {"family": "polynomial", "coefficients": [1.0, 0.3]},
+        "m_minus": {"family": "polynomial", "coefficients": [0.0, 0.2]},
+        "delta": {"family": "constant", "coefficients": [0.4]},
+        "gamma": {"family": "constant", "coefficients": [0.5]},
+        "noise_sd": {"family": "constant", "coefficients": [0.1]},
+    }
+
+
 @pytest.fixture(scope="session")
 def noiseless_benchmark():
     return ModelSpec(

@@ -465,17 +465,16 @@ def _pipeline_once(cfg_path: str, root, capsys) -> dict:
     return blobs
 
 
-def test_check_11_cli_pipelines_are_byte_identical(tmp_path, capsys):
-    model_doc = benchmark_model().to_config()
+def test_check_11_cli_pipelines_are_byte_identical(tmp_path, capsys, benchmark_model_doc):
     doc = {
-        "model": model_doc,
+        "model": benchmark_model_doc,
         "estimator": {"kernel": "triangular", "h": 0.2, "r": 0.1},
         "simulate": {"n": 1500, "seed": 7, "r": 0.1, "grid_n": GRID_N},
         "crossval": {"candidates": [0.06, 0.12], "folds": 2, "seed": 3},
         "experiment": {
             "study": "phase_transition",
             "plan": {
-                "model": model_doc,
+                "model": benchmark_model_doc,
                 "regime_map": [{"label": "r>>h", "target": "tau_d",
                                 "factor": 8.0, "n_power": 0.0}],
                 "n_grid": [900],

@@ -9,6 +9,7 @@ import contextlib
 import copy
 import errno
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -33,6 +34,7 @@ from rdspill.estimators import (
     local_linear_rdd,
     local_spillover_regression,
 )
+from rdspill.experiments import ExperimentPlan, run_phase_transition
 from rdspill.funcspace import ModelSpec
 from rdspill.population import solve_population, true_estimands
 from rdspill.sampling import Sample, draw_sample
@@ -1085,6 +1087,53 @@ class TestExperiment:
         report = json.loads(
             (tmp_path / "results" / "phase_transition_report.json").read_text())
         assert report["provenance"]["seed"] == 77
+
+    def test_provenance_hashes_the_effective_document(self, tmp_path, capsys):
+        # as simulate's does: the document with --seed applied; a library
+        # report has the CLI's cells and summary, but no provenance
+        doc = self.plan_doc()
+        cfg = write_config(tmp_path, doc)
+        reports = {}
+        for seed, flags in ((21, []), (77, ["--seed", "77"])):
+            out = tmp_path / str(seed)
+            assert run_cli(["experiment", "--config", cfg, *flags, "--out", str(out)],
+                           capsys)[0] == 0
+            reports[seed] = json.loads((out / "phase_transition_report.json").read_text())
+            effective = copy.deepcopy(doc)
+            effective["experiment"]["plan"]["seed"] = seed
+            blob = json.dumps(effective, sort_keys=True).encode()
+            assert reports[seed]["provenance"] == {
+                "version": cli.VERSION, "config_hash": hashlib.sha256(blob).hexdigest()[:16],
+                "seed": seed, "rescale": None}
+        assert reports[77]["provenance"]["config_hash"] \
+            != reports[21]["provenance"]["config_hash"]
+        library = run_phase_transition(ExperimentPlan.from_config(doc["experiment"]["plan"]))
+        assert library.provenance == {}
+        assert json.loads(library.to_json()) == dict(reports[21], provenance={})
+
+
+@pytest.mark.parametrize("command, seed_section", [
+    ("simulate", "simulate"), ("estimate", None), ("crossval", "crossval")])
+def test_every_command_writes_one_provenance_shape(tmp_path, capsys, command, seed_section):
+    # the experiment's block is checked in TestExperiment; each hash is of
+    # the effective document, --seed applied to the section that reads it
+    doc = base_config()
+    cfg = write_config(tmp_path, doc)
+    data = tmp_path / "sim.csv"
+    assert run_cli(["simulate", "--config", cfg, "--out", str(data)], capsys)[0] == 0
+    out = tmp_path / "out.json"
+    argv = {"simulate": ["--out", str(tmp_path / "again.csv"), "--seed", "11"],
+            "estimate": ["--data", str(data), "--out", str(out)],
+            "crossval": ["--data", str(data), "--out", str(out), "--seed", "11"]}[command]
+    assert run_cli([command, "--config", cfg, *argv], capsys)[0] == 0
+    written = tmp_path / "again.estimands.json" if command == "simulate" else out
+    effective = copy.deepcopy(doc)
+    if seed_section is not None:
+        effective[seed_section]["seed"] = 11
+    blob = json.dumps(effective, sort_keys=True).encode()
+    assert json.loads(written.read_text())["provenance"] == {
+        "version": cli.VERSION, "config_hash": hashlib.sha256(blob).hexdigest()[:16],
+        "seed": None if seed_section is None else 11, "rescale": None}
 
 
 def _child_env(**blas) -> dict:

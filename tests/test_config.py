@@ -1,4 +1,4 @@
-"""The config reader: typed values, key checks, round trips, and defaults."""
+"""The config reader: typed values, key checks, full documents, and defaults."""
 import math
 
 import pytest
@@ -8,13 +8,6 @@ from rdspill.errors import ConfigError
 from rdspill.estimators import EstimatorConfig
 from rdspill.experiments import ExperimentPlan, RegimeRule, benchmark_model
 from rdspill.funcspace import FuncSpec, ModelSpec, constant, sinusoid_sum
-
-# the three regimes of the phase-transition study, one rule each
-PHASE_REGIMES = (
-    RegimeRule("r>>h", "tau_d", 1.0, 0.1),
-    RegimeRule("r<<h", "tau_tot", 1.0, -0.1),
-    RegimeRule("r~h", "tau_star", 0.5, 0.0),
-)
 
 
 class TestReaders:
@@ -94,37 +87,85 @@ class TestReadSection:
             read_section({"n": 10 ** 400}, "s", {"n": real})
 
 
-ONE_SIDED = ModelSpec(m_plus=constant(1.0), m_minus=constant(0.0), delta=constant(0.0),
-                      gamma=constant(0.5), noise_sd=constant(0.1), gamma_one_sided=True)
-
-
 @pytest.mark.parametrize("obj", [
-    sinusoid_sum([0.3, 0.02, 1.0]),
-    benchmark_model(),
-    ONE_SIDED,
     EstimatorConfig(kernel="triangular", h=0.2),
     EstimatorConfig(kernel="epanechnikov", h=0.25, r=0.05, h_donut=0.01),
-    RegimeRule("r~h", "tau_star", 0.5),
-    RegimeRule("r<<h", "tau_tot", 1.0, -0.1),
-    ExperimentPlan(model=benchmark_model(), regime_map=PHASE_REGIMES, n_grid=(1000,),
-                   replications=2, seed=1),
-    ExperimentPlan(model=ONE_SIDED, regime_map=PHASE_REGIMES[:1], n_grid=(1000, 4000),
-                   replications=3, seed=9, h_coef=0.8, h_power=-0.15, kernel="uniform",
-                   grid_n=2001),
 ], ids=lambda obj: type(obj).__name__)
 def test_from_config_inverts_to_config(obj):
     assert type(obj).from_config(obj.to_config()) == obj
 
 
-def test_absent_optional_keys_give_the_dataclass_defaults():
-    model_doc = benchmark_model().to_config()
+def _benchmark_doc():
+    return {
+        "m_plus": {"family": "polynomial", "coefficients": [1.0, 0.3]},
+        "m_minus": {"family": "polynomial", "coefficients": [0.0, 0.2]},
+        "delta": {"family": "constant", "coefficients": [0.4]},
+        "gamma": {"family": "constant", "coefficients": [0.5]},
+        "noise_sd": {"family": "constant", "coefficients": [0.1]},
+    }
+
+
+def _one_sided_doc():
+    return {
+        "m_plus": {"family": "constant", "coefficients": [1.0]},
+        "m_minus": {"family": "constant", "coefficients": [0.0]},
+        "delta": {"family": "constant", "coefficients": [0.0]},
+        "gamma": {"family": "constant", "coefficients": [0.5]},
+        "noise_sd": {"family": "constant", "coefficients": [0.1]},
+        "gamma_one_sided": True,
+    }
+
+
+ONE_SIDED = ModelSpec(m_plus=constant(1.0), m_minus=constant(0.0), delta=constant(0.0),
+                      gamma=constant(0.5), noise_sd=constant(0.1), gamma_one_sided=True)
+# the three regimes of the phase-transition study, one rule each
+PHASE_REGIMES = (
+    RegimeRule("r>>h", "tau_d", 1.0, 0.1),
+    RegimeRule("r<<h", "tau_tot", 1.0, -0.1),
+    RegimeRule("r~h", "tau_star", 0.5, 0.0),
+)
+PHASE_RULE_DOCS = [
+    {"label": "r>>h", "target": "tau_d", "factor": 1.0, "n_power": 0.1},
+    {"label": "r<<h", "target": "tau_tot", "factor": 1.0, "n_power": -0.1},
+    {"label": "r~h", "target": "tau_star", "factor": 0.5, "n_power": 0.0},
+]
+
+
+# every key written out, optional ones included
+@pytest.mark.parametrize("doc, obj", [
+    ({"family": "sinusoid-sum", "coefficients": [0.3, 0.02, 1.0]},
+     sinusoid_sum([0.3, 0.02, 1.0])),
+    (_benchmark_doc(), benchmark_model()),
+    (_one_sided_doc(), ONE_SIDED),
+    ({"label": "r~h", "target": "tau_star", "factor": 0.5, "n_power": 0.0},
+     RegimeRule("r~h", "tau_star", 0.5)),
+    ({"label": "r<<h", "target": "tau_tot", "factor": 1.0, "n_power": -0.1},
+     RegimeRule("r<<h", "tau_tot", 1.0, -0.1)),
+    ({"model": _benchmark_doc(), "regime_map": PHASE_RULE_DOCS, "n_grid": [1000],
+      "replications": 2, "seed": 1, "h_coef": 1.0, "h_power": -0.2,
+      "kernel": "triangular", "grid_n": 4001},
+     ExperimentPlan(model=benchmark_model(), regime_map=PHASE_REGIMES, n_grid=(1000,),
+                    replications=2, seed=1)),
+    ({"model": _one_sided_doc(), "regime_map": PHASE_RULE_DOCS[:1], "n_grid": [1000, 4000],
+      "replications": 3, "seed": 9, "h_coef": 0.8, "h_power": -0.15,
+      "kernel": "uniform", "grid_n": 2001},
+     ExperimentPlan(model=ONE_SIDED, regime_map=PHASE_REGIMES[:1], n_grid=(1000, 4000),
+                    replications=3, seed=9, h_coef=0.8, h_power=-0.15, kernel="uniform",
+                    grid_n=2001)),
+], ids=["FuncSpec", "ModelSpec0", "ModelSpec1", "RegimeRule0", "RegimeRule1",
+        "ExperimentPlan0", "ExperimentPlan1"])
+def test_from_config_reads_every_key(doc, obj):
+    assert type(obj).from_config(doc) == obj
+
+
+def test_absent_optional_keys_give_the_dataclass_defaults(benchmark_model_doc):
     rule_doc = {"label": "r~h", "target": "tau_star", "factor": 0.5}
-    plan = ExperimentPlan.from_config({"model": model_doc, "regime_map": [rule_doc],
+    plan = ExperimentPlan.from_config({"model": benchmark_model_doc, "regime_map": [rule_doc],
                                        "n_grid": [1000], "replications": 2, "seed": 1})
     assert plan == ExperimentPlan(model=benchmark_model(),
                                   regime_map=(RegimeRule("r~h", "tau_star", 0.5),),
                                   n_grid=(1000,), replications=2, seed=1)
     assert EstimatorConfig.from_config({"kernel": "uniform", "h": 0.5}) \
         == EstimatorConfig(kernel="uniform", h=0.5)
-    assert ModelSpec.from_config(model_doc).gamma_one_sided is False
+    assert ModelSpec.from_config(benchmark_model_doc).gamma_one_sided is False
     assert FuncSpec.from_config({"family": "constant", "coefficients": [2]}) == constant(2.0)

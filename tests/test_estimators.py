@@ -728,6 +728,16 @@ class TestSpilloverRegression:
             local_spillover_regression(sample, cfg)
         assert exc.value.condition_number > 1e10
 
+    def test_a_zero_column_stays_ill_posed(self):
+        # Y = 0 zeroes the mu_delta columns, while nu_delta keeps the six
+        # regressors: a zero column is not scaled to unit norm, so it is
+        # named as ill-posed rather than dividing 0 by 0
+        sample = linear_sample(n=500, seed=63, noise=0.1)
+        cfg = EstimatorConfig(kernel="triangular", h=0.3, r=0.05)
+        with pytest.raises(IllPosedError) as exc:
+            local_spillover_regression(Sample(z=sample.z, y=np.zeros_like(sample.y)), cfg)
+        assert exc.value.condition_number > 1e10
+
     def test_insufficient_side_named(self):
         z = np.array([0.01, 0.02, 0.03, 0.04, 0.05,
                       -0.01, -0.02, -0.03, -0.04, -0.05, -0.06, -0.07])

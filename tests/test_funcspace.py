@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -46,11 +47,17 @@ class TestFuncSpec:
         with pytest.raises(ConfigError):
             FuncSpec("spline", (1.0, 2.0))
 
-    def test_config_roundtrip(self):
-        for f in (constant(3.0), polynomial([0.0, 0.2]), sinusoid_sum([1.0, 4.0])):
-            doc = f.to_config()
-            assert set(doc) == {"family", "coefficients"}
-            assert FuncSpec.from_config(doc) == f
+    @pytest.mark.parametrize("doc, f", [
+        ({"family": "constant", "coefficients": [3]}, constant(3.0)),
+        ({"family": "polynomial", "coefficients": [0.0, 0.2]}, polynomial([0.0, 0.2])),
+        ({"family": "sinusoid-sum", "coefficients": [1.0, 4.0]}, sinusoid_sum([1.0, 4.0])),
+    ], ids=["constant", "polynomial", "sinusoid-sum"])
+    def test_from_config_reads_each_family(self, doc, f):
+        read = FuncSpec.from_config(doc)
+        assert read == f and read.coefficients == tuple(doc["coefficients"])
+        assert all(type(c) is float for c in read.coefficients)
+        with pytest.raises(ConfigError, match="unknown"):
+            FuncSpec.from_config(dict(doc, extra=1))
 
     @pytest.mark.parametrize("f", [
         polynomial([0.2, 0.05, 0.1, -0.04]),
@@ -177,27 +184,16 @@ class TestModelSpec:
         assert m.gamma_at(0.0) == 0.5
         assert m.gamma_at(0.5) == 0.0
 
-    def test_config_roundtrip(self, benchmark_model):
-        doc = benchmark_model.to_config()
-        again = ModelSpec.from_config(doc)
-        assert again == benchmark_model
+    def test_one_sided_flag_is_read(self, benchmark_model, benchmark_model_doc):
+        doc = dict(benchmark_model_doc, gamma_one_sided=True)
+        assert ModelSpec.from_config(doc) \
+            == dataclasses.replace(benchmark_model, gamma_one_sided=True)
 
-    def test_one_sided_flag_roundtrips(self):
-        m = ModelSpec(
-            m_plus=constant(1.0), m_minus=constant(0.0),
-            delta=constant(0.0), gamma=constant(0.5),
-            noise_sd=constant(0.0), gamma_one_sided=True,
-        )
-        assert ModelSpec.from_config(m.to_config()) == m
-
-    def test_from_config_rejects_unknown_keys(self, benchmark_model):
-        doc = benchmark_model.to_config()
-        doc["extra"] = 1
+    def test_from_config_rejects_unknown_keys(self, benchmark_model_doc):
         with pytest.raises(ConfigError):
-            ModelSpec.from_config(doc)
+            ModelSpec.from_config(dict(benchmark_model_doc, extra=1))
 
-    def test_from_config_rejects_missing_keys(self, benchmark_model):
-        doc = benchmark_model.to_config()
-        del doc["gamma"]
+    def test_from_config_rejects_missing_keys(self, benchmark_model_doc):
+        del benchmark_model_doc["gamma"]
         with pytest.raises(ConfigError):
-            ModelSpec.from_config(doc)
+            ModelSpec.from_config(benchmark_model_doc)

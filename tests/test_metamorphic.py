@@ -142,9 +142,9 @@ class TestAffineOutcomeMap:
 
 class TestSpilloverOutcomeMap:
     """Y -> a + Y leaves tau_d, delta and gamma and shifts mu(0) by a;
-    Y -> s*Y scales tau_d and gamma by s and leaves delta. Radius
-    cross-validation keeps its radii; its errors stay under a shift and
-    scale by s^2. Within 1e-9: each run solves a different design."""
+    Y -> s*Y, s from 1e-12 to 1e12, scales tau_d and gamma by s and leaves
+    delta. Radius cross-validation keeps its radii; its errors stay under a
+    shift and scale by s^2. Within 1e-9: each run solves a different design."""
 
     RTOL = 1e-9
     CANDIDATES = ([0.04, 0.075, 0.12], 5, 1)
@@ -174,7 +174,7 @@ class TestSpilloverOutcomeMap:
         assert close(got.mu_hat_at_0, a + est.mu_hat_at_0, self.RTOL)
         self.assert_errors(got_cv, cv, 1.0)
 
-    @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("s", [0.5, 2.0, 3.0, 1e-12, 1e-8, 1e8, 1e12])
     def test_a_scaling(self, sample, reference, s):
         (est, cv), (got, got_cv) = reference, self.mapped(sample, s * sample.y)
         assert close(got.tau_d_hat, s * est.tau_d_hat, self.RTOL)
