@@ -212,30 +212,13 @@ def _side_breaks(c: float, side: int) -> list[float]:
 # ---------------------------------------------------------------- tau_star --
 
 
-def _intercept_combo(kernel: str, plus_0, plus_1, minus_0, minus_1) -> float:
-    """Difference of the two one-sided local linear intercept functionals.
-
-    Given the per-side integrals of (profile * K) and (x * profile * K), the
-    population local linear intercept bias on the plus side is
-    (g21*I0 - g11*I1)/den and on the minus side (g21*I0m + g11*I1m)/den.
-    """
-    g01 = one_sided_moment(kernel, 0)
-    g11 = one_sided_moment(kernel, 1)
-    g21 = one_sided_moment(kernel, 2)
-    den = g01 * g21 - g11 * g11
-    if abs(den) < 1e-14:
-        raise NumericError(f"degenerate kernel moments for {kernel!r}: g01*g21 - g11^2 = {den}")
-    plus = g21 * plus_0 - g11 * plus_1
-    minus = g21 * minus_0 + g11 * minus_1
-    return (plus - minus) / den
-
-
 def tau_star(model_at_0: dict, c: float, kernel: str) -> float:
     """Intermediate-regime limit of the local linear RDD estimand.
 
     model_at_0 carries {tau_d, delta0, gamma0}; the profiles read
-    lambda_table(delta0). One evaluation of each profile per Gauss-Legendre
-    piece (GL_NODES nodes) serves both kernel moments.
+    lambda_table(delta0). Each side's intercept is one integral of the drift
+    mu + gamma0*nu against the equivalent kernel (g2 - g1|x|) K / (g0 g2 - g1^2),
+    GL_NODES Gauss-Legendre nodes per piece between the profile kinks.
     """
     if not 0.0 < c < 2.0:
         raise ConfigError(f"c must be in (0, 2), got {c}")
@@ -243,27 +226,21 @@ def tau_star(model_at_0: dict, c: float, kernel: str) -> float:
     delta0 = float(model_at_0["delta0"])
     gamma0 = float(model_at_0["gamma0"])
     table = lambda_table(delta0)
+    g0, g1, g2 = (one_sided_moment(kernel, p) for p in (0, 1, 2))
+    den = g0 * g2 - g1 * g1
+    if abs(den) < 1e-14:
+        raise NumericError(f"degenerate kernel moments for {kernel!r}: g0*g2 - g1^2 = {den}")
     nodes, weights = np.polynomial.legendre.leggauss(GL_NODES)
-
-    def side_ints(side):
-        """[mu, nu] per-side integrals [profile * K, x * profile * K]."""
-        ints = [[0.0, 0.0], [0.0, 0.0]]
+    total = tau_d
+    for side in (1, -1):
         breaks = _side_breaks(c, side)
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
             xs = mid + half * nodes
-            k = kernel_values(kernel, xs)
-            for moments, p in zip(ints, (mu_profile(xs, c, table, tau_d, gamma0),
-                                         nu_profile(xs, c))):
-                moments[0] += half * float(np.sum(weights * (p * k)))
-                moments[1] += half * float(np.sum(weights * (xs * p * k)))
-        return ints
-
-    (mu_p0, mu_p1), (nu_p0, nu_p1) = side_ints(1)
-    (mu_m0, mu_m1), (nu_m0, nu_m1) = side_ints(-1)
-    endo = _intercept_combo(kernel, mu_p0, mu_p1, mu_m0, mu_m1)
-    exo = _intercept_combo(kernel, nu_p0, nu_p1, nu_m0, nu_m1)
-    return float(tau_d + endo + gamma0 * exo)
+            drift = mu_profile(xs, c, table, tau_d, gamma0) + gamma0 * nu_profile(xs, c)
+            kern = (g2 - g1 * np.abs(xs)) * kernel_values(kernel, xs) / den
+            total += side * half * float(np.sum(weights * drift * kern))
+    return float(total)
 
 
 def corollary_bounds_check(tau_d: float, tau_star_value: float, tau_tot: float,

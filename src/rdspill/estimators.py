@@ -201,10 +201,14 @@ def _fit_side(side: str, rows, zs, ys, ws, *cols) -> tuple:
                             condition_number=math.inf)
     if six:
         # unit 2-norm columns (van der Sluis 1969), so the condition number
-        # does not carry Y's units; a zero column keeps divisor 1 and its rank loss
+        # does not carry Y's units; a zero column keeps divisor 1 and its rank loss.
+        # An exact power-of-two scale to max|x| ~ 1 (at most 2^1023) keeps the squares in range
+        scale = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(X).max(axis=0))[1], 1023))
+        X *= scale
         norms = np.sqrt(np.einsum("ij,ij->j", X, X))
         norms[norms == 0.0] = 1.0
         X /= norms
+        norms /= scale
     beta, _, rank, s = np.linalg.lstsq(X, sw, rcond=None)
     if six:
         beta /= norms

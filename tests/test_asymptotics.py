@@ -105,6 +105,36 @@ def _profile_moment(p, c, kernel, side, nodes=64):
     return float(total)
 
 
+def _moment_combination(model, c, kernel):
+    """Reference for tau_star: per side and per profile (mu, nu), the
+    integrals I0 = int p*K and I1 = int x*p*K on tau_star's own pieces and
+    nodes, combined into the plus intercept (g2*I0 - g1*I1)/den minus the
+    minus intercept (g2*I0 + g1*I1)/den."""
+    tau_d, gamma0 = model["tau_d"], model["gamma0"]
+    table = lambda_table(model["delta0"])
+    g0, g1, g2 = (one_sided_moment(kernel, p) for p in (0, 1, 2))
+    nodes, weights = np.polynomial.legendre.leggauss(asy.GL_NODES)
+    ints = {}
+    for side in (1, -1):
+        mu, nu = [0.0, 0.0], [0.0, 0.0]
+        breaks = asy._side_breaks(c, side)
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            half = (hi - lo) / 2.0
+            xs = (lo + hi) / 2.0 + half * nodes
+            k = kernel_values(kernel, xs)
+            for moments, prof in ((mu, mu_profile(xs, c, table, tau_d, gamma0)),
+                                  (nu, nu_profile(xs, c))):
+                moments[0] += half * float(np.sum(weights * prof * k))
+                moments[1] += half * float(np.sum(weights * xs * prof * k))
+        ints[side] = mu, nu
+
+    def combo(which):
+        (p0, p1), (m0, m1) = ints[1][which], ints[-1][which]
+        return ((g2 * p0 - g1 * p1) - (g2 * m0 + g1 * m1)) / (g0 * g2 - g1 * g1)
+
+    return tau_d + combo(0) + gamma0 * combo(1)
+
+
 @pytest.fixture(scope="module")
 def tab04():
     return build_lambda_table(0.4, A=8.0, grid_n=1601)
@@ -343,6 +373,17 @@ class TestTauStar:
             / (g01 * g21 - g11**2)
         ts = tau_star({"tau_d": 2.0, "delta0": 0.0, "gamma0": gamma0}, c, kern)
         assert ts == pytest.approx(2.0 + gamma0 * combo, abs=1e-10)
+
+    @pytest.mark.parametrize("kernel", ["triangular", "epanechnikov", "uniform"])
+    @pytest.mark.parametrize("delta0", [-0.5, 0.4, 0.9, 0.99])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 1.9])
+    def test_matches_the_moment_combination(self, kernel, delta0, c):
+        # the equivalent-kernel integral against the intercept recombined from
+        # the per-side moments int p*K and int x*p*K of each profile, on the
+        # same Gauss-Legendre pieces
+        model = {"tau_d": 1.0, "delta0": delta0, "gamma0": 0.3}
+        assert tau_star(model, c, kernel) == pytest.approx(
+            _moment_combination(model, c, kernel), rel=1e-12, abs=0.0)
 
     def test_kernel_agreement_rough(self):
         # different kernels weight the same profiles; values stay in a band

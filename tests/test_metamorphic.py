@@ -142,9 +142,10 @@ class TestAffineOutcomeMap:
 
 class TestSpilloverOutcomeMap:
     """Y -> a + Y leaves tau_d, delta and gamma and shifts mu(0) by a;
-    Y -> s*Y, s from 1e-12 to 1e12, scales tau_d and gamma by s and leaves
+    Y -> s*Y, s from 1e-310 to 1e300, scales tau_d and gamma by s and leaves
     delta. Radius cross-validation keeps its radii; its errors stay under a
-    shift and scale by s^2. Within 1e-9: each run solves a different design."""
+    shift and scale by s^2, s from 1e-12 to 1e12. Within 1e-9: each run
+    solves a different design."""
 
     RTOL = 1e-9
     CANDIDATES = ([0.04, 0.075, 0.12], 5, 1)
@@ -181,6 +182,20 @@ class TestSpilloverOutcomeMap:
         assert close(got.gamma_hat, s * est.gamma_hat, self.RTOL)
         assert close(got.delta_hat, est.delta_hat, self.RTOL)
         self.assert_errors(got_cv, cv, s * s)
+
+    @pytest.mark.parametrize("s", [1e-310, 1e-300, 1e-160, 1e160, 1e300])
+    def test_a_scaling_to_the_float_range_edges(self, sample, reference, s):
+        # the fit alone: radius cross-validation's errors are in Y^2 units,
+        # so they overflow past |s| ~ 1e154 whatever the fit does. At 1e-310
+        # the spillover columns are subnormal: their scale 2^-e would overflow
+        # uncapped, and they keep fewer digits than a normal float
+        est = reference[0]
+        got = local_spillover_regression(Sample(z=sample.z, y=s * sample.y), CFG)
+        assert close(got.tau_d_hat, s * est.tau_d_hat, self.RTOL)
+        assert close(got.gamma_hat, s * est.gamma_hat, self.RTOL)
+        assert close(got.delta_hat, est.delta_hat, self.RTOL)
+        for side in ("plus", "minus"):
+            assert close(got.condition_numbers[side], est.condition_numbers[side], self.RTOL)
 
 
 def _mapped(spec: FuncSpec, a: float, s: float) -> FuncSpec:
