@@ -45,8 +45,6 @@ from .kernels import check_kernel, kernel_values
 from .population import DEFAULT_GRID_N, check_grid_n, solve_population, true_estimands
 from .sampling import draw_sample, substream
 
-VERSION = "0.1.0"
-
 TARGET_KINDS = ("tau_d", "tau_tot", "tau_star")
 RADIUS_CAP = 0.9
 RADIUS_FLOOR_CELLS = 8

@@ -667,6 +667,18 @@ class TestEstimate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
+    @pytest.mark.parametrize("module", ["rdspill.asymptotics", "rdspill.experiments"])
+    @pytest.mark.parametrize("command", [["estimate", "--estimator", "all"], ["crossval"]])
+    def test_loads_neither_the_limit_machinery_nor_the_study_runners(
+            self, tmp_path, sim_csv, command, module):
+        cfg, data = sim_csv
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE_CLI, module, *command,
+             "--config", cfg, "--data", data, "--out", str(tmp_path / "out.json")],
+            env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_all_returns_four_records_in_order(self, tmp_path, capsys, sim_csv):
         cfg, data = sim_csv
         run_cli(["estimate", "--config", cfg, "--data", data,
@@ -1170,6 +1182,33 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+class TestStartUp:
+    """What a child loads before its command has read its config."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["estimate", "--config", "{tmp}/c.json"], 1),  # a usage error
+        (["simulate", "--config", "{tmp}/missing.json", "--out", "{tmp}/s.csv"], 1),
+    ])
+    def test_loads_no_numpy(self, tmp_path, argv, code):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", MODULES_PROBE_CLI, "numpy", *argv],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_module_invocation_loads_no_numpy(self):
+        # `python -m rdspill.cli` runs the module as __main__, not through
+        # an import of rdspill.cli
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "rdspill.cli",
+                               "--version"], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+        assert "rdspill" in loaded
+        assert [name for name in loaded if name.partition(".")[0] == "numpy"] == []
+
+
 class TestBlasPin:
     PROBE = "import os, rdspill; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
 
@@ -1253,6 +1292,14 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"rdspill {version}\n"
+
+    def test_package_version_is_the_declared_one_and_loads_no_numpy(self):
+        version, _ = project_metadata()
+        code = "import sys, rdspill; print(rdspill.__version__, 'numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{version} False\n"
 
     @pytest.mark.skipif(shutil.which("rdspill") is None,
                         reason="the rdspill console script is not on PATH")
