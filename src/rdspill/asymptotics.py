@@ -17,11 +17,10 @@ through (tau_d, delta(0), gamma(0)):
   step removed. It is continuous and also absorbs the exogenous channel: the
   neighborhood-share ramp response equals lambda_tilde/delta0, so no separate
   table is needed.
-* profile of the endogenous regressor at bandwidth scale x = z/h: the
-  neighborhood average of the solved outcome moves by
-      P(x) = min(1, |x|/c) * [delta0*tau_d*D_lambda(x) + gamma0*D_tilde(x)]
-  where D_* are differences of window averages of the table over the gained
-  and lost neighborhood pieces.
+* profile of the endogenous regressor at bandwidth scale x = z/h, a = 2x/c:
+  the neighborhood average of the solved outcome moves by
+      P(x) = delta0*tau_d*(L(a) - L(0)) + gamma0*(L(a) - L(0) - V(x))
+  where L(a) is the mean of lambda over the neighborhood [a - 1, a + 1].
 * profile of the treated-share regressor: V(x) = clip(x/c, -1/2, 1/2).
 
 tau_star applies the one-sided local linear intercept functional to those
@@ -161,39 +160,19 @@ def lambda_table(delta0: float) -> LambdaTable:
     return build_lambda_table(delta0)
 
 
-def _indicator_average(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mean of 1{a >= 0} over each [lo, hi]."""
-    return (np.maximum(hi, 0.0) - np.maximum(lo, 0.0)) / (hi - lo)
-
-
 def mu_profile(x: np.ndarray, c: float, table: LambdaTable,
                tau_d: float, gamma0: float) -> np.ndarray:
     """Limit drift of the endogenous regressor, already scaled by delta0.
 
-    Returns min(1,|x|/c) * [delta0*tau_d*D_lambda + gamma0*D_lambda_tilde]:
-    D_* is the average over the neighborhood piece gained at z = xh minus that
-    over the piece lost (a-units), one interval_average call per piece for all
-    x. The delta0 factor multiplying tau_d is absorbed through
-    lambda_tilde = delta0 * (ramp response), keeping delta0 = 0 regular.
+    With a = 2x/c and L(a) the mean of lambda over [a - 1, a + 1], returns
+    delta0*tau_d*(L(a) - L(0)) + gamma0*(L(a) - L(0) - nu): the treated share
+    over the same windows moves by nu_profile, so the gamma0 term is the
+    lambda_tilde channel and delta0 = 0 stays regular. One interval_average
+    call per term, for all x.
     """
-    delta0 = table.delta0
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    nonzero = x != 0.0
-    xs = x[nonzero]
-    ctr = 2 * xs / c
-    right = xs >= 0
-    g_lo = np.where(right, np.maximum(1.0, ctr - 1.0), ctr - 1.0)
-    g_hi = np.where(right, ctr + 1.0, np.minimum(-1.0, ctr + 1.0))
-    l_lo = np.where(right, -1.0, np.maximum(-1.0, ctr + 1.0))
-    l_hi = np.where(right, np.minimum(1.0, ctr - 1.0), 1.0)
-    lam_g = table.interval_average(g_lo, g_hi)
-    lam_l = table.interval_average(l_lo, l_hi)
-    til_g = lam_g - _indicator_average(g_lo, g_hi)
-    til_l = lam_l - _indicator_average(l_lo, l_hi)
-    share = np.minimum(1.0, np.abs(xs) / c)
-    out[nonzero] = share * (delta0 * tau_d * (lam_g - lam_l) + gamma0 * (til_g - til_l))
-    return out
+    a = 2 * np.asarray(x, dtype=float) / c
+    lam = table.interval_average(a - 1.0, a + 1.0) - table.interval_average(-1.0, 1.0)
+    return table.delta0 * tau_d * lam + gamma0 * (lam - nu_profile(x, c))
 
 
 def nu_profile(x, c: float) -> np.ndarray:

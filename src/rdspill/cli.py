@@ -35,7 +35,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .estimators import EstimatorConfig
     from .sampling import Sample
 
 # The library calls of the commands, each imported on first use. The
@@ -53,12 +52,13 @@ _cli = sys.modules[__name__]
 
 TOP_LEVEL_KEYS = {"model", "estimator", "simulate", "crossval", "experiment"}
 REGIME_LABELS = ("r>>h", "r<<h", "r~h")
-# --estimator's choices and the fit each runs; "all" runs every fit in this order
-ESTIMATOR_ALIASES = {
-    "ll": "local_linear",
-    "nw": "nadaraya_watson",
-    "donut": "donut",
-    "spillover": "spillover",
+# --estimator's choices: (record name, fit read off this module); "all" runs
+# every fit in this order
+FITS = {
+    "ll": ("local_linear", "local_linear_rdd"),
+    "nw": ("nadaraya_watson", "nadaraya_watson_rdd"),
+    "donut": ("donut", "donut_rdd"),
+    "spillover": ("spillover", "local_spillover_regression"),
 }
 
 
@@ -267,31 +267,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_estimator(name: str, sample: Sample, cfg: EstimatorConfig) -> dict:
-    from .estimators import to_record
-
-    if name == "local_linear":
-        return to_record(name, cfg, _cli.local_linear_rdd(sample, cfg))
-    if name == "nadaraya_watson":
-        return to_record(name, cfg, _cli.nadaraya_watson_rdd(sample, cfg))
-    if name == "donut":
-        return to_record(name, cfg, _cli.donut_rdd(sample, cfg))
-    return to_record("spillover", cfg, _cli.local_spillover_regression(sample, cfg))
-
-
 def cmd_estimate(args) -> int:
     doc = _load_config(args.config)
-    from .estimators import EstimatorConfig, _check_spillover
+    from .estimators import EstimatorConfig, _check_spillover, to_record
 
     cfg = EstimatorConfig.from_config(_section(doc, "estimator"))
-    names = (tuple(ESTIMATOR_ALIASES.values()) if args.estimator == "all"
-             else (ESTIMATOR_ALIASES[args.estimator],))
-    if "spillover" in names:
+    fits = list(FITS.values()) if args.estimator == "all" else [FITS[args.estimator]]
+    spillover = FITS["spillover"] in fits
+    if spillover:
         _check_spillover(cfg)
     _check_out_dir(os.path.dirname(args.out))
     # only the spillover fit reads past |z| <= h, out to h + r
-    sample, n, rescale_info = _load_sample(args, cfg.h + cfg.r if "spillover" in names else cfg.h)
-    records = [_run_estimator(name, sample, cfg) for name in names]
+    sample, n, rescale_info = _load_sample(args, cfg.h + cfg.r if spillover else cfg.h)
+    records = [to_record(name, cfg, getattr(_cli, fit)(sample, cfg)) for name, fit in fits]
     payload = {
         "data": args.data,
         "n": n,
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--data", required=True, help="input CSV with header z,y")
     est.add_argument("--out", required=True, help="output JSON path")
     est.add_argument("--estimator", default="ll",
-                     choices=[*ESTIMATOR_ALIASES, "all"])
+                     choices=[*FITS, "all"])
     est.add_argument("--rescale", metavar="MIN,CUTOFF,MAX", help=(
         "affine map for raw data: cutoff to 0, declared range into [-1, 1]"))
     est.set_defaults(func=cmd_estimate)

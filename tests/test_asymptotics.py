@@ -71,7 +71,21 @@ def _interval_average_scalar(tab, lo, hi):
 
 
 def _mu_profile_loop(x, c, tab, tau_d, gamma0):
-    """Reference for mu_profile: the same pieces and averages, one x at a time."""
+    """Reference for mu_profile: the same two window averages, one x at a time."""
+    out = np.zeros_like(np.asarray(x, dtype=float))
+    for idx, xv in enumerate(np.atleast_1d(x)):
+        a = 2 * float(xv) / c
+        lam = _interval_average_scalar(tab, a - 1.0, a + 1.0) \
+            - _interval_average_scalar(tab, -1.0, 1.0)
+        nu = min(max(float(xv) / c, -0.5), 0.5)
+        out.flat[idx] = tab.delta0 * tau_d * lam + gamma0 * (lam - nu)
+    return out
+
+
+def _mu_profile_pieces(x, c, tab, tau_d, gamma0):
+    """Identity reference for mu_profile: the share min(1, |x|/c) times the
+    averages of lambda and lambda_tilde over the neighborhood piece gained at
+    z = xh minus those over the piece lost, one x at a time."""
     out = np.zeros_like(np.asarray(x, dtype=float))
     for idx, xv in enumerate(np.atleast_1d(x)):
         xv = float(xv)
@@ -133,6 +147,13 @@ def _moment_combination(model, c, kernel):
         return ((g2 * p0 - g1 * p1) - (g2 * m0 + g1 * m1)) / (g0 * g2 - g1 * g1)
 
     return tau_d + combo(0) + gamma0 * combo(1)
+
+
+def _mixing_weight(tau_d, delta0, gamma0, c, kernel):
+    """w in tau_star = tau_d + w * (tau_tot - tau_d)."""
+    tau_tot = (tau_d + gamma0) / (1.0 - delta0)
+    model = {"tau_d": tau_d, "delta0": delta0, "gamma0": gamma0}
+    return (tau_star(model, c, kernel) - tau_d) / (tau_tot - tau_d)
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +368,21 @@ class TestTauStar:
         # equals 1/8 exactly, so tau_star = tau_d + gamma0/8
         ts = tau_star({"tau_d": 1.0, "delta0": 0.0, "gamma0": 0.5}, 1.0, "triangular")
         assert ts == pytest.approx(1.0625, abs=1e-10)
+        # as a mixing weight: w = 2 * int_0^1 K_eq(x) min(x, 1/2) dx = 1/8
+        assert _mixing_weight(1.0, 0.0, 0.5, 1.0, "triangular") == pytest.approx(
+            0.125, rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kernel", ["triangular", "epanechnikov", "uniform"])
+    @pytest.mark.parametrize("delta0", [-0.5, 0.0, 0.4, 0.9])
+    def test_mixing_weight_does_not_depend_on_the_effects(self, kernel, delta0):
+        # the estimand mixes the direct and the total effect with a weight set
+        # by (delta0, c, kernel) alone: the drift is (delta0*tau_d + gamma0)
+        # times one profile, and tau_tot - tau_d = (delta0*tau_d + gamma0)/(1 - delta0)
+        pairs = ((1.0, 0.3), (0.5, 1.0), (-1.0, -0.2), (2.0, 0.1), (0.0, 0.5))
+        for c in (0.1, 0.5, 1.0, 1.9):
+            ws = [_mixing_weight(tau_d, delta0, gamma0, c, kernel)
+                  for tau_d, gamma0 in pairs]
+            assert max(ws) - min(ws) <= 1e-13
 
     def test_delta0_zero_wide_c_no_bias(self):
         # with c >= 2 the share profile is linear on the fit window and the
@@ -478,6 +514,23 @@ class TestMoments:
             ref = _mu_profile_loop(xs, c, tab, 1.3, 0.7)
             np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
             assert mu_profile([c / 2], c, tab, 1.3, 0.7)[0] == ref[-6]
+            # L(a) - L(0) is the share times the gained-minus-lost piece
+            # averages; the treated share over those windows moves by nu
+            np.testing.assert_allclose(got, _mu_profile_pieces(xs, c, tab, 1.3, 0.7),
+                                       rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("delta0", [-0.5, 0.0, 0.4, 0.8])
+    def test_drift_is_one_window_average_difference(self, delta0):
+        # mu + gamma0*nu = (delta0*tau_d + gamma0) * (L(a) - L(0)), a = 2x/c
+        tab = build_lambda_table(delta0, A=8.0, grid_n=1601)
+        for c in (0.05, 0.3, 1.0, 1.9):
+            xs = np.linspace(-1.0, 1.0, 401)
+            a = 2 * xs / c
+            diff = tab.interval_average(a - 1.0, a + 1.0) - tab.interval_average(-1.0, 1.0)
+            for tau_d, gamma0 in ((1.3, 0.7), (-0.4, 2.0), (0.0, -0.6)):
+                drift = mu_profile(xs, c, tab, tau_d, gamma0) + gamma0 * nu_profile(xs, c)
+                np.testing.assert_allclose(drift, (delta0 * tau_d + gamma0) * diff,
+                                           rtol=0.0, atol=1e-14)
 
     def test_delta0_zero_lambda_tilde_maps_vanish(self, tab0):
         # lambda_tilde = lambda - 1{a >= 0} is zero at delta0 = 0, so the
